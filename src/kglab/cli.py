@@ -51,7 +51,7 @@ def _parse_signs(raw: str) -> tuple:
 def _cmd_scan_phase(args) -> int:
     mu, nu = args.signs
     out = phase_bound_scan(args.dim, mu, nu, radius=args.radius, step=args.step)
-    for key in ("d", "mu", "nu", "radius", "step", "n_pairs",
+    for key in ("d", "mu", "nu", "radius", "step", "n_pairs", "n_pairs_covered",
                 "min_abs_phase", "c_phi", "c_grad", "floor_violations"):
         print(f"{key} = {out[key]}")
     return 0 if out["floor_violations"] == 0 else 1
@@ -82,10 +82,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(fn=_cmd_run)
 
     p_acc = sub.add_parser("acceptance", help="run the acceptance battery")
-    group = p_acc.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", default=True,
-                       help="every criterion (default)")
-    group.add_argument("--fast", action="store_true",
+    p_acc.add_argument("--fast", action="store_true",
                        help="skip the long nonlinear sweeps")
     p_acc.set_defaults(fn=_cmd_acceptance)
 

@@ -174,9 +174,7 @@ class ExperimentConfig:
         return self.out or os.environ.get("KGLAB_OUT", "out")
 
     def worker_count(self) -> int:
-        if self.workers:
-            return self.workers
-        return max(1, int(os.environ.get("KGLAB_WORKERS", "1")))
+        return self.workers or _env_workers()
 
     def content_hash(self) -> str:
         """Hash of the canonical key = value rendering; names outputs."""
@@ -192,6 +190,15 @@ class ExperimentConfig:
                 rendered = _render(value)
             lines.append(f"{f.name} = {rendered}")
         return "\n".join(lines) + "\n"
+
+
+def _env_workers() -> int:
+    """KGLAB_WORKERS as a worker count: unset means 1, and so does 0."""
+    raw = os.environ.get("KGLAB_WORKERS", "1")
+    if not raw.strip().isdecimal():
+        raise ValueError(
+            f"KGLAB_WORKERS must be a nonnegative integer, got {raw!r}")
+    return max(1, int(raw))
 
 
 def _render(value) -> str:
@@ -249,5 +256,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """Read and validate one experiment file, together with the
+    KGLAB_WORKERS fallback it would run with.  Fails before compute."""
     with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        cfg = parse_config(handle.read())
+    cfg.worker_count()
+    return cfg

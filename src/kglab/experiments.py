@@ -279,6 +279,7 @@ def run_phase_scan(cfg: ExperimentConfig) -> RunReport:
     for pair, coarse, fine, rel_drift in _map_entries(cfg, scan, cfg.signs):
         report.rows.append({
             "dim": cfg.dim, "pair": pair, "n_pairs": coarse["n_pairs"],
+            "n_pairs_covered": coarse["n_pairs_covered"],
             "min_abs_phase": coarse["min_abs_phase"],
             "min_refined": fine["min_abs_phase"],
             "rel_drift": rel_drift,

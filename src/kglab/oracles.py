@@ -12,12 +12,15 @@ n^d <= a few hundred modes.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.integrate import quad
 
 from .cutoffs import psi_le, psi_range
 from .grid import Field, Grid
 from .paradiff import PARA_CUT_BAND, Symbol
+from .resonance import PHASE_FLOOR
 
 __all__ = [
     "weyl_oracle",
@@ -25,6 +28,7 @@ __all__ = [
     "trilinear_oracle",
     "fd_gradient_oracle",
     "kernel_point_oracle",
+    "phase_scan_oracle",
 ]
 
 
@@ -213,3 +217,116 @@ def kernel_point_oracle(
         return complex(np.sum(W * amp * phase)) / (2 * np.pi) ** 2
 
     raise ValueError("kernel oracle implemented for d = 1, 2")
+
+
+def phase_scan_oracle(d: int, mu: int, nu: int, radius: float = 8.0,
+                      step: float = 0.25, *, fd_step: float | None = None,
+                      grad_pair_budget: int = 4_000_000,
+                      chunk: int = 512, floor: float = PHASE_FLOOR) -> dict:
+    """The phase-bound scan over the full lattice product.
+
+    Every pair (xi, eta) of the step-h lattice ball |v| <= radius in d
+    dimensions is evaluated, with no symmetry reduction; the finite-
+    difference gradient runs on every row_stride-th row of the lattice,
+    the stride set by the pair count and grad_pair_budget.  Returns the
+    keys of resonance.phase_bound_scan except n_pairs_covered, with
+    n_pairs the full product.  The cost grows as (2 radius / step)^(2d).
+    """
+    if mu not in (1, -1) or nu not in (1, -1):
+        raise ValueError("signs must be +1 or -1")
+    if radius <= 0 or step <= 0:
+        raise ValueError("radius and step must be positive")
+    nsteps = int(round(radius / step))
+    cube = np.array([[step * k for k in idx] for idx in
+                     itertools.product(range(-nsteps, nsteps + 1), repeat=d)])
+    xi_pts = eta_pts = cube[np.sum(cube * cube, axis=1) <= radius * radius + 1e-12]
+    nx, ne = xi_pts.shape[0], eta_pts.shape[0]
+    delta = fd_step if fd_step is not None else step / 8.0
+
+    eta2 = np.sum(eta_pts * eta_pts, axis=1)
+    abs_eta = np.sqrt(eta2)
+    lam_eta = np.sqrt(1.0 + eta2)
+    xi2_all = np.sum(xi_pts * xi_pts, axis=1)
+
+    # deterministic row subsample for the FD gradient pass
+    row_stride = max(1, int(np.ceil(nx * ne / max(grad_pair_budget, 1))))
+    grad_rows = np.zeros(nx, dtype=bool)
+    grad_rows[::row_stride] = True
+
+    min_abs = np.inf
+    min_arg = (None, None)
+    c_phi = 0.0
+    c_phi_arg = (None, None)
+    c_grad = 0.0
+    n_grad = 0
+    n_floor = 0
+
+    for i0 in range(0, nx, chunk):
+        i1 = min(i0 + chunk, nx)
+        X = xi_pts[i0:i1]
+        xi2 = xi2_all[i0:i1]
+        abs_xi = np.sqrt(xi2)
+        lam_xi = np.sqrt(1.0 + xi2)
+        # |xi - eta|^2 via the inner-product expansion
+        dots = X @ eta_pts.T
+        d2 = xi2[:, None] + eta2[None, :] - 2.0 * dots
+        np.maximum(d2, 0.0, out=d2)
+        abs_diff = np.sqrt(d2)
+        lam_diff = np.sqrt(1.0 + d2)
+
+        ph = -lam_xi[:, None] + mu * lam_diff + nu * lam_eta[None, :]
+        aph = np.abs(ph)
+        n_floor += int(np.sum(aph < floor))
+
+        flat = int(np.argmin(aph))
+        if aph.flat[flat] < min_abs:
+            min_abs = float(aph.flat[flat])
+            r, c = divmod(flat, ne)
+            min_arg = (xi_pts[i0 + r].copy(), eta_pts[c].copy())
+
+        min3 = np.minimum(np.minimum(abs_xi[:, None], abs_eta[None, :]), abs_diff)
+        ratio = 1.0 / (np.maximum(aph, floor) * (1.0 + min3))
+        flat = int(np.argmax(ratio))
+        if ratio.flat[flat] > c_phi:
+            c_phi = float(ratio.flat[flat])
+            r, c = divmod(flat, ne)
+            c_phi_arg = (xi_pts[i0 + r].copy(), eta_pts[c].copy())
+
+        rows = np.nonzero(grad_rows[i0:i1])[0]
+        if rows.size == 0:
+            continue
+        Xs = X[rows]
+        xi2s, d2s = xi2[rows], d2[rows]
+        lam_eta_b = lam_eta[None, :]
+        gradsq = np.zeros_like(d2s)
+        for c in range(d):
+            diff_c = Xs[:, c][:, None] - eta_pts[:, c][None, :]
+            lam_xi_p = np.sqrt(1.0 + xi2s + 2.0 * delta * Xs[:, c] + delta**2)
+            lam_xi_m = np.sqrt(1.0 + xi2s - 2.0 * delta * Xs[:, c] + delta**2)
+            # z1 perturbation: moves xi - eta and xi + ... = xi
+            lam_dp = np.sqrt(1.0 + d2s + 2.0 * delta * diff_c + delta**2)
+            lam_dm = np.sqrt(1.0 + d2s - 2.0 * delta * diff_c + delta**2)
+            g1 = (-(lam_xi_p - lam_xi_m)[:, None]
+                  + mu * (lam_dp - lam_dm)) / (2.0 * delta)
+            gradsq += g1 * g1
+            # z2 perturbation: moves eta and xi, leaves xi - eta fixed
+            lam_eta_p = np.sqrt(1.0 + eta2 + 2.0 * delta * eta_pts[:, c] + delta**2)
+            lam_eta_m = np.sqrt(1.0 + eta2 - 2.0 * delta * eta_pts[:, c] + delta**2)
+            g2 = (-(lam_xi_p - lam_xi_m)[:, None]
+                  + nu * (lam_eta_p - lam_eta_m)[None, :]) / (2.0 * delta)
+            gradsq += g2 * g2
+        aph_s = np.abs(-np.sqrt(1.0 + xi2s)[:, None] + mu * np.sqrt(1.0 + d2s)
+                       + nu * lam_eta_b)
+        denom = np.minimum(1.0, np.maximum(aph_s, floor))
+        c_grad = max(c_grad, float(np.max(np.sqrt(gradsq) / denom)))
+        n_grad += rows.size * ne
+
+    return {
+        "d": d, "mu": mu, "nu": nu, "radius": radius, "step": step,
+        "n_pairs": nx * ne, "min_abs_phase": min_abs,
+        "argmin_xi": min_arg[0], "argmin_eta": min_arg[1],
+        "c_phi": c_phi, "c_phi_arg_xi": c_phi_arg[0],
+        "c_phi_arg_eta": c_phi_arg[1],
+        "c_grad": c_grad, "n_grad_pairs": n_grad, "fd_step": delta,
+        "floor_violations": n_floor,
+    }

@@ -117,34 +117,63 @@ def _ball_lattice(d: int, radius: float, step: float,
     return pts[keep]
 
 
-def _scan_points(d: int, radius: float, step: float):
-    """Left (xi) and right (eta) point sets of the pair scan.
+def _wedge_rep(pts: np.ndarray) -> np.ndarray:
+    """Each point's representative under the signed axis permutations:
+    its absolute coordinates sorted in descending order."""
+    return np.sort(np.abs(pts), axis=1)[:, ::-1]
 
-    Full lattice product for d <= 2.  For d = 3 the phase depends only
-    on |xi|, |eta|, |xi - eta|, so every pair is rotation-equivalent to
-    xi = (r, 0, 0), eta = (a, b, 0) with r, b >= 0; the scan runs over
-    that canonical slice at the same resolution.
+
+def _scan_points(d: int, radius: float, step: float, grad_pair_budget: int):
+    """Rows, row weights, columns and gradient rows of the pair scan.
+
+    The phase, c_phi and the floor test depend on a pair (xi, eta) only
+    through |xi|, |eta| and |xi - eta|.  For d <= 2 the lattice ball is
+    invariant under the signed permutations of the axes (8 in 2-D, 2 in
+    1-D), and (g xi, eta) has the same lengths as (xi, g^-1 eta), so
+    every row g xi of the full lattice product repeats the row xi up to
+    a permutation of its columns.  The rows are therefore the wedge
+    0 <= xi_2 <= xi_1 (xi >= 0 in 1-D), each weighted by the size of
+    its orbit (1, 4 or 8 in 2-D; 1 or 2 in 1-D), and the columns stay
+    the whole ball.  The weights sum to the full lattice size.
+
+    For d = 3 every pair is rotation-equivalent to xi = (r, 0, 0),
+    eta = (a, b, 0) with r, b >= 0; the rows and columns are that
+    canonical slice at the same resolution, each row of weight 1.
+
+    The finite-difference gradient is measured on a deterministic row
+    subsample: every row_stride-th row of the full lattice, with the
+    stride set by the full pair count and grad_pair_budget, mapped to
+    its wedge representative with duplicates dropped.  The gradient
+    norm is invariant too, so the maximum over the representatives
+    equals the maximum over the sampled rows.
+
+    Returns (xi, weight, eta, grad_xi).
     """
     if d in (1, 2):
-        pts = _ball_lattice(d, radius, step)
-        return pts, pts
-    if d == 3:
+        full = _ball_lattice(d, radius, step)
+        eta = full
+    elif d == 3:
         nsteps = int(round(radius / step))
-        r = step * np.arange(0, nsteps + 1)
-        xi = np.zeros((r.size, 3))
-        xi[:, 0] = r
+        full = np.zeros((nsteps + 1, 3))
+        full[:, 0] = step * np.arange(0, nsteps + 1)
         disc = _ball_lattice(2, radius, step, nonneg_axes=(1,))
         eta = np.zeros((disc.shape[0], 3))
         eta[:, :2] = disc
-        return xi, eta
-    raise ValueError(f"scan supports d in 1..3, got {d}")
+    else:
+        raise ValueError(f"scan supports d in 1..3, got {d}")
+    # the d = 3 slice rows (r, 0, 0) are their own representatives
+    xi, weight = np.unique(_wedge_rep(full), axis=0, return_counts=True)
+    row_stride = max(1, int(np.ceil(full.shape[0] * eta.shape[0]
+                                    / max(grad_pair_budget, 1))))
+    grad_xi = np.unique(_wedge_rep(full[::row_stride]), axis=0)
+    return xi, weight, eta, grad_xi
 
 
 def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
                      step: float = 0.25, *, fd_step: float | None = None,
                      grad_pair_budget: int = 4_000_000,
                      chunk: int = 512, floor: float = PHASE_FLOOR) -> dict:
-    """Brute-force scan of the phase lower bound and derivative bound.
+    """Scan of the phase lower bound and derivative bound.
 
     Over lattice pairs (xi, eta) with |xi|, |eta| <= radius, measures
 
@@ -152,51 +181,62 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
         c_grad = max  |grad Phi_{mu nu}| / min{1, |Phi_{mu nu}|}
 
     with the gradient taken in the (z1, z2) arguments by central finite
-    differences.  The gradient maximum is taken over a deterministic
-    row subsample when the full pair count exceeds grad_pair_budget.
-    Returns a report dict; finite constants are the verification.
+    differences.  For d <= 2 the rows xi run over the symmetry wedge of
+    the lattice ball and the columns eta over the whole ball (see
+    _scan_points); floor_violations sums each row's count of pairs with
+    |Phi| < floor times the row's orbit weight, so it counts the full
+    lattice product.  The gradient maximum is taken over the wedge
+    representatives of a deterministic row subsample of the full
+    lattice when its pair count exceeds grad_pair_budget.  Lattice
+    coordinates on a dyadic step are exact in floating point, so
+    min_abs_phase, c_phi and floor_violations equal those of the full
+    product (oracles.phase_scan_oracle) exactly, and c_grad to
+    rounding.  The arguments reported for the minimum and for c_phi
+    have xi in the wedge.  For d = 3 the scan runs over a canonical
+    slice instead.
+
+    n_pairs counts the pairs evaluated, n_pairs_covered the pairs of
+    the full lattice product they stand for.  Returns a report dict;
+    finite constants are the verification.
     """
     _check_sign(mu), _check_sign(nu)
     if radius <= 0 or step <= 0:
         raise ValueError("radius and step must be positive")
-    xi_pts, eta_pts = _scan_points(d, radius, step)
+    xi_pts, weight, eta_pts, grad_pts = _scan_points(d, radius, step, grad_pair_budget)
     nx, ne = xi_pts.shape[0], eta_pts.shape[0]
     delta = fd_step if fd_step is not None else step / 8.0
 
     eta2 = np.sum(eta_pts * eta_pts, axis=1)
     abs_eta = np.sqrt(eta2)
-    lam_eta = np.sqrt(1.0 + eta2)
+    nu_lam_eta = nu * np.sqrt(1.0 + eta2)
     xi2_all = np.sum(xi_pts * xi_pts, axis=1)
-
-    # deterministic row subsample for the FD gradient pass
-    row_stride = max(1, int(np.ceil(nx * ne / max(grad_pair_budget, 1))))
-    grad_rows = np.zeros(nx, dtype=bool)
-    grad_rows[::row_stride] = True
 
     min_abs = np.inf
     min_arg = (None, None)
-    c_phi = 0.0
+    min_den = np.inf
     c_phi_arg = (None, None)
-    c_grad = 0.0
-    n_grad = 0
     n_floor = 0
 
+    # each step below overwrites one of two chunk-sized buffers in place,
+    # in the operation order of oracles.phase_scan_oracle, so the two
+    # agree bitwise
     for i0 in range(0, nx, chunk):
         i1 = min(i0 + chunk, nx)
-        X = xi_pts[i0:i1]
         xi2 = xi2_all[i0:i1]
-        abs_xi = np.sqrt(xi2)
-        lam_xi = np.sqrt(1.0 + xi2)
         # |xi - eta|^2 via the inner-product expansion
-        dots = X @ eta_pts.T
-        d2 = xi2[:, None] + eta2[None, :] - 2.0 * dots
+        dots = xi_pts[i0:i1] @ eta_pts.T
+        dots *= 2.0
+        d2 = np.add.outer(xi2, eta2)
+        d2 -= dots
         np.maximum(d2, 0.0, out=d2)
-        abs_diff = np.sqrt(d2)
-        lam_diff = np.sqrt(1.0 + d2)
-
-        ph = -lam_xi[:, None] + mu * lam_diff + nu * lam_eta[None, :]
-        aph = np.abs(ph)
-        n_floor += int(np.sum(aph < floor))
+        abs_diff = np.sqrt(d2, out=dots)
+        d2 += 1.0
+        aph = np.sqrt(d2, out=d2)
+        aph *= mu
+        aph += -np.sqrt(1.0 + xi2)[:, None]
+        aph += nu_lam_eta
+        np.abs(aph, out=aph)
+        n_floor += int(weight[i0:i1] @ np.count_nonzero(aph < floor, axis=1))
 
         flat = int(np.argmin(aph))
         if aph.flat[flat] < min_abs:
@@ -204,20 +244,49 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
             r, c = divmod(flat, ne)
             min_arg = (xi_pts[i0 + r].copy(), eta_pts[c].copy())
 
-        min3 = np.minimum(np.minimum(abs_xi[:, None], abs_eta[None, :]), abs_diff)
-        ratio = 1.0 / (np.maximum(aph, floor) * (1.0 + min3))
-        flat = int(np.argmax(ratio))
-        if ratio.flat[flat] > c_phi:
-            c_phi = float(ratio.flat[flat])
+        # c_phi = 1 / min of the denominator (the reciprocal is monotone)
+        min3 = np.minimum(abs_diff, np.sqrt(xi2)[:, None], out=abs_diff)
+        np.minimum(min3, abs_eta, out=min3)
+        min3 += 1.0
+        np.maximum(aph, floor, out=aph)
+        den = np.multiply(aph, min3, out=aph)
+        flat = int(np.argmin(den))
+        if den.flat[flat] < min_den:
+            min_den = float(den.flat[flat])
             r, c = divmod(flat, ne)
             c_phi_arg = (xi_pts[i0 + r].copy(), eta_pts[c].copy())
 
-        rows = np.nonzero(grad_rows[i0:i1])[0]
-        if rows.size == 0:
-            continue
-        Xs = X[rows]
-        xi2s, dots_s, d2s = xi2[rows], dots[rows], d2[rows]
-        lam_eta_b = lam_eta[None, :]
+    c_grad = _grad_scan(mu, nu, grad_pts, eta_pts, delta, floor)
+    return {
+        "d": d, "mu": mu, "nu": nu, "radius": radius, "step": step,
+        "n_pairs": nx * ne, "n_pairs_covered": int(weight.sum()) * ne,
+        "min_abs_phase": min_abs,
+        "argmin_xi": min_arg[0], "argmin_eta": min_arg[1],
+        "c_phi": 1.0 / min_den, "c_phi_arg_xi": c_phi_arg[0],
+        "c_phi_arg_eta": c_phi_arg[1],
+        "c_grad": c_grad, "n_grad_pairs": grad_pts.shape[0] * ne, "fd_step": delta,
+        "floor_violations": n_floor,
+    }
+
+
+def _grad_scan(mu, nu, grad_pts, eta_pts, delta, floor) -> float:
+    """max |grad Phi| / min{1, |Phi|} over grad_pts x eta_pts by central
+    differences, in blocks of 16 rows so that the peak memory stays with
+    the main scan."""
+    d = eta_pts.shape[1]
+    eta2 = np.sum(eta_pts * eta_pts, axis=1)
+    lam_eta = np.sqrt(1.0 + eta2)
+    eta_terms = []
+    for c in range(d):
+        lam_eta_p = np.sqrt(1.0 + eta2 + 2.0 * delta * eta_pts[:, c] + delta**2)
+        lam_eta_m = np.sqrt(1.0 + eta2 - 2.0 * delta * eta_pts[:, c] + delta**2)
+        eta_terms.append(nu * (lam_eta_p - lam_eta_m)[None, :])
+    c_grad = 0.0
+    for i0 in range(0, grad_pts.shape[0], 16):
+        Xs = grad_pts[i0:i0 + 16]
+        xi2s = np.sum(Xs * Xs, axis=1)
+        d2s = xi2s[:, None] + eta2[None, :] - 2.0 * (Xs @ eta_pts.T)
+        np.maximum(d2s, 0.0, out=d2s)
         gradsq = np.zeros_like(d2s)
         for c in range(d):
             diff_c = Xs[:, c][:, None] - eta_pts[:, c][None, :]
@@ -230,26 +299,13 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
                   + mu * (lam_dp - lam_dm)) / (2.0 * delta)
             gradsq += g1 * g1
             # z2 perturbation: moves eta and xi, leaves xi - eta fixed
-            lam_eta_p = np.sqrt(1.0 + eta2 + 2.0 * delta * eta_pts[:, c] + delta**2)
-            lam_eta_m = np.sqrt(1.0 + eta2 - 2.0 * delta * eta_pts[:, c] + delta**2)
-            g2 = (-(lam_xi_p - lam_xi_m)[:, None]
-                  + nu * (lam_eta_p - lam_eta_m)[None, :]) / (2.0 * delta)
+            g2 = (-(lam_xi_p - lam_xi_m)[:, None] + eta_terms[c]) / (2.0 * delta)
             gradsq += g2 * g2
         aph_s = np.abs(-np.sqrt(1.0 + xi2s)[:, None] + mu * np.sqrt(1.0 + d2s)
-                       + nu * lam_eta_b)
+                       + nu * lam_eta[None, :])
         denom = np.minimum(1.0, np.maximum(aph_s, floor))
         c_grad = max(c_grad, float(np.max(np.sqrt(gradsq) / denom)))
-        n_grad += rows.size * ne
-
-    return {
-        "d": d, "mu": mu, "nu": nu, "radius": radius, "step": step,
-        "n_pairs": nx * ne, "min_abs_phase": min_abs,
-        "argmin_xi": min_arg[0], "argmin_eta": min_arg[1],
-        "c_phi": c_phi, "c_phi_arg_xi": c_phi_arg[0],
-        "c_phi_arg_eta": c_phi_arg[1],
-        "c_grad": c_grad, "n_grad_pairs": n_grad, "fd_step": delta,
-        "floor_violations": n_floor,
-    }
+    return c_grad
 
 
 # ---------------------------------------------------------------------------

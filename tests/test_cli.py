@@ -57,13 +57,38 @@ def test_run_exits_2_on_missing_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_exits_2_on_malformed_worker_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KGLAB_OUT", str(tmp_path / "ledger"))
+    monkeypatch.setenv("KGLAB_WORKERS", "-3")
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(QUICK_SCAN)
+    code = main(["run", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "KGLAB_WORKERS" in err
+    assert not (tmp_path / "ledger").exists()
+
+
+def test_acceptance_fast_flag_reaches_the_battery(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("kglab.cli.acceptance_battery",
+                        lambda fast: calls.append(fast) or True)
+    assert main(["acceptance", "--fast"]) == 0
+    assert main(["acceptance"]) == 0
+    assert calls == [True, False]
+    assert "all criteria pass" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["acceptance", "--all"])
+    assert exc.value.code == 2
+
+
 def test_scan_phase_prints_report_keys(capsys):
     code = main(["scan-phase", "--signs", "+-", "--radius", "2", "--step", "0.5"])
     out = capsys.readouterr().out
     assert code == 0
     for key in ("d = 1", "mu = 1", "nu = -1", "radius = 2.0", "step = 0.5",
-                "n_pairs =", "min_abs_phase =", "c_phi =", "c_grad =",
-                "floor_violations = 0"):
+                "n_pairs =", "n_pairs_covered =", "min_abs_phase =", "c_phi =",
+                "c_grad =", "floor_violations = 0"):
         assert key in out
 
 

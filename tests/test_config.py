@@ -141,6 +141,17 @@ def test_worker_count_env_fallback(monkeypatch):
     assert explicit.worker_count() == 2
 
 
+@pytest.mark.parametrize("raw", ["two", "1.5", "", "-1"])
+def test_load_config_rejects_malformed_worker_env(tmp_path, monkeypatch, raw):
+    p = tmp_path / "exp.cfg"
+    p.write_text(GOOD)
+    monkeypatch.setenv("KGLAB_WORKERS", raw)
+    with pytest.raises(ValueError, match="KGLAB_WORKERS"):
+        load_config(str(p))
+    monkeypatch.setenv("KGLAB_WORKERS", "0")
+    assert load_config(str(p)).worker_count() == 1
+
+
 def test_direct_construction_validates_too():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="phase-scan", radius=-1.0)

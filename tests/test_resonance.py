@@ -9,7 +9,7 @@ import pytest
 from kglab.data import make_rng, random_band_field
 from kglab.grid import Field, make_grid
 from kglab.nonlinearity import default_spec
-from kglab.oracles import bilinear_oracle, trilinear_oracle
+from kglab.oracles import bilinear_oracle, phase_scan_oracle, trilinear_oracle
 from kglab.resonance import (
     BilinearSymbol,
     a_kernel,
@@ -129,6 +129,26 @@ def test_phase_scan_refinement_is_monotone():
     assert fine["min_abs_phase"] <= coarse["min_abs_phase"]
     assert fine["c_phi"] >= coarse["c_phi"]
     assert fine["min_abs_phase"] == pytest.approx(coarse["min_abs_phase"], rel=0.15)
+
+
+@pytest.mark.parametrize("floor", [1e-8, 0.6], ids=["floor-default", "floor-0.6"])
+@pytest.mark.parametrize("step", [0.5, 0.25])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                         ids=lambda s: f"{s[0]:+d}{s[1]:+d}")
+def test_wedge_scan_matches_full_lattice_oracle(signs, d, step, floor):
+    # at floor 0.6 the (++), (+-) and (-+) phases dip below the floor,
+    # so the orbit weights of the wedge rows decide the count
+    fast = phase_bound_scan(d, *signs, radius=8.0, step=step, floor=floor)
+    full = phase_scan_oracle(d, *signs, radius=8.0, step=step, floor=floor)
+    assert fast["min_abs_phase"] == full["min_abs_phase"]
+    assert fast["c_phi"] == full["c_phi"]
+    assert fast["c_grad"] == pytest.approx(full["c_grad"], rel=1e-12, abs=0)
+    assert fast["floor_violations"] == full["floor_violations"]
+    if floor == 0.6 and signs != (-1, -1):
+        assert full["floor_violations"] > 0
+    assert fast["n_pairs_covered"] == full["n_pairs"]
+    assert fast["n_pairs"] < full["n_pairs"]
 
 
 def test_phase_scan_rejects_bad_lattice():

@@ -257,7 +257,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate one experiment file, together with the
-    KGLAB_WORKERS fallback it would run with.  Fails before compute."""
+    KGLAB_WORKERS fallback it would run with, so that `kglab run`
+    reports a bad value as a config error.  run_experiment and
+    acceptance_battery check KGLAB_WORKERS again before compute."""
     with open(path, encoding="utf-8") as handle:
         cfg = parse_config(handle.read())
     cfg.worker_count()

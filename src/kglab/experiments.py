@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _env_workers
 from .data import envelope_field, gaussian_bump, make_rng, random_band_field
 from .dynamics import (
     KGState,
@@ -607,6 +607,7 @@ EXPERIMENT_DRIVERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
+    cfg.worker_count()  # a malformed KGLAB_WORKERS fails before compute
     return EXPERIMENT_DRIVERS[cfg.experiment](cfg)
 
 
@@ -800,6 +801,7 @@ def acceptance_battery(fast: bool = False, echo=print) -> bool:
     fast skips the long-running nonlinear sweeps (they stay in the
     full battery and the test suite).  Returns overall success.
     """
+    _env_workers()  # a malformed KGLAB_WORKERS fails before compute
     lines = []
     all_ok = True
     for name, fn, in_fast in CRITERIA:

@@ -220,16 +220,15 @@ def kernel_point_oracle(
 
 
 def phase_scan_oracle(d: int, mu: int, nu: int, radius: float = 8.0,
-                      step: float = 0.25, *, fd_step: float | None = None,
-                      grad_pair_budget: int = 4_000_000,
-                      chunk: int = 512, floor: float = PHASE_FLOOR) -> dict:
+                      step: float = 0.25, *, floor: float = PHASE_FLOOR) -> dict:
     """The phase-bound scan over the full lattice product.
 
     Every pair (xi, eta) of the step-h lattice ball |v| <= radius in d
     dimensions is evaluated, with no symmetry reduction; the finite-
-    difference gradient runs on every row_stride-th row of the lattice,
-    the stride set by the pair count and grad_pair_budget.  Returns the
-    keys of resonance.phase_bound_scan except n_pairs_covered, with
+    difference gradient (step h / 8) runs on every row_stride-th row of
+    the lattice, the stride set so that at most 4,000,000 pairs are
+    differenced, as in resonance.phase_bound_scan's defaults.  Returns
+    the keys of resonance.phase_bound_scan except n_pairs_covered, with
     n_pairs the full product.  The cost grows as (2 radius / step)^(2d).
     """
     if mu not in (1, -1) or nu not in (1, -1):
@@ -241,7 +240,8 @@ def phase_scan_oracle(d: int, mu: int, nu: int, radius: float = 8.0,
                      itertools.product(range(-nsteps, nsteps + 1), repeat=d)])
     xi_pts = eta_pts = cube[np.sum(cube * cube, axis=1) <= radius * radius + 1e-12]
     nx, ne = xi_pts.shape[0], eta_pts.shape[0]
-    delta = fd_step if fd_step is not None else step / 8.0
+    delta = step / 8.0
+    chunk = 512  # rows per block; bounds memory only
 
     eta2 = np.sum(eta_pts * eta_pts, axis=1)
     abs_eta = np.sqrt(eta2)
@@ -249,7 +249,7 @@ def phase_scan_oracle(d: int, mu: int, nu: int, radius: float = 8.0,
     xi2_all = np.sum(xi_pts * xi_pts, axis=1)
 
     # deterministic row subsample for the FD gradient pass
-    row_stride = max(1, int(np.ceil(nx * ne / max(grad_pair_budget, 1))))
+    row_stride = max(1, int(np.ceil(nx * ne / 4_000_000)))
     grad_rows = np.zeros(nx, dtype=bool)
     grad_rows[::row_stride] = True
 

@@ -196,7 +196,9 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
     slice instead.
 
     n_pairs counts the pairs evaluated, n_pairs_covered the pairs of
-    the full lattice product they stand for.  Returns a report dict;
+    the full lattice product they stand for.  At d = 3 the rotation
+    reduction to the slice has no finite orbit weight, so there
+    n_pairs_covered equals n_pairs.  Returns a report dict;
     finite constants are the verification.
     """
     _check_sign(mu), _check_sign(nu)

@@ -9,6 +9,7 @@ from kglab.config import EXPERIMENT_IDS, ExperimentConfig
 from kglab.experiments import (
     CRITERIA,
     EXPERIMENT_DRIVERS,
+    acceptance_battery,
     pinned_config,
     run_experiment,
     run_phase_scan,
@@ -62,3 +63,15 @@ def test_worker_pool_gives_identical_rows():
     pooled = run_phase_scan(dataclasses.replace(base, workers=3))
     assert solo.rows == pooled.rows
     assert solo.verdict == pooled.verdict == "pass"
+
+
+def test_malformed_worker_env_fails_before_compute(monkeypatch):
+    monkeypatch.setenv("KGLAB_WORKERS", "two")
+    calls = []
+    monkeypatch.setitem(EXPERIMENT_DRIVERS, "phase-scan", calls.append)
+    cfg = ExperimentConfig(experiment="phase-scan", dim=1, radius=3.0, step=0.5)
+    with pytest.raises(ValueError, match="KGLAB_WORKERS"):
+        run_experiment(cfg)
+    with pytest.raises(ValueError, match="KGLAB_WORKERS"):
+        acceptance_battery(fast=True, echo=calls.append)
+    assert calls == []

@@ -119,6 +119,10 @@ def test_phase_scan_dimension_independent():
     assert b["min_abs_phase"] == pytest.approx(a["min_abs_phase"], rel=1e-6)
     assert b["c_phi"] == pytest.approx(a["c_phi"], rel=1e-3)
     assert b["c_grad"] == pytest.approx(a["c_grad"], rel=1e-3)
+    c = phase_bound_scan(3, 1, -1, radius=8.0, step=0.5)
+    assert c["min_abs_phase"] == pytest.approx(a["min_abs_phase"], rel=1e-6)
+    # the d = 3 slice stands for no countable part of the full lattice
+    assert c["n_pairs_covered"] == c["n_pairs"]
 
 
 def test_phase_scan_refinement_is_monotone():

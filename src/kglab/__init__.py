@@ -27,7 +27,6 @@ from .data import envelope_field, gaussian_bump, make_rng, normalized_pair, rand
 from .nonlinearity import NonlinearitySpec, default_spec, zero_spec
 from .paradiff import Symbol, error_op, remainder, symbol_norm, weyl_apply
 from .resonance import (
-    BilinearKernel,
     TrilinearKernel,
     a_kernel,
     b_kernel,

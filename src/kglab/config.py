@@ -116,6 +116,8 @@ class ExperimentConfig:
     blow_up_factor: float = 10.0
     ladder: int = 8
     include_tail: bool = False
+    # only false is accepted (no experiment writes snapshots); the key
+    # stays because every config's canonical text and hash include it
     snapshot: bool = False
     out: str = ""            # "" falls back to KGLAB_OUT or ./out
     workers: int = 0         # 0 falls back to KGLAB_WORKERS or 1
@@ -167,6 +169,8 @@ class ExperimentConfig:
             raise ValueError("ladder must be at least 1")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative (0 = env/default)")
+        if self.snapshot:
+            raise ValueError("snapshot = true is not supported: no experiment writes snapshots")
 
     # -- derived accessors ------------------------------------------------
 

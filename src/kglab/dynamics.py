@@ -639,11 +639,10 @@ def make_cubic_kernels(
     spec: NonlinearitySpec,
     *,
     floor: float = PHASE_FLOOR,
-    entry_budget: int = 30_000_000,
 ) -> dict:
     """Precompute the trilinear kernels on the full dealias box, per sign triple."""
     return {
-        trip: TrilinearKernel(b_kernel(spec, *trip, floor=floor), grid, entry_budget=entry_budget)
+        trip: TrilinearKernel(b_kernel(spec, *trip, floor=floor), grid)
         for trip in SIGN_TRIPLES
     }
 
@@ -688,7 +687,6 @@ def duhamel_check(
     *,
     rule: str = "simpson",
     floor: float = PHASE_FLOOR,
-    entry_budget: int = 30_000_000,
 ) -> dict:
     """Profile identity audit: V(T) - V(1) vs boundary + cubic integral.
 
@@ -707,7 +705,7 @@ def duhamel_check(
     bnd = normal_form_boundary(states[-1], spec, floor=floor) - normal_form_boundary(
         states[0], spec, floor=floor
     )
-    kernels = make_cubic_kernels(grid, spec, floor=floor, entry_budget=entry_budget)
+    kernels = make_cubic_kernels(grid, spec, floor=floor)
     wts = _quad_weights(ts, rule)
     integral = Field.zero(grid)
     for wt, s in zip(wts, states):

@@ -451,7 +451,6 @@ def run_scattering(cfg: ExperimentConfig) -> RunReport:
     report = _report(cfg)
     grid = make_grid(cfg.dim, cfg.n, cfg.box)
     spec = _spec_of(cfg)
-    N = cfg.norm_order or default_norm_order(cfg.dim)
     nodes = cfg.checkpoints if cfg.checkpoints % 2 == 1 else cfg.checkpoints + 1
 
     def entry(eps):

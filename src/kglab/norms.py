@@ -112,11 +112,6 @@ def weighted_l2(f: Field, alpha: float) -> float:
     return float(np.sqrt(grid.quad_weight * total))
 
 
-def dyadic_piece(f: Field, j: int, k: int, alpha: float) -> float:
-    """2^{j alpha} || Q_j P_k f ||_{L^2}, one cell of the composite."""
-    return float(2.0 ** (j * alpha) * q_shell(lp_project(f, k), j).l2())
-
-
 def dyadic_composite(f: Field, alpha: float) -> float:
     """l^1 in k of the l^2-in-j norm of 2^{j alpha} || Q_j P_k f ||.
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.integrate import quad
 
-from .cutoffs import psi_le, psi_range
+from .cutoffs import psi_le
 from .grid import Field, Grid
 from .paradiff import PARA_CUT_BAND, Symbol
 from .resonance import PHASE_FLOOR
@@ -27,7 +26,6 @@ __all__ = [
     "bilinear_oracle",
     "trilinear_oracle",
     "fd_gradient_oracle",
-    "kernel_point_oracle",
     "phase_scan_oracle",
 ]
 
@@ -174,51 +172,6 @@ def fd_gradient_oracle(f: Field, axis: int) -> Field:
     return Field.from_values(f.grid, out)
 
 
-def kernel_point_oracle(
-    k: int,
-    t: float,
-    x: np.ndarray,
-    fhat,
-    d: int,
-    sign: int = +1,
-    gl_nodes: int = 1200,
-) -> complex:
-    """Continuum propagator value (2 pi)^{-d} int e^{i(x.xi + sign t <xi>)}
-    psi_range(k-1, k+1, |xi|) fhat(xi) dxi at a single point x.
-
-    d = 1 uses adaptive quadrature; d = 2 a tensor Gauss-Legendre rule
-    over the band's bounding square (the integrand is smooth and
-    compactly supported, nodes sized to the phase gradient).
-    """
-    R = 1.6 * 2.0 ** (k + 1)
-
-    if d == 1:
-        def re_part(xi):
-            amp = psi_range(k - 1, k + 1, abs(xi)) * fhat(np.array([xi]))
-            return (np.exp(1j * (x[0] * xi + sign * t * np.sqrt(1 + xi**2))) * amp).real
-
-        def im_part(xi):
-            amp = psi_range(k - 1, k + 1, abs(xi)) * fhat(np.array([xi]))
-            return (np.exp(1j * (x[0] * xi + sign * t * np.sqrt(1 + xi**2))) * amp).imag
-
-        rr = quad(re_part, -R, R, limit=400, epsabs=1e-12, epsrel=1e-10)[0]
-        ii = quad(im_part, -R, R, limit=400, epsabs=1e-12, epsrel=1e-10)[0]
-        return (rr + 1j * ii) / (2 * np.pi)
-
-    if d == 2:
-        nodes, weights = np.polynomial.legendre.leggauss(gl_nodes)
-        xi1 = R * nodes
-        w1 = R * weights
-        X1, X2 = np.meshgrid(xi1, xi1, indexing="ij")
-        W = np.outer(w1, w1)
-        mag = np.sqrt(X1**2 + X2**2)
-        amp = psi_range(k - 1, k + 1, mag) * fhat(np.stack([X1, X2], axis=-1))
-        phase = np.exp(1j * (x[0] * X1 + x[1] * X2 + sign * t * np.sqrt(1 + mag**2)))
-        return complex(np.sum(W * amp * phase)) / (2 * np.pi) ** 2
-
-    raise ValueError("kernel oracle implemented for d = 1, 2")
-
-
 def phase_scan_oracle(d: int, mu: int, nu: int, radius: float = 8.0,
                       step: float = 0.25, *, floor: float = PHASE_FLOOR) -> dict:
     """The phase-bound scan over the full lattice product.
@@ -227,7 +180,7 @@ def phase_scan_oracle(d: int, mu: int, nu: int, radius: float = 8.0,
     dimensions is evaluated, with no symmetry reduction; the finite-
     difference gradient (step h / 8) runs on every row_stride-th row of
     the lattice, the stride set so that at most 4,000,000 pairs are
-    differenced, as in resonance.phase_bound_scan's defaults.  Returns
+    differenced; these are resonance.phase_bound_scan's constants.  Returns
     the keys of resonance.phase_bound_scan except n_pairs_covered, with
     n_pairs the full product.  The cost grows as (2 radius / step)^(2d).
     """

@@ -38,10 +38,8 @@ __all__ = [
     "phase_bound_scan",
     "in_interaction_pair", "in_interaction_triple", "interaction_sets",
     "BilinearSymbol", "TrilinearSymbol",
-    "symbol_family_a", "a_kernel", "semilinear_symbol",
-    "semilinear_plain_symbol", "quasilinear_symbol", "resonant_kernel",
-    "symbol_family_b", "b_kernel",
-    "bilinear_apply", "trilinear_apply", "BilinearKernel", "TrilinearKernel",
+    "a_kernel", "semilinear_symbol", "quasilinear_symbol", "resonant_kernel",
+    "b_kernel", "bilinear_apply", "trilinear_apply", "TrilinearKernel",
     "multiplier_bound_measure", "BOUND_FAMILIES",
 ]
 
@@ -101,6 +99,12 @@ def phi_inv(mu: int, nu: int, z1, z2, floor: float = PHASE_FLOOR):
 # ---------------------------------------------------------------------------
 # phase bound scan
 
+# the gradient pass differences at most about this many pairs; the main
+# scan runs in blocks of _SCAN_CHUNK rows, which bounds its memory only
+_GRAD_PAIR_BUDGET = 4_000_000
+_SCAN_CHUNK = 512
+
+
 def _ball_lattice(d: int, radius: float, step: float,
                   nonneg_axes: tuple = ()) -> np.ndarray:
     """All lattice points with |v| <= radius on the step-h grid.
@@ -123,7 +127,7 @@ def _wedge_rep(pts: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(pts), axis=1)[:, ::-1]
 
 
-def _scan_points(d: int, radius: float, step: float, grad_pair_budget: int):
+def _scan_points(d: int, radius: float, step: float):
     """Rows, row weights, columns and gradient rows of the pair scan.
 
     The phase, c_phi and the floor test depend on a pair (xi, eta) only
@@ -142,7 +146,7 @@ def _scan_points(d: int, radius: float, step: float, grad_pair_budget: int):
 
     The finite-difference gradient is measured on a deterministic row
     subsample: every row_stride-th row of the full lattice, with the
-    stride set by the full pair count and grad_pair_budget, mapped to
+    stride set by the full pair count and _GRAD_PAIR_BUDGET, mapped to
     its wedge representative with duplicates dropped.  The gradient
     norm is invariant too, so the maximum over the representatives
     equals the maximum over the sampled rows.
@@ -164,15 +168,13 @@ def _scan_points(d: int, radius: float, step: float, grad_pair_budget: int):
     # the d = 3 slice rows (r, 0, 0) are their own representatives
     xi, weight = np.unique(_wedge_rep(full), axis=0, return_counts=True)
     row_stride = max(1, int(np.ceil(full.shape[0] * eta.shape[0]
-                                    / max(grad_pair_budget, 1))))
+                                    / _GRAD_PAIR_BUDGET)))
     grad_xi = np.unique(_wedge_rep(full[::row_stride]), axis=0)
     return xi, weight, eta, grad_xi
 
 
 def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
-                     step: float = 0.25, *, fd_step: float | None = None,
-                     grad_pair_budget: int = 4_000_000,
-                     chunk: int = 512, floor: float = PHASE_FLOOR) -> dict:
+                     step: float = 0.25, *, floor: float = PHASE_FLOOR) -> dict:
     """Scan of the phase lower bound and derivative bound.
 
     Over lattice pairs (xi, eta) with |xi|, |eta| <= radius, measures
@@ -181,13 +183,13 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
         c_grad = max  |grad Phi_{mu nu}| / min{1, |Phi_{mu nu}|}
 
     with the gradient taken in the (z1, z2) arguments by central finite
-    differences.  For d <= 2 the rows xi run over the symmetry wedge of
-    the lattice ball and the columns eta over the whole ball (see
-    _scan_points); floor_violations sums each row's count of pairs with
-    |Phi| < floor times the row's orbit weight, so it counts the full
-    lattice product.  The gradient maximum is taken over the wedge
+    differences of step h / 8.  For d <= 2 the rows xi run over the
+    symmetry wedge of the lattice ball and the columns eta over the
+    whole ball (see _scan_points); floor_violations sums each row's
+    count of pairs with |Phi| < floor times the row's orbit weight, so
+    it counts the full lattice product.  The gradient maximum is taken over the wedge
     representatives of a deterministic row subsample of the full
-    lattice when its pair count exceeds grad_pair_budget.  Lattice
+    lattice when its pair count exceeds 4,000,000.  Lattice
     coordinates on a dyadic step are exact in floating point, so
     min_abs_phase, c_phi and floor_violations equal those of the full
     product (oracles.phase_scan_oracle) exactly, and c_grad to
@@ -204,9 +206,9 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
     _check_sign(mu), _check_sign(nu)
     if radius <= 0 or step <= 0:
         raise ValueError("radius and step must be positive")
-    xi_pts, weight, eta_pts, grad_pts = _scan_points(d, radius, step, grad_pair_budget)
+    xi_pts, weight, eta_pts, grad_pts = _scan_points(d, radius, step)
     nx, ne = xi_pts.shape[0], eta_pts.shape[0]
-    delta = fd_step if fd_step is not None else step / 8.0
+    delta = step / 8.0
 
     eta2 = np.sum(eta_pts * eta_pts, axis=1)
     abs_eta = np.sqrt(eta2)
@@ -222,8 +224,8 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
     # each step below overwrites one of two chunk-sized buffers in place,
     # in the operation order of oracles.phase_scan_oracle, so the two
     # agree bitwise
-    for i0 in range(0, nx, chunk):
-        i1 = min(i0 + chunk, nx)
+    for i0 in range(0, nx, _SCAN_CHUNK):
+        i1 = min(i0 + _SCAN_CHUNK, nx)
         xi2 = xi2_all[i0:i1]
         # |xi - eta|^2 via the inner-product expansion
         dots = xi_pts[i0:i1] @ eta_pts.T
@@ -377,49 +379,6 @@ def _safe_ratio(num, den):
     return out
 
 
-_A_FACTORS = ("one", "eta", "inv_lam_eta", "inv_lam_diff",
-              "eta_eta_over_lam", "diff_over_lam")
-
-
-def symbol_family_a(mu: int, nu: int, factors, coeff: complex = 1.0) -> BilinearSymbol:
-    """Product of quadratic-kernel factors.
-
-    Each factor is "one", "inv_lam_eta", "inv_lam_diff", ("eta", j),
-    ("eta_eta_over_lam", j, l) or ("diff_over_lam", l), in the
-    arguments z1 = xi - eta, z2 = eta.
-    """
-    _check_sign(mu), _check_sign(nu)
-    parsed = []
-    for f in factors:
-        name, idx = (f, ()) if isinstance(f, str) else (f[0], tuple(f[1:]))
-        if name not in _A_FACTORS:
-            raise ValueError(f"unknown kernel factor {f!r}")
-        parsed.append((name, idx))
-
-    def fn(z1, z2):
-        z1 = np.asarray(z1, dtype=float)
-        z2 = np.asarray(z2, dtype=float)
-        out = np.full(np.broadcast(z1[..., 0], z2[..., 0]).shape, coeff,
-                      dtype=complex)
-        for name, idx in parsed:
-            if name == "one":
-                continue
-            elif name == "eta":
-                out = out * z2[..., idx[0]]
-            elif name == "inv_lam_eta":
-                out = out / lam(z2)
-            elif name == "inv_lam_diff":
-                out = out / lam(z1)
-            elif name == "eta_eta_over_lam":
-                out = out * z2[..., idx[0]] * z2[..., idx[1]] / lam(z2)
-            elif name == "diff_over_lam":
-                out = out * z1[..., idx[0]] / lam(z1)
-        return out
-
-    names = ",".join(n if not i else f"{n}{list(i)}" for n, i in parsed)
-    return BilinearSymbol(fn, tag=f"a[{mu:+d}{nu:+d}]({names})")
-
-
 def _slot_weights(spec: NonlinearitySpec, sign: int, z):
     """Frequency weights mapping a half-wave to the field components.
 
@@ -487,18 +446,6 @@ def semilinear_symbol(mu: int, nu: int, amplitude: float = 1.0,
     return BilinearSymbol(fn, tag=f"m_S[{mu:+d}{nu:+d}]")
 
 
-def semilinear_plain_symbol(mu: int, nu: int,
-                            floor: float = PHASE_FLOOR) -> BilinearSymbol:
-    """Plain energy-functional kernel -i Phi^{-1}."""
-    _check_sign(mu), _check_sign(nu)
-
-    def fn(z1, z2):
-        return -1j * phi_inv(mu, nu, np.asarray(z1, float),
-                             np.asarray(z2, float), floor)
-
-    return BilinearSymbol(fn, tag=f"m_S1[{mu:+d}{nu:+d}]")
-
-
 # scale below which the high-pass factor of the quasilinear kernel
 # vanishes: equals 1 on the plateau of the innermost dyadic cutoff
 _HIGHPASS_SCALE = 0.64
@@ -548,34 +495,6 @@ def resonant_kernel(base: BilinearSymbol, mu: int, nu: int,
     return BilinearSymbol(fn, tag=f"phi_inv[{mu:+d}{nu:+d}]*{base.tag}")
 
 
-def symbol_family_b(mu: int, a_outer: BilinearSymbol, a_inner: BilinearSymbol,
-                    floor: float = PHASE_FLOOR) -> TrilinearSymbol:
-    """Cubic profile kernel assembled from two quadratic kernels.
-
-    b(t1, t2, t3) = a_in(t2, t3) * sum_nu [ (Phi^{-1}_{mu nu} a_out)(t1, t2+t3)
-                                          + (Phi^{-1}_{nu mu} a_out)(t2+t3, t1) ]
-
-    The second piece is the relabeled boundary of the parts integration
-    where the quadratic block sat in the first slot; its kernel argument
-    is the inner-pair total t2+t3, which is what makes the cubic time
-    integral close the profile identity to quadrature accuracy.
-    """
-    _check_sign(mu)
-
-    def fn(z1, z2, z3):
-        z1 = np.asarray(z1, dtype=float)
-        z2 = np.asarray(z2, dtype=float)
-        z3 = np.asarray(z3, dtype=float)
-        eta = z2 + z3
-        acc = 0.0
-        for nu in (1, -1):
-            acc = acc + phi_inv(mu, nu, z1, eta, floor) * a_outer(z1, eta)
-            acc = acc + phi_inv(nu, mu, eta, z1, floor) * a_outer(eta, z1)
-        return a_inner(z2, z3) * acc
-
-    return TrilinearSymbol(fn, tag=f"b[mu={mu:+d};{a_outer.tag};{a_inner.tag}]")
-
-
 def b_kernel(spec: NonlinearitySpec, mu: int, sigma: int, iota: int,
              floor: float = PHASE_FLOOR) -> TrilinearSymbol:
     """Cubic profile kernel of a nonlinearity, with sign-resolved quadratic kernels."""
@@ -609,104 +528,62 @@ def _shared_grid(*fields) -> Grid:
     return grid
 
 
-def _box_support(grid: Grid, coeffs: np.ndarray):
-    """Modes inside the 2/3 box carrying nonzero coefficients.
+# largest kernel tensor a TrilinearKernel builds, in entries; bilinear
+# kernels are evaluated in blocks of about _PAIR_BLOCK pairs
+_MAX_KERNEL_ENTRIES = 30_000_000
+_PAIR_BLOCK = 4_000_000
 
-    Returns (modes (ns, d) ints, values (ns,) complex) in a fixed
-    deterministic order.
+
+def _box_support(grid: Grid, support: np.ndarray | None):
+    """(mask, modes) of a support restricted to the 2/3 box.
+
+    mask is support & the dealias mask (the whole box when support is
+    None); modes are its integer mode vectors (ns, d) in the fixed
+    order in which mask indexes a coefficient array.
     """
-    mask = grid.dealias_mask & (coeffs != 0)
+    mask = grid.dealias_mask if support is None else grid.dealias_mask & support
     idx = np.argwhere(mask)
     modes = np.stack([grid.mode_axes[a][idx[:, a]] for a in range(grid.d)],
                      axis=-1).astype(np.int64)
-    return modes, coeffs[mask]
+    return mask, modes
 
 
-def _scatter(grid: Grid, target_modes: np.ndarray, values: np.ndarray,
-             out: np.ndarray):
-    """Accumulate values at integer mode vectors, dropping out-of-box targets."""
-    cut = grid.n // 3
-    keep = np.all(np.abs(target_modes) <= cut, axis=-1)
-    if not np.any(keep):
-        return
-    tm = target_modes[keep] % grid.n
-    flat = np.ravel_multi_index(tuple(tm.T), grid.shape)
-    np.add.at(out.reshape(-1), flat, values[keep])
+def _box_targets(grid: Grid, targets: np.ndarray):
+    """(keep, flat) for integer target modes (..., d): keep marks the
+    targets inside the 2/3 box |k_a| <= n // 3, and flat holds the kept
+    targets' indices into the flattened coefficient array."""
+    keep = np.all(np.abs(targets) <= grid.n // 3, axis=-1)
+    flat = np.ravel_multi_index(tuple((targets[keep] % grid.n).T), grid.shape)
+    return keep, flat
 
 
-def bilinear_apply(m, f: Field, g: Field, *, pair_budget: int = 4_000_000) -> Field:
+def bilinear_apply(m, f: Field, g: Field) -> Field:
     """Apply the bilinear pseudoproduct B_m to two fields.
 
     Exact summation over the nonzero coefficients of the 2/3-truncated
     inputs, chunked to bound memory; m = 1 reproduces dealiased f*g.
     """
     grid = _shared_grid(f, g)
-    fm, fv = _box_support(grid, f.coeffs)
-    gm, gv = _box_support(grid, g.coeffs)
+    fmask, fm = _box_support(grid, f.coeffs != 0)
+    gmask, gm = _box_support(grid, g.coeffs != 0)
+    fv, gv = f.coeffs[fmask], g.coeffs[gmask]
     out = np.zeros(grid.shape, dtype=complex)
     if fv.size == 0 or gv.size == 0:
         return Field.from_coeffs(grid, out)
     zg = gm * grid.dxi
-    block = max(1, pair_budget // max(gv.size, 1))
+    block = max(1, _PAIR_BLOCK // gv.size)
     for i0 in range(0, fv.size, block):
         i1 = min(i0 + block, fv.size)
         z1 = np.broadcast_to((fm[i0:i1] * grid.dxi)[:, None, :],
                              (i1 - i0, gv.size, grid.d))
         z2 = np.broadcast_to(zg[None, :, :], (i1 - i0, gv.size, grid.d))
         mv = np.asarray(m(z1, z2), dtype=complex)
-        vals = mv * fv[i0:i1, None] * gv[None, :]
-        targets = fm[i0:i1, None, :] + gm[None, :, :]
-        _scatter(grid, targets.reshape(-1, grid.d), vals.reshape(-1), out)
+        keep, flat = _box_targets(grid, fm[i0:i1, None, :] + gm[None, :, :])
+        np.add.at(out.reshape(-1), flat, (mv * fv[i0:i1, None] * gv[None, :])[keep])
     return Field.from_coeffs(grid, out)
 
 
-class BilinearKernel:
-    """Cached bilinear kernel on fixed coefficient supports.
-
-    Precomputes the kernel tensor and scatter plan so the operator can
-    be re-applied cheaply to fields sharing the declared supports.
-    """
-
-    def __init__(self, m, grid: Grid, support_f: np.ndarray | None = None,
-                 support_g: np.ndarray | None = None,
-                 entry_budget: int = 40_000_000):
-        self.grid = grid
-        self._mask_f = grid.dealias_mask if support_f is None else (support_f & grid.dealias_mask)
-        self._mask_g = grid.dealias_mask if support_g is None else (support_g & grid.dealias_mask)
-        fm = self._modes(self._mask_f)
-        gm = self._modes(self._mask_g)
-        if fm.shape[0] * gm.shape[0] > entry_budget:
-            raise ValueError("kernel tensor too large; restrict the supports")
-        self._fm, self._gm = fm, gm
-        z1 = np.broadcast_to((fm * grid.dxi)[:, None, :],
-                             (fm.shape[0], gm.shape[0], grid.d))
-        z2 = np.broadcast_to((gm * grid.dxi)[None, :, :], z1.shape)
-        self._kernel = np.asarray(m(z1, z2), dtype=complex)
-        targets = fm[:, None, :] + gm[None, :, :]
-        cut = grid.n // 3
-        self._keep = np.all(np.abs(targets) <= cut, axis=-1).reshape(-1)
-        tm = targets.reshape(-1, grid.d)[self._keep] % grid.n
-        self._flat = np.ravel_multi_index(tuple(tm.T), grid.shape)
-
-    def _modes(self, mask):
-        idx = np.argwhere(mask)
-        return np.stack([self.grid.mode_axes[a][idx[:, a]]
-                         for a in range(self.grid.d)], axis=-1).astype(np.int64)
-
-    def apply(self, f: Field, g: Field) -> Field:
-        grid = _shared_grid(f, g)
-        if not grid.compatible(self.grid):
-            raise ValueError("fields do not match the kernel grid")
-        fv = f.coeffs[self._mask_f]
-        gv = g.coeffs[self._mask_g]
-        vals = (self._kernel * fv[:, None] * gv[None, :]).reshape(-1)[self._keep]
-        out = np.zeros(grid.shape, dtype=complex)
-        np.add.at(out.reshape(-1), self._flat, vals)
-        return Field.from_coeffs(grid, out)
-
-
-def trilinear_apply(b, f: Field, g: Field, h: Field, *,
-                    entry_budget: int = 30_000_000) -> Field:
+def trilinear_apply(b, f: Field, g: Field, h: Field) -> Field:
     """Apply the trilinear pseudoproduct T_b to three fields.
 
     The inner (g, h) pair frequency is truncated to the 2/3 box, then
@@ -715,7 +592,7 @@ def trilinear_apply(b, f: Field, g: Field, h: Field, *,
     """
     kern = TrilinearKernel(b, _shared_grid(f, g, h),
                            support_f=f.coeffs != 0, support_g=g.coeffs != 0,
-                           support_h=h.coeffs != 0, entry_budget=entry_budget)
+                           support_h=h.coeffs != 0)
     return kern.apply(f, g, h)
 
 
@@ -724,39 +601,24 @@ class TrilinearKernel:
 
     def __init__(self, b, grid: Grid, support_f: np.ndarray | None = None,
                  support_g: np.ndarray | None = None,
-                 support_h: np.ndarray | None = None,
-                 entry_budget: int = 30_000_000):
+                 support_h: np.ndarray | None = None):
         self.grid = grid
-        d, cut = grid.d, grid.n // 3
-        self._mask_f = grid.dealias_mask if support_f is None else (support_f & grid.dealias_mask)
-        self._mask_g = grid.dealias_mask if support_g is None else (support_g & grid.dealias_mask)
-        self._mask_h = grid.dealias_mask if support_h is None else (support_h & grid.dealias_mask)
-        fm = self._modes(self._mask_f)
-        gm = self._modes(self._mask_g)
-        hm = self._modes(self._mask_h)
+        self._mask_f, fm = _box_support(grid, support_f)
+        self._mask_g, gm = _box_support(grid, support_g)
+        self._mask_h, hm = _box_support(grid, support_h)
         # inner pair list with the (g, h) sum confined to the box
         eta = gm[:, None, :] + hm[None, :, :]
-        keep = np.all(np.abs(eta) <= cut, axis=-1)
-        gi, hi = np.nonzero(keep)
-        self._gi, self._hi = gi, hi
+        keep, _ = _box_targets(grid, eta)
+        self._gi, self._hi = np.nonzero(keep)
         eta = eta[keep]
-        npair = eta.shape[0]
-        nf = fm.shape[0]
-        if nf * npair > entry_budget:
+        if fm.shape[0] * eta.shape[0] > _MAX_KERNEL_ENTRIES:
             raise ValueError("kernel tensor too large; restrict the supports")
-        z1 = np.broadcast_to((fm * grid.dxi)[:, None, :], (nf, npair, d))
-        z2 = np.broadcast_to((gm[gi] * grid.dxi)[None, :, :], z1.shape)
-        z3 = np.broadcast_to((hm[hi] * grid.dxi)[None, :, :], z1.shape)
+        z1 = np.broadcast_to((fm * grid.dxi)[:, None, :],
+                             (fm.shape[0], eta.shape[0], grid.d))
+        z2 = np.broadcast_to((gm[self._gi] * grid.dxi)[None, :, :], z1.shape)
+        z3 = np.broadcast_to((hm[self._hi] * grid.dxi)[None, :, :], z1.shape)
         self._kernel = np.asarray(b(z1, z2, z3), dtype=complex)
-        targets = fm[:, None, :] + eta[None, :, :]
-        self._keep = np.all(np.abs(targets) <= cut, axis=-1).reshape(-1)
-        tm = targets.reshape(-1, d)[self._keep] % grid.n
-        self._flat = np.ravel_multi_index(tuple(tm.T), grid.shape)
-
-    def _modes(self, mask):
-        idx = np.argwhere(mask)
-        return np.stack([self.grid.mode_axes[a][idx[:, a]]
-                         for a in range(self.grid.d)], axis=-1).astype(np.int64)
+        self._keep, self._flat = _box_targets(grid, fm[:, None, :] + eta[None, :, :])
 
     def apply(self, f: Field, g: Field, h: Field) -> Field:
         grid = _shared_grid(f, g, h)
@@ -765,7 +627,7 @@ class TrilinearKernel:
         fv = f.coeffs[self._mask_f]
         pair = (g.coeffs[self._mask_g][self._gi]
                 * h.coeffs[self._mask_h][self._hi])
-        vals = (self._kernel * fv[:, None] * pair[None, :]).reshape(-1)[self._keep]
+        vals = (self._kernel * fv[:, None] * pair[None, :])[self._keep]
         out = np.zeros(grid.shape, dtype=complex)
         np.add.at(out.reshape(-1), self._flat, vals)
         return Field.from_coeffs(grid, out)
@@ -778,7 +640,6 @@ class TrilinearKernel:
 # (d, k1, k2[, k3], N)
 BOUND_FAMILIES = {
     "semilinear_energy": lambda d, k1, k2, N: (2 * d + 3) * min(k1, k2),
-    "semilinear_energy_plain": lambda d, k1, k2, N: (2 * d + 3) * min(k1, k2),
     "interaction_kernel": lambda d, k1, k2, N: k2,
     "quasilinear_energy": lambda d, k1, k2, N: (2 * d + 4) * k1 + 2 * N * k2,
     "quasilinear_energy_low_high": lambda d, k1, k2, N: k1 + (2 * N - 1) * k2,

@@ -2,9 +2,15 @@
 mapping, and one cheap end-to-end driver run."""
 
 import dataclasses
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
 
 import pytest
 
+import kglab
 from kglab.config import EXPERIMENT_IDS, ExperimentConfig
 from kglab.experiments import (
     CRITERIA,
@@ -75,3 +81,22 @@ def test_malformed_worker_env_fails_before_compute(monkeypatch):
     with pytest.raises(ValueError, match="KGLAB_WORKERS"):
         acceptance_battery(fast=True, echo=calls.append)
     assert calls == []
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(kglab.__file__))
+    code = ("import sys, kglab.experiments; "
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_resolves():
+    # the package root re-exports by name, so importing it checks those
+    for info in pkgutil.iter_modules(kglab.__path__):
+        module = importlib.import_module(f"kglab.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, (info.name, missing)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from kglab.data import make_rng, random_band_field
+from kglab.dynamics import make_cubic_kernels
 from kglab.grid import Field, make_grid
 from kglab.nonlinearity import default_spec
 from kglab.oracles import bilinear_oracle, phase_scan_oracle, trilinear_oracle
 from kglab.resonance import (
     BilinearSymbol,
+    TrilinearSymbol,
     a_kernel,
     b_kernel,
     bilinear_apply,
@@ -256,16 +258,28 @@ def test_trilinear_apply_matches_oracle():
     assert (fast - slow).l2() <= 1e-12 * max(slow.l2(), 1e-30)
 
 
-def test_trilinear_unit_kernel_is_triple_product():
-    g = make_grid(1, 64, np.pi)
-    rng = make_rng(41)
-    f, h, w = (random_band_field(g, rng, band_fraction=1 / 8) for _ in range(3))
-    from kglab.resonance import TrilinearSymbol
+def test_cubic_kernels_match_oracle():
+    # the full-box cached kernels that duhamel_check re-applies at
+    # every quadrature node
+    g = make_grid(1, 16, np.pi)
+    rng = make_rng(43)
+    spec = default_spec(1)
+    kern = make_cubic_kernels(g, spec)[(1, 1, -1)]
+    f, h, w = (random_band_field(g, rng, real=False) for _ in range(3))
+    slow = trilinear_oracle(b_kernel(spec, 1, 1, -1), f, h, w)
+    assert (kern.apply(f, h, w) - slow).l2() <= 1e-12 * slow.l2()
 
+
+def test_trilinear_unit_kernel_is_triple_product():
+    # full-box inputs, so the inner (h, w) truncation is live and only
+    # the right-associated product f*(h*w) matches
+    rng = make_rng(41)
     one = TrilinearSymbol(lambda z1, z2, z3: np.ones(z1.shape[:-1]), tag="1")
-    out = trilinear_apply(one, f, h, w)
-    want = dealiased_product(dealiased_product(f, h), w)
-    assert (out - want).l2() < 1e-12 * max(want.l2(), 1e-30)
+    for g in (make_grid(1, 64, np.pi), make_grid(2, 16, np.pi)):
+        f, h, w = (random_band_field(g, rng, real=False) for _ in range(3))
+        out = trilinear_apply(one, f, h, w)
+        want = dealiased_product(f, dealiased_product(h, w))
+        assert (out - want).l2() < 1e-12 * want.l2()
 
 
 # ---------------------------------------------------------------------------

@@ -23,37 +23,26 @@ from .spectral import (
     q_shell,
     semigroup,
 )
-from .data import envelope_field, gaussian_bump, make_rng, normalized_pair, random_band_field
+from .data import envelope_field, gaussian_bump, make_rng, random_band_field
 from .nonlinearity import NonlinearitySpec, default_spec, zero_spec
-from .paradiff import Symbol, error_op, remainder, symbol_norm, weyl_apply
+from .paradiff import Symbol, error_op, remainder, weyl_apply
 from .resonance import (
     TrilinearKernel,
     a_kernel,
     b_kernel,
     bilinear_apply,
-    interaction_sets,
     multiplier_bound_measure,
     phase_bound_scan,
     resonant_kernel,
     trilinear_apply,
 )
-from .norms import (
-    NormSpec,
-    StrichartzAccumulator,
-    dyadic_composite,
-    holder_sup,
-    loglog_fit,
-    norm,
-    sobolev,
-    weighted_l2,
-)
+from .norms import dyadic_composite, holder_sup, loglog_fit, sobolev, weighted_l2
 from .dynamics import (
     KGState,
     cfl_limit,
     duhamel_check,
     good_unknown,
     normal_form_boundary,
-    profile,
     reduced_equation_residual,
     rhs,
     run_to_time,
@@ -62,7 +51,6 @@ from .dynamics import (
 )
 from .config import ExperimentConfig, load_config, parse_config
 from .reports import RunReport, write_report
-from .snapshots import load_state, save_state
 from .experiments import acceptance_battery, pinned_config, run_experiment
 
 __version__ = "0.1.0"

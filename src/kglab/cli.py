@@ -3,14 +3,17 @@
 Four subcommands: run one configured experiment, run the acceptance
 battery, scan a resonance phase, and sweep lifespans against data
 size.  Exit status follows the verdict so shell pipelines can gate on
-it.  Output locations honor KGLAB_OUT and worker counts KGLAB_WORKERS
-unless the config overrides them.
+it: 0 is a pass, 1 a failed verdict, and 2 bad input (argparse usage
+and config errors, caught before any compute).  Output locations honor
+KGLAB_OUT and worker counts KGLAB_WORKERS unless the config overrides
+them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .config import load_config
@@ -48,6 +51,21 @@ def _parse_signs(raw: str) -> tuple:
     return tuple(1 if c == "+" else -1 for c in pair)
 
 
+def _positive_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {raw!r}")
+    return value
+
+
+def _positive_floats(raw: str) -> tuple:
+    """Comma-separated positive numbers; blank pieces are skipped."""
+    return tuple(_positive_float(piece) for piece in raw.split(",") if piece.strip())
+
+
 def _cmd_scan_phase(args) -> int:
     mu, nu = args.signs
     out = phase_bound_scan(args.dim, mu, nu, radius=args.radius, step=args.step)
@@ -58,7 +76,7 @@ def _cmd_scan_phase(args) -> int:
 
 
 def _cmd_sweep_lifespan(args) -> int:
-    eps = tuple(float(piece) for piece in args.eps.split(",") if piece.strip())
+    eps = args.eps
     if not eps:
         print("empty eps list", file=sys.stderr)
         return 2
@@ -89,13 +107,13 @@ def main(argv=None) -> int:
     p_scan = sub.add_parser("scan-phase", help="scan one bilinear phase")
     p_scan.add_argument("--signs", type=_parse_signs, required=True,
                         help="sign pair, e.g. ++ or -+")
-    p_scan.add_argument("--radius", type=float, default=8.0)
-    p_scan.add_argument("--step", type=float, default=0.25)
+    p_scan.add_argument("--radius", type=_positive_float, default=8.0)
+    p_scan.add_argument("--step", type=_positive_float, default=0.25)
     p_scan.add_argument("--dim", type=int, default=1, choices=(1, 2, 3))
     p_scan.set_defaults(fn=_cmd_scan_phase)
 
     p_sweep = sub.add_parser("sweep-lifespan", help="lifespan against data size")
-    p_sweep.add_argument("--eps", required=True,
+    p_sweep.add_argument("--eps", type=_positive_floats, required=True,
                          help="comma-separated data sizes, e.g. 0.4,0.3,0.2")
     p_sweep.add_argument("--dim", type=int, default=1, choices=(1, 2, 3))
     p_sweep.set_defaults(fn=_cmd_sweep_lifespan)

@@ -21,11 +21,15 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 __all__ = ["ExperimentConfig", "EXPERIMENT_IDS", "SCHEMA", "parse_config", "load_config"]
 
 SCHEMA = "kglab-experiment-v1"
+
+# largest n**dim a config may ask for: 2**24 points is 256 MiB per
+# complex field, and the largest pinned grid (dim 3, n 256) sits on it
+MAX_GRID_POINTS = 2**24
 
 EXPERIMENT_IDS = (
     "paradiff-oracle",
@@ -132,6 +136,10 @@ class ExperimentConfig:
             raise ValueError("dim must be 1, 2, or 3")
         if self.n < 8 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two, at least 8")
+        if self.n**self.dim > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid of n**dim = {self.n}**{self.dim} = {self.n**self.dim} points "
+                f"exceeds the limit of {MAX_GRID_POINTS} points")
         if self.box <= 0:
             raise ValueError("box must be positive")
         if self.seed < 0:

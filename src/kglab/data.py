@@ -11,14 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Field, Grid
-from .spectral import dealias, lambda_power, lp_interval
+from .spectral import dealias, lp_interval
 
 __all__ = [
     "make_rng",
     "random_band_field",
     "gaussian_bump",
     "envelope_field",
-    "normalized_pair",
 ]
 
 
@@ -82,22 +81,3 @@ def envelope_field(
     f = random_band_field(grid, rng, k_lo=k_lo, k_hi=k_hi, real=True)
     env = (1.0 + (grid.x_mags / core) ** 2) ** (-decay / 2.0)
     return dealias(Field.from_values(grid, f.values * env))
-
-
-def normalized_pair(
-    grid: Grid,
-    u0: Field,
-    u1: Field,
-    eps: float,
-    smoothness: int,
-) -> tuple[Field, Field]:
-    """Scale (u0, u1) so ||u0||_{H^{N+1}} + ||u1||_{H^N} = eps, N = smoothness.
-
-    The shared scale factor keeps the shape of the pair; sweeps over
-    eps therefore measure pure amplitude scaling.
-    """
-    size = lambda_power(u0, smoothness + 1).l2() + lambda_power(u1, smoothness).l2()
-    if size == 0.0:
-        raise ValueError("cannot normalize a zero data pair")
-    scale = eps / size
-    return u0 * scale, u1 * scale

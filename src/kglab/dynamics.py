@@ -63,7 +63,6 @@ __all__ = [
     "good_unknown",
     "reduced_rhs",
     "reduced_equation_residual",
-    "profile",
     "normal_form_boundary",
     "make_cubic_kernels",
     "cubic_profile_term",
@@ -85,10 +84,10 @@ class KGState:
         if not (self.grid.compatible(self.u.grid) and self.grid.compatible(self.w.grid)):
             raise ValueError("state fields live on a different grid")
 
-    def half_wave(self, sign: int = +1) -> Field:
-        """U_sign = w + sign * i Lambda u."""
+    def half_wave(self) -> Field:
+        """U = w + i Lambda u."""
         lam_u = lambda_power(self.u, 1.0)
-        return self.w + lam_u * (1j * sign)
+        return self.w + lam_u * 1j
 
     @classmethod
     def from_half_wave(cls, grid: Grid, t: float, U: Field) -> "KGState":
@@ -98,6 +97,7 @@ class KGState:
         return cls(grid, t, lambda_power(lam_u, -1.0), w)
 
     def profile(self) -> Field:
+        """V = e^{-it Lambda} U."""
         return semigroup(self.half_wave(), self.t, -1)
 
 
@@ -558,8 +558,7 @@ def reduced_equation_residual(
     spec: NonlinearitySpec,
     *,
     include_truncation_tail: bool = False,
-    detail: bool = False,
-):
+) -> float:
     """|| (d/dt - i T_A) Ucal - (S + Q + C) ||_{L^2} at the midpoint.
 
     The time derivative is the centered difference of the good unknown
@@ -585,27 +584,10 @@ def reduced_equation_residual(
     dt_ucal = (ucal_next - ucal_prev) * (1.0 / dt_span)
     lhs = dt_ucal - weyl_apply(transport_symbol(mid, spec), ucal_mid) * 1j
     parts = reduced_rhs(mid, spec, include_truncation_tail=include_truncation_tail)
-    res = lhs - parts["total"]
-    if not detail:
-        return res.l2()
-    return {
-        "residual": res.l2(),
-        "lhs": lhs.l2(),
-        "semilinear": parts["semilinear"].l2(),
-        "quadratic": parts["quadratic"].l2(),
-        "cubic_plus": parts["cubic_plus"].l2(),
-        "tail": parts["tail"].l2(),
-        "t_mid": mid.t,
-        "dt": dt_span,
-    }
+    return (lhs - parts["total"]).l2()
 
 
 # -- profile identities ----------------------------------------------------
-
-
-def profile(state: KGState) -> Field:
-    """V = e^{-it Lambda} U."""
-    return state.profile()
 
 
 def _half_wave_pair(state: KGState):
@@ -647,10 +629,9 @@ def make_cubic_kernels(
     }
 
 
-def cubic_profile_term(state: KGState, spec: NonlinearitySpec, kernels: dict = None, **kw) -> Field:
-    """+i e^{-it Lambda} sum of the trilinear interactions at one time."""
-    if kernels is None:
-        kernels = make_cubic_kernels(state.grid, spec, **kw)
+def cubic_profile_term(state: KGState, kernels: dict) -> Field:
+    """+i e^{-it Lambda} sum of the trilinear interactions at one time,
+    with the kernels of make_cubic_kernels."""
     fields = _half_wave_pair(state)
     total = Field.zero(state.grid)
     for (mu, sigma, iota), kern in kernels.items():
@@ -709,7 +690,7 @@ def duhamel_check(
     wts = _quad_weights(ts, rule)
     integral = Field.zero(grid)
     for wt, s in zip(wts, states):
-        integral = integral + cubic_profile_term(s, spec, kernels) * wt
+        integral = integral + cubic_profile_term(s, kernels) * wt
     mismatch = lhs - bnd - integral
     return {
         "increment": lhs.l2(),

@@ -28,7 +28,6 @@ from .dynamics import (
     default_norm_order,
     duhamel_check,
     good_unknown,
-    profile,
     reduced_equation_residual,
     run_to_time,
     scattering_limit,
@@ -40,7 +39,6 @@ from .norms import (
     linlog_fit,
     loglog_fit,
     sandwich_check,
-    sobolev,
     weighted_l2,
 )
 from .oracles import bilinear_oracle, trilinear_oracle, weyl_oracle
@@ -554,7 +552,7 @@ def run_weighted_bootstrap(cfg: ExperimentConfig) -> RunReport:
     state = KGState(grid, cfg.t0, u0 * (eps / u0.sup()), w0 * (eps / w0.sup()))
 
     label = f"weightedL2_{cfg.alpha:g}"
-    monitors = {label: lambda s: weighted_l2(profile(s), cfg.alpha)}
+    monitors = {label: lambda s: weighted_l2(s.profile(), cfg.alpha)}
     t_end = grid.L / 4.0
     result = run_to_time(state, spec, t_end, dt=cfg.dt or None,
                          checkpoints=cfg.checkpoints, monitors=monitors,
@@ -572,7 +570,7 @@ def run_weighted_bootstrap(cfg: ExperimentConfig) -> RunReport:
     report.checks["sobolev-bounded"] = sob_max <= 2.0 * sob0
     report.checks["weighted-bounded"] = wgt_max <= 2.0 * wgt0
 
-    snapshots = [(s.t, profile(s)) for s in result.states]
+    snapshots = [(s.t, s.profile()) for s in result.states]
     limit = scattering_limit(snapshots, alpha=cfg.alpha, N=N)
     report.constants["final_cauchy_gap"] = limit["cauchy"][-1]
     report.constants["cauchy_rate"] = limit["fit"].slope
@@ -581,7 +579,7 @@ def run_weighted_bootstrap(cfg: ExperimentConfig) -> RunReport:
     report.checks["profile-cauchy-monotone"] = limit["monotone_octave"]
     report.checks["cauchy-rate-dispersive"] = lo_band <= limit["fit"].slope <= hi_band
 
-    sandwich = sandwich_check(profile(result.states[-1]), cfg.alpha)
+    sandwich = sandwich_check(result.states[-1].profile(), cfg.alpha)
     report.constants["sandwich_piece_over_weighted"] = sandwich["piece_over_weighted"]
     report.constants["sandwich_weighted_over_composite"] = sandwich["weighted_over_composite"]
     report.checks["sandwich-finite"] = (
@@ -735,6 +733,17 @@ def _crit_phase_scan():
     return all(rep.verdict == "pass" for rep in reports), detail, reports
 
 
+def _crit_multiplier_bounds():
+    report = run_multiplier_bounds(pinned_config("multiplier-bounds"))
+    growth = {k[:-len("-growth")]: v for k, v in report.constants.items()
+              if k.endswith("-growth")}
+    worst = max(growth, key=growth.get)
+    finite = sum(report.checks[f"{tag}-finite"] for tag in growth)
+    detail = (f"{finite}/{len(growth)} kernel runs finite, worst fitted growth "
+              f"{growth[worst]:+.3f} bits/band in {worst} (cap 0.5)")
+    return report.verdict == "pass", detail, report
+
+
 def _crit_good_unknown():
     report = run_good_unknown_scaling(pinned_config("good-unknown-scaling"))
     fit = report.fits["substitution_exponent"]
@@ -786,6 +795,7 @@ CRITERIA = (
     ("dispersive-decay", _crit_dispersive_decay, True),
     ("strichartz-growth", _crit_strichartz_growth, True),
     ("phase-lower-bounds", _crit_phase_scan, True),
+    ("multiplier-bounds", _crit_multiplier_bounds, True),
     ("good-unknown-scaling", _crit_good_unknown, True),
     ("reduced-residual", _crit_reduced_residual, False),
     ("profile-decomposition", _crit_scattering, False),

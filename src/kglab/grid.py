@@ -19,7 +19,6 @@ squared L2 norm is also (2L)^d * sum |c_m|^2 (Parseval).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -203,10 +202,6 @@ class Field:
         if self._coeffs is None:
             self._coeffs = np.fft.fftn(self._values) / self.grid.npoints
         return self._coeffs
-
-    @property
-    def real_part_values(self) -> np.ndarray:
-        return self.values.real
 
     def is_real(self, tol: float = 1e-12) -> bool:
         v = self.values

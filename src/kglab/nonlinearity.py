@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NonlinearitySpec", "default_spec", "zero_spec", "Z_COMPONENTS"]
-
-Z_COMPONENTS = ("u", "dt_u", "dx_u")  # dx_u expands to d components
+__all__ = ["NonlinearitySpec", "default_spec", "zero_spec"]
 
 
 def _as_array(x, shape):
@@ -56,9 +54,6 @@ class NonlinearitySpec:
     @property
     def nz(self) -> int:
         return self.d + 2
-
-    def is_zero(self) -> bool:
-        return not (self.q0.any() or self.qjl.any() or self.s.any())
 
 
 def default_spec(d: int, alpha: float = 1.0, beta: float = 1.0,

@@ -43,8 +43,6 @@ __all__ = [
     "apply_matrix",
     "remainder",
     "error_op",
-    "symbol_norm",
-    "derivative_count",
 ]
 
 # The symbol's spatial frequency must sit 10 dyadic scales below the
@@ -154,13 +152,6 @@ class Symbol:
         for _ in range(k - 1):
             out = out * self
         return out
-
-    def is_x_constant(self, tol: float = 0.0) -> bool:
-        for t in self.terms:
-            v = t.xpart.values
-            if np.max(np.abs(v - v.flat[0])) > tol:
-                return False
-        return True
 
 
 def _product_fn(f, g):
@@ -321,83 +312,3 @@ def error_op(symbols: Sequence[Symbol], f: Field) -> Field:
     for a in symbols[1:]:
         prod = prod * a
     return comp - weyl_apply(prod, f)
-
-
-# ---------------------------------------------------------------------------
-# symbol norms
-# ---------------------------------------------------------------------------
-
-
-def derivative_count(d: int) -> int:
-    """Number of zeta-derivatives tracked in symbol norms: d + 2."""
-    return d + 2
-
-
-def _central_diff(fn, zpts: np.ndarray, alpha: tuple, h: float) -> np.ndarray:
-    """D^alpha fn at zpts by nested central differences with step h."""
-    if sum(alpha) == 0:
-        return np.asarray(fn(zpts), dtype=complex)
-    axis = next(i for i, a in enumerate(alpha) if a > 0)
-    lower = tuple(a - (1 if i == axis else 0) for i, a in enumerate(alpha))
-    zp = zpts.copy()
-    zp[..., axis] += h
-    zm = zpts.copy()
-    zm[..., axis] -= h
-    return (_central_diff(fn, zp, lower, h) - _central_diff(fn, zm, lower, h)) / (2.0 * h)
-
-
-def _multi_indices(d: int, max_order: int) -> list:
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a, slots - 1)
-
-    rec([], max_order, d)
-    return [a for a in out if sum(a) <= max_order]
-
-
-def symbol_norm(a: Symbol, p: float, m: float, max_modes: int = 4096) -> float:
-    """Weighted symbol norm sup_zeta (1+|zeta|)^{-m} || |a|(., zeta) ||_{L^p_x}.
-
-    |a|(x, zeta) = sum_{|alpha| <= d+2} |zeta|^{|alpha|} |D^alpha_zeta a|,
-    with zeta-derivatives taken as central differences of step dxi on
-    the frequency lattice.  p must be 1, 2 or inf.
-    """
-    grid = a.grid
-    if p not in (1, 2, np.inf):
-        raise ValueError(f"p must be 1, 2 or inf, got {p}")
-    if grid.npoints > max_modes:
-        raise ValueError(f"grid has {grid.npoints} modes; guarded to {max_modes}")
-    if any(t.zeta0 is None for t in a.terms):
-        raise ValueError("symbol norm needs finite declared values at zeta = 0")
-
-    zeta = np.stack(grid.xi_components(), axis=-1).reshape(-1, grid.d)  # (npts, d)
-    zmag = np.sqrt(np.sum(zeta**2, axis=1))
-    X = np.stack([t.xpart.values.reshape(-1) for t in a.terms])  # (nt, nx)
-    acc = np.zeros((X.shape[1], zeta.shape[0]))
-
-    for alpha in _multi_indices(grid.d, derivative_count(grid.d)):
-        G = np.stack(
-            [_central_diff(t.zeta_fn, zeta.astype(float), alpha, grid.dxi) for t in a.terms]
-        )  # (nt, nz)
-        if sum(alpha) == 0:
-            # honor declared origin values on the undifferenced layer
-            at0 = zmag == 0.0
-            if np.any(at0):
-                for i, t in enumerate(a.terms):
-                    G[i, at0] = 0.0 if t.zeta0 is None else complex(t.zeta0)
-        A = X.T @ G  # (nx, nz)
-        acc += zmag[None, :] ** sum(alpha) * np.abs(A)
-
-    w = grid.quad_weight
-    if p == 1:
-        xnorm = np.sum(acc, axis=0) * w
-    elif p == 2:
-        xnorm = np.sqrt(np.sum(acc**2, axis=0) * w)
-    else:
-        xnorm = np.max(acc, axis=0)
-    return float(np.max(xnorm / (1.0 + zmag) ** m))

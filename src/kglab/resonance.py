@@ -1,9 +1,8 @@
-"""Resonance phases, interaction sets, and pseudoproduct operators.
+"""Resonance phases, their lattice lower bounds, and pseudoproduct operators.
 
-Phases of the quadratic and cubic frequency interactions,
+The phase of the quadratic frequency interactions,
 
-    Phi_{mu nu}(z1, z2)       = -L(z1+z2) + mu L(z1) + nu L(z2)
-    Psi_{mu s i}(z1, z2, z3)  = -L(z1+z2+z3) + mu L(z1) + s L(z2) + i L(z3)
+    Phi_{mu nu}(z1, z2) = -L(z1+z2) + mu L(z1) + nu L(z2)
 
 with L(z) = sqrt(1+|z|^2), together with the bilinear operator
 
@@ -34,9 +33,8 @@ from .nonlinearity import NonlinearitySpec
 
 __all__ = [
     "SIGN_PAIRS", "SIGN_TRIPLES", "PHASE_FLOOR",
-    "lam", "phase", "phase_triple", "phi_inv",
+    "lam", "phase", "phi_inv",
     "phase_bound_scan",
-    "in_interaction_pair", "in_interaction_triple", "interaction_sets",
     "BilinearSymbol", "TrilinearSymbol",
     "a_kernel", "semilinear_symbol", "quasilinear_symbol", "resonant_kernel",
     "b_kernel", "bilinear_apply", "trilinear_apply", "TrilinearKernel",
@@ -70,17 +68,6 @@ def phase(mu: int, nu: int, z1, z2):
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     return -lam(z1 + z2) + mu * lam(z1) + nu * lam(z2)
-
-
-def phase_triple(mu: int, sigma: int, iota: int, z1, z2, z3):
-    """Cubic interaction phase Psi_{mu sigma iota}(z1, z2, z3)."""
-    for s in (mu, sigma, iota):
-        _check_sign(s)
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    z3 = np.asarray(z3, dtype=float)
-    return (-lam(z1 + z2 + z3) + mu * lam(z1)
-            + sigma * lam(z2) + iota * lam(z3))
 
 
 def phi_inv(mu: int, nu: int, z1, z2, floor: float = PHASE_FLOOR):
@@ -313,38 +300,6 @@ def _grad_scan(mu, nu, grad_pts, eta_pts, delta, floor) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interaction sets
-
-def in_interaction_pair(k: int, k1: int, k2: int) -> bool:
-    """Membership of (k1, k2) in the bilinear interaction set of band k."""
-    if k1 < -1 or k2 < -1:
-        return False
-    hi = max(k1, k2)
-    return abs(hi - k) <= 8 or (hi >= k + 8 and abs(k1 - k2) <= 8)
-
-
-def in_interaction_triple(k: int, k1: int, k2: int, k3: int) -> bool:
-    """Membership of (k1, k2, k3) in the trilinear interaction set of band k."""
-    if min(k1, k2, k3) < -1:
-        return False
-    ks = sorted((k1, k2, k3))
-    hi, med = ks[2], ks[1]
-    return abs(hi - k) <= 4 or (hi >= k + 4 and hi - med <= 4)
-
-
-def interaction_sets(k: int, k_cap: int):
-    """Explicit pair and triple lists for band k, entries in [-1, k_cap]."""
-    if k < -1:
-        raise ValueError("band index must be >= -1")
-    rng = range(-1, k_cap + 1)
-    pairs = [(k1, k2) for k1 in rng for k2 in rng
-             if in_interaction_pair(k, k1, k2)]
-    triples = [(k1, k2, k3) for k1 in rng for k2 in rng for k3 in rng
-               if in_interaction_triple(k, k1, k2, k3)]
-    return pairs, triples
-
-
-# ---------------------------------------------------------------------------
 # symbol families
 
 @dataclass(frozen=True)
@@ -423,11 +378,10 @@ def a_kernel(spec: NonlinearitySpec, mu: int, nu: int) -> BilinearSymbol:
     return BilinearSymbol(fn, tag=f"a[{mu:+d}{nu:+d}](derived)")
 
 
-def semilinear_symbol(mu: int, nu: int, amplitude: float = 1.0,
-                      floor: float = PHASE_FLOOR) -> BilinearSymbol:
+def semilinear_symbol(mu: int, nu: int) -> BilinearSymbol:
     """Energy-functional kernel with the near-diagonal cone removed.
 
-    -i C Phi^{-1} [1 - cut(|z1| / |z1 + 2 z2|) - cut(|z2| / |2 z1 + z2|)]
+    -i Phi^{-1} [1 - cut(|z1| / |z1 + 2 z2|) - cut(|z2| / |2 z1 + z2|)]
     with cut the band-(-10) low cutoff; ratio conventions 0/0 := 0,
     x/0 := inf.
     """
@@ -441,7 +395,7 @@ def semilinear_symbol(mu: int, nu: int, amplitude: float = 1.0,
         r2 = _safe_ratio(np.linalg.norm(z2, axis=-1),
                          np.linalg.norm(2.0 * z1 + z2, axis=-1))
         bracket = 1.0 - psi_le(-10, r1) - psi_le(-10, r2)
-        return -1j * amplitude * phi_inv(mu, nu, z1, z2, floor) * bracket
+        return -1j * phi_inv(mu, nu, z1, z2) * bracket
 
     return BilinearSymbol(fn, tag=f"m_S[{mu:+d}{nu:+d}]")
 
@@ -451,25 +405,18 @@ def semilinear_symbol(mu: int, nu: int, amplitude: float = 1.0,
 _HIGHPASS_SCALE = 0.64
 
 
-def quasilinear_symbol(N: int, split: tuple | None = None,
-                       amplitude: float = 1.0) -> BilinearSymbol:
+def quasilinear_symbol(N: int) -> BilinearSymbol:
     """Commutator kernel of the weighted energy functional.
 
-    cut(|z1| / |z1 + 2 z2|) n1(z1) n2(z2) n3(z1+z2)
+    cut(|z1| / |z1 + 2 z2|) n2(z2) n3(z1+z2)
         [n4(z1+z2) n5(z2) - n4((z1+2 z2)/2) n5((z1+2 z2)/2)]
 
-    with n_l = <.>^{m_l}, sum m_l = 2N+1 (default split (0,0,0,N,N+1)),
-    and n2, n3 high-passed so they vanish on the lowest dyadic block.
+    with n4 = <.>^N, n5 = <.>^{N+1}, and n2, n3 the high-pass factors
+    that vanish on the lowest dyadic block.
     """
-    m = tuple(split) if split is not None else (0, 0, 0, N, N + 1)
-    if len(m) != 5 or sum(m) != 2 * N + 1:
-        raise ValueError(f"order split {m} must have five entries summing to {2*N+1}")
 
-    def n(idx, z):
-        w = lam(z) ** m[idx - 1]
-        if idx in (2, 3):
-            w = w * (1.0 - psi(np.linalg.norm(z, axis=-1) / _HIGHPASS_SCALE))
-        return w
+    def highpass(z):
+        return 1.0 - psi(np.linalg.norm(z, axis=-1) / _HIGHPASS_SCALE)
 
     def fn(z1, z2):
         z1 = np.asarray(z1, dtype=float)
@@ -477,10 +424,10 @@ def quasilinear_symbol(N: int, split: tuple | None = None,
         cut = psi_le(-10, _safe_ratio(np.linalg.norm(z1, axis=-1),
                                       np.linalg.norm(z1 + 2.0 * z2, axis=-1)))
         mid = 0.5 * (z1 + 2.0 * z2)
-        main = n(4, z1 + z2) * n(5, z2) - n(4, mid) * n(5, mid)
-        return amplitude * cut * n(1, z1) * n(2, z2) * n(3, z1 + z2) * main
+        main = lam(z1 + z2) ** N * lam(z2) ** (N + 1) - lam(mid) ** N * lam(mid) ** (N + 1)
+        return cut * highpass(z2) * highpass(z1 + z2) * main
 
-    return BilinearSymbol(fn, tag=f"m_Q[N={N},split={m}]")
+    return BilinearSymbol(fn, tag=f"m_Q[N={N}]")
 
 
 def resonant_kernel(base: BilinearSymbol, mu: int, nu: int,
@@ -644,7 +591,6 @@ BOUND_FAMILIES = {
     "quasilinear_energy": lambda d, k1, k2, N: (2 * d + 4) * k1 + 2 * N * k2,
     "quasilinear_energy_low_high": lambda d, k1, k2, N: k1 + (2 * N - 1) * k2,
     "resonant_kernel": lambda d, k1, k2, N: (2 * d + 3) * min(k1, k2) + k2,
-    "holder": lambda d, k1, k2, N: 0,
 }
 TRILINEAR_FAMILY = "cubic_profile"
 
@@ -697,12 +643,8 @@ def multiplier_bound_measure(family: str, symbol, grid: Grid, k1: int, k2: int,
 
     ratios = []
     for _ in range(trials):
-        if family == "holder":
-            f1 = random_band_field(grid, rng, real=False, band_fraction=1 / 6)
-            f2 = random_band_field(grid, rng, real=False, band_fraction=1 / 6)
-        else:
-            f1 = lp_project(random_band_field(grid, rng, real=False), k1)
-            f2 = lp_project(random_band_field(grid, rng, real=False), k2)
+        f1 = lp_project(random_band_field(grid, rng, real=False), k1)
+        f2 = lp_project(random_band_field(grid, rng, real=False), k2)
         if trilinear:
             f3 = lp_project(random_band_field(grid, rng, real=False), k3)
             outf = trilinear_apply(symbol, f1, f2, f3)

@@ -31,7 +31,6 @@ __all__ = [
     "laplacian",
     "dealias",
     "dealiased_product",
-    "bernstein_ratio",
 ]
 
 
@@ -121,16 +120,3 @@ def dealiased_product(f: Field, g: Field) -> Field:
     fv = dealias(f).values
     gv = dealias(g).values
     return dealias(Field.from_values(f.grid, fv * gv))
-
-
-def bernstein_ratio(f: Field, k: int) -> float:
-    """Measured sup-norm Bernstein constant ||P_k f||_inf / (2^{kd/2} ||P_k f||_2).
-
-    Reported, never asserted against a theoretical value; stability
-    across random fields is the testable property.
-    """
-    pk = lp_project(f, k)
-    denom = 2.0 ** (k * f.grid.d / 2.0) * pk.l2()
-    if denom == 0.0:
-        raise ValueError(f"P_{k} f vanishes; ratio undefined")
-    return pk.sup() / denom

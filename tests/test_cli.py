@@ -98,6 +98,26 @@ def test_scan_phase_rejects_malformed_signs():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-lifespan", "--eps", "0.4,abc"],
+    ["sweep-lifespan", "--eps", "-0.1"],
+    ["sweep-lifespan", "--eps", "0.2,0"],
+    ["scan-phase", "--signs", "++", "--step", "-1"],
+    ["scan-phase", "--signs", "++", "--radius", "0"],
+    ["scan-phase", "--signs", "++", "--radius", "nan"],
+], ids=["eps-word", "eps-negative", "eps-zero", "step-negative", "radius-zero",
+        "radius-nan"])
+def test_malformed_numbers_exit_2_before_compute(argv, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("kglab.cli.run_experiment", calls.append)
+    monkeypatch.setattr("kglab.cli.phase_bound_scan", lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_sweep_lifespan_rejects_empty_eps(capsys):
     code = main(["sweep-lifespan", "--eps", ","])
     assert code == 2

@@ -99,6 +99,8 @@ def test_validation_runs_at_parse_time():
         ("experiment = warp-drive", "unknown experiment"),
         ("experiment = phase-scan\ndim = 4", "dim"),
         ("experiment = phase-scan\nn = 100", "power of two"),
+        ("experiment = dispersive-decay\ndim = 3\nn = 4096",
+         r"68719476736 points exceeds the limit of 16777216"),
         ("experiment = phase-scan\neps = 0.1, -0.2", "positive"),
         ("experiment = phase-scan\nt0 = 2.0\nt1 = 1.0", "t0"),
         ("experiment = phase-scan\nschedule = warp", "schedule"),

@@ -1,5 +1,5 @@
 """Deterministic data generation: one counter-based stream, band and
-envelope shaping, amplitude normalization."""
+envelope shaping."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from kglab.data import (
     envelope_field,
     gaussian_bump,
     make_rng,
-    normalized_pair,
     random_band_field,
 )
-from kglab.grid import Field, make_grid
-from kglab.spectral import lambda_power
+from kglab.grid import make_grid
 
 
 def test_rng_is_philox_and_seed_pinned():
@@ -67,25 +65,3 @@ def test_envelope_field_spreads_mass_with_decay():
     slow = envelope_field(g, make_rng(83), decay=0.5, k_lo=0, k_hi=2)
     outer_slow = np.abs(slow.values[g.x_mags > 32.0])
     assert np.mean(outer_slow) > np.mean(outer)
-
-
-def test_normalized_pair_hits_requested_size():
-    g = make_grid(1, 128, 8.0)
-    rng = make_rng(84)
-    u0 = random_band_field(g, rng, k_lo=-1, k_hi=2)
-    u1 = random_band_field(g, rng, k_lo=-1, k_hi=2)
-    N = 6
-    v0, v1 = normalized_pair(g, u0, u1, eps=0.25, smoothness=N)
-    size = lambda_power(v0, N + 1).l2() + lambda_power(v1, N).l2()
-    assert size == pytest.approx(0.25, rel=1e-12)
-    # shared scale: shapes are preserved
-    assert (v0 * (1.0 / 0.25) - u0 * (1.0 / size * 0.25 / 0.25)).grid.compatible(g)
-    ratio = v0.coeffs[np.abs(u0.coeffs) > 1e-12] / u0.coeffs[np.abs(u0.coeffs) > 1e-12]
-    assert np.allclose(ratio, ratio.flat[0])
-
-
-def test_normalized_pair_rejects_zero_data():
-    g = make_grid(1, 32, np.pi)
-    z = Field.zero(g)
-    with pytest.raises(ValueError, match="zero"):
-        normalized_pair(g, z, z, eps=0.1, smoothness=4)

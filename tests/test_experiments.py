@@ -1,6 +1,7 @@
 """Experiment plumbing at unit scale: dispatch, pinned configs, worker
 mapping, and one cheap end-to-end driver run."""
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -45,9 +46,9 @@ def test_pinned_dimension_variants_differ():
 
 def test_criteria_names_are_unique_and_split_fast_slow():
     names = [name for name, _, _ in CRITERIA]
-    assert len(names) == len(set(names)) == 10
+    assert len(names) == len(set(names)) == 11
     fast = [name for name, _, in_fast in CRITERIA if in_fast]
-    assert len(fast) == 6
+    assert len(fast) == 7
 
 
 def test_run_experiment_dispatches_and_reports():
@@ -100,3 +101,37 @@ def test_every_exported_name_resolves():
         missing = [name for name in getattr(module, "__all__", ())
                    if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports but never reads and does not list in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    package = os.path.dirname(kglab.__file__)
+    unused = {}
+    for fname in sorted(os.listdir(package)):
+        if fname.endswith(".py") and fname != "__init__.py":
+            with open(os.path.join(package, fname), encoding="utf-8") as handle:
+                found = _unused_imports(handle.read())
+            if found:
+                unused[fname] = found
+    assert not unused, unused

@@ -1,5 +1,5 @@
 """Norm evaluations against closed forms and external quadrature, the
-time-norm accumulator, and the fit helpers."""
+weighted-norm sandwich, and the fit helpers."""
 
 import math
 
@@ -10,15 +10,10 @@ from scipy.integrate import quad
 from kglab.data import gaussian_bump, make_rng, random_band_field
 from kglab.grid import Field, make_grid
 from kglab.norms import (
-    NormSpec,
-    StrichartzAccumulator,
     dyadic_composite,
     holder_sup,
-    interpolation_check,
     linlog_fit,
-    localized_estimates_check,
     loglog_fit,
-    norm,
     sandwich_check,
     sobolev,
     weighted_l2,
@@ -71,63 +66,6 @@ def test_sandwich_orders_the_three_quantities():
     assert out["composite"] == pytest.approx(dyadic_composite(f, 0.7), rel=1e-13)
 
 
-def test_norm_dispatch_matches_direct_calls():
-    g = make_grid(1, 128, 8.0)
-    f = gaussian_bump(g, 1.5)
-    assert norm(f, NormSpec("sobolev", s=2.0)) == sobolev(f, 2.0)
-    assert norm(f, NormSpec("holder_sup", m=1)) == holder_sup(f, 1)
-    assert norm(f, NormSpec("weighted_l2", alpha=0.5)) == weighted_l2(f, 0.5)
-    assert norm(f, NormSpec("dyadic_composite", alpha=0.5)) == dyadic_composite(f, 0.5)
-
-
-def test_norm_spec_labels_are_stable():
-    # these strings are CSV headers: changing them breaks re-run diffs
-    assert NormSpec("sobolev", s=8.0).label == "sobolev_8"
-    assert NormSpec("sobolev", s=2.5).label == "sobolev_2.5"
-    assert NormSpec("holder_sup", m=2).label == "holdersup_2"
-    assert NormSpec("weighted_l2", alpha=0.8).label == "weightedL2_0.8"
-    assert NormSpec("dyadic_composite", alpha=0.8).label == "dyadic_0.8"
-
-
-def test_norm_spec_validation():
-    with pytest.raises(ValueError):
-        NormSpec("energy")
-    with pytest.raises(ValueError):
-        NormSpec("sobolev", s=-1.0)
-    with pytest.raises(ValueError):
-        NormSpec("holder_sup", m=-1)
-    with pytest.raises(ValueError):
-        NormSpec("weighted_l2", alpha=0.0)
-    with pytest.raises(ValueError):
-        NormSpec("dyadic_composite", alpha=1.0)
-
-
-# ---------------------------------------------------------------------------
-# time-integrated norms
-
-
-def test_accumulator_matches_hand_trapezoid():
-    acc = StrichartzAccumulator(p=2.0, weight=0.5)
-    vals = {1.0: 3.0, 2.0: 2.0, 4.0: 1.0}
-    for t, v in vals.items():
-        acc.update(t, v)
-    g = {t: (t**0.5 * v) ** 2 for t, v in vals.items()}
-    total = 0.5 * (g[1.0] + g[2.0]) * 1.0 + 0.5 * (g[2.0] + g[4.0]) * 2.0
-    assert acc.value() == pytest.approx(math.sqrt(total), rel=1e-15)
-    assert acc.label == "strichartz_p2_w0.5"
-
-
-def test_accumulator_guards():
-    with pytest.raises(ValueError):
-        StrichartzAccumulator(p=1.5)
-    acc = StrichartzAccumulator(p=2.0)
-    acc.update(1.0, 1.0)
-    with pytest.raises(ValueError):
-        acc.update(1.0, 1.0)
-    with pytest.raises(ValueError):
-        acc.update(0.5, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # fits
 
@@ -170,45 +108,3 @@ def test_fits_need_two_samples():
         linlog_fit([1.0], [1.0])
     with pytest.raises(ValueError):
         loglog_fit([1.0, 2.0], [0.0, -1.0])  # positivity filter empties it
-
-
-# ---------------------------------------------------------------------------
-# interpolated and localized shell estimates
-
-
-def test_interpolation_zero_layer_is_sandwich_piece():
-    g = make_grid(1, 128, 16.0)
-    f = random_band_field(g, make_rng(52), k_lo=0, k_hi=2)
-    alpha = 0.8
-    out = interpolation_check(f, alpha, N=8.0, eps2=1.0, ns=(0.0,))
-    assert out["constant"] == pytest.approx(sandwich_check(f, alpha)["largest_piece"], rel=1e-13)
-
-
-def test_interpolation_check_guards():
-    g = make_grid(1, 128, 16.0)
-    f = gaussian_bump(g, 2.0)
-    with pytest.raises(ValueError):
-        interpolation_check(f, 0.8, N=8.0, eps2=0.0)
-    with pytest.raises(ValueError):
-        interpolation_check(f, 0.8, N=8.0, eps2=1.0, ns=(9.0,))
-
-
-def test_localized_check_runs_and_guards():
-    g = make_grid(1, 128, 16.0)
-    rng = make_rng(53)
-    V = random_band_field(g, rng, k_lo=0, k_hi=2) * 0.1
-    snaps = [(1.0, V), (2.0, V), (4.0, V)]
-    out = localized_estimates_check(snaps, k=1, j=0, alpha=0.8, N=8.0, eps2=0.1)
-    assert np.isfinite(out["dispersive_ratio"]) and out["dispersive_ratio"] > 0
-    assert np.isfinite(out["strichartz_ratio"]) and out["strichartz_ratio"] > 0
-    assert out["params"]["beta2"] == 1.0
-    with pytest.raises(ValueError):
-        localized_estimates_check(snaps, k=1, j=0, alpha=0.8, N=8.0, eps2=0.1,
-                                  beta1=0.5, beta2=0.5)
-    with pytest.raises(ValueError):
-        localized_estimates_check(snaps, k=1, j=0, alpha=0.8, N=8.0, eps2=0.1, n1=9.0)
-    with pytest.raises(ValueError):
-        localized_estimates_check([(2.0, V), (1.0, V)], k=1, j=0,
-                                  alpha=0.8, N=8.0, eps2=0.1)
-    with pytest.raises(ValueError):
-        localized_estimates_check([], k=1, j=0, alpha=0.8, N=8.0, eps2=0.1)

@@ -12,7 +12,6 @@ from kglab.paradiff import (
     apply_matrix,
     error_op,
     remainder,
-    symbol_norm,
     weyl_apply,
     weyl_matrix,
 )
@@ -171,9 +170,3 @@ def test_symbol_algebra_distributes_through_quantization():
     lhs = weyl_apply(a + b * 2.0, f)
     rhs = weyl_apply(a, f) + weyl_apply(b, f) * 2.0
     assert (lhs - rhs).l2() <= 1e-12 * max(rhs.l2(), 1e-30)
-
-
-def test_symbol_norm_of_unit():
-    g = make_grid(1, 16, np.pi)
-    # |1|(x, zeta) = 1: every zeta derivative vanishes, sup_x = 1
-    assert symbol_norm(Symbol.one(g), np.inf, 0.0) == pytest.approx(1.0, abs=1e-10)

@@ -1,5 +1,6 @@
-"""Resonance phases, their brute-force lower bounds, and the exact
-pseudoproduct machinery against literal-sum oracles."""
+"""The quadratic resonance phase, its lattice lower bounds against the
+full-lattice oracle, the kernel families and their bound measurements,
+and the exact pseudoproduct machinery against literal-sum oracles."""
 
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 from kglab.data import make_rng, random_band_field
 from kglab.dynamics import make_cubic_kernels
-from kglab.grid import Field, make_grid
+from kglab.grid import make_grid
 from kglab.nonlinearity import default_spec
 from kglab.oracles import bilinear_oracle, phase_scan_oracle, trilinear_oracle
 from kglab.resonance import (
@@ -17,13 +18,10 @@ from kglab.resonance import (
     a_kernel,
     b_kernel,
     bilinear_apply,
-    in_interaction_pair,
-    interaction_sets,
     lam,
     multiplier_bound_measure,
     phase,
     phase_bound_scan,
-    phase_triple,
     phi_inv,
     quasilinear_symbol,
     resonant_kernel,
@@ -50,19 +48,11 @@ def test_phase_sign_convention():
             assert np.allclose(phase(mu, nu, z1, z2), want, rtol=0, atol=0)
 
 
-def test_phase_triple_sign_convention():
-    rng = make_rng(32)
-    z1, z2, z3 = (_vecs(rng, 25, 3) for _ in range(3))
-    got = phase_triple(1, -1, 1, z1, z2, z3)
-    want = -lam(z1 + z2 + z3) + lam(z1) - lam(z2) + lam(z3)
-    assert np.allclose(got, want, rtol=0, atol=0)
-
-
 def test_phase_rejects_bad_signs():
     with pytest.raises(ValueError):
         phase(0, 1, np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
-        phase_triple(1, 1, 2, np.zeros(1), np.zeros(1), np.zeros(1))
+        phase(1, 2, np.zeros(1), np.zeros(1))
 
 
 def test_minus_minus_phase_below_minus_three():
@@ -188,9 +178,9 @@ def test_quasilinear_symbol_vanishes_off_gap():
     assert vals[1] != 0.0  # ratio ~ 1.7e-5: live
 
 
-def test_interaction_pair_predicts_product_support():
-    # bands that the membership test excludes contribute nothing to
-    # the band-k output of a product; live bands contribute
+def test_high_high_and_high_low_products_reach_a_lower_band():
+    # band 5 times band 5 cascades down into band 2, and band 2 times
+    # the low block stays in band 2: both products have band-2 content
     g = make_grid(1, 256, 2 * np.pi)
     rng = make_rng(36)
     k = 2
@@ -198,15 +188,8 @@ def test_interaction_pair_predicts_product_support():
     h5 = random_band_field(g, rng, k_lo=5, k_hi=5)
     f2 = random_band_field(g, rng, k_lo=2, k_hi=2)
     h0 = random_band_field(g, rng, k_lo=-1, k_hi=0)
-    assert in_interaction_pair(k, 5, 5)  # high-high cascade down
-    assert in_interaction_pair(k, 2, 0)
-    assert not in_interaction_pair(k, 5, 20)
     assert lp_project(dealiased_product(f2, h0), k).l2() > 0
     assert lp_project(dealiased_product(f5, h5), k).l2() > 0
-    pairs, triples = interaction_sets(k, 4)
-    assert all(in_interaction_pair(k, *pq) for pq in pairs)
-    assert (5, 20) not in pairs
-    assert len(triples) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from kglab.data import make_rng, random_band_field
 from kglab.grid import Field, make_grid
 from kglab.spectral import (
-    bernstein_ratio,
     dealias,
     dealiased_product,
     derivative,
@@ -136,17 +135,3 @@ def test_q_shell_is_spatial_weight():
 
     want = f.values * psi_band(2, G1.x_mags)
     assert np.max(np.abs(qd.values - want)) < 1e-13
-
-
-def test_bernstein_ratio_stable_over_draws():
-    # the measured sup/L2 band constant should not wander by orders of
-    # magnitude across random fields: same band, same grid
-    vals = [bernstein_ratio(_field(G1, s, real=True), 2) for s in range(20, 26)]
-    assert max(vals) / min(vals) < 5.0
-
-
-def test_bernstein_empty_band_guard():
-    g = make_grid(1, 32, np.pi)
-    f = Field.from_values(g, np.ones(g.shape))
-    with pytest.raises(ValueError):
-        bernstein_ratio(f, 3)  # constant field has no band-3 content

@@ -36,7 +36,7 @@ from .resonance import (
     resonant_kernel,
     trilinear_apply,
 )
-from .norms import dyadic_composite, holder_sup, loglog_fit, sobolev, weighted_l2
+from .norms import holder_sup, loglog_fit, sobolev, weighted_l2
 from .dynamics import (
     KGState,
     cfl_limit,

@@ -16,7 +16,7 @@ import dataclasses
 import math
 import sys
 
-from .config import load_config
+from .config import _env_workers, load_config
 from .experiments import acceptance_battery, pinned_config, run_experiment
 from .reports import write_report
 from .resonance import phase_bound_scan
@@ -38,7 +38,19 @@ def _cmd_run(args) -> int:
     return 0 if report.verdict in ("pass", "report-only") else 1
 
 
+def _bad_worker_env() -> bool:
+    """Report a malformed KGLAB_WORKERS as a config error, before compute."""
+    try:
+        _env_workers()
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_acceptance(args) -> int:
+    if _bad_worker_env():
+        return 2
     ok = acceptance_battery(fast=args.fast)
     print("acceptance: " + ("all criteria pass" if ok else "FAILURES above"))
     return 0 if ok else 1
@@ -79,6 +91,8 @@ def _cmd_sweep_lifespan(args) -> int:
     eps = args.eps
     if not eps:
         print("empty eps list", file=sys.stderr)
+        return 2
+    if _bad_worker_env():
         return 2
     base = pinned_config("lifespan-sweep")
     cfg = dataclasses.replace(base, dim=args.dim, eps=eps)

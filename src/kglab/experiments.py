@@ -41,8 +41,8 @@ from .norms import (
     sandwich_check,
     weighted_l2,
 )
-from .oracles import bilinear_oracle, trilinear_oracle, weyl_oracle
-from .paradiff import Symbol, error_op, remainder, weyl_apply, weyl_matrix
+from .oracles import bilinear_oracle, trilinear_oracle, weyl_matrix, weyl_oracle
+from .paradiff import Symbol, error_op, remainder, weyl_apply
 from .reports import RunReport, format_table
 from .resonance import (
     TRILINEAR_FAMILY,
@@ -214,31 +214,29 @@ def run_multiplier_bounds(cfg: ExperimentConfig) -> RunReport:
     for mu, nu in ((1, 1), (1, -1)):
         sgn = f"{'+' if mu > 0 else '-'}{'+' if nu > 0 else '-'}"
         runs.append((f"energy({sgn})", "semilinear_energy",
-                     semilinear_symbol(mu, nu), grid, diag, {}))
+                     semilinear_symbol(mu, nu), grid, diag))
         runs.append((f"interaction({sgn})", "interaction_kernel",
-                     a_kernel(spec, mu, nu), grid, diag, {}))
+                     a_kernel(spec, mu, nu), grid, diag))
         runs.append((f"resonant({sgn})", "resonant_kernel",
                      resonant_kernel(a_kernel(spec, mu, nu), mu, nu),
-                     grid, diag, {}))
+                     grid, diag))
     # both commutator bounds are for the resonance-divided kernel; the
     # low-high variant gains a band from the second sign being minus
     runs.append(("commutator(++)", "quasilinear_energy",
                  resonant_kernel(quasilinear_symbol(N), 1, 1),
-                 grid, gapped, {"N": N}))
+                 grid, gapped))
     runs.append(("commutator-lh(+-)", "quasilinear_energy_low_high",
                  resonant_kernel(quasilinear_symbol(N), 1, -1),
-                 grid, gapped, {"N": N}))
+                 grid, gapped))
     runs.append(("cubic(++-)", TRILINEAR_FAMILY,
                  b_kernel(spec, 1, 1, -1), small,
-                 [(-1, -1), (0, 0), (1, 1)], {"trilinear": True}))
+                 [(-1, -1), (0, 0), (1, 1)]))
 
-    for tag, family, symbol, g, bands, extra in runs:
+    for tag, family, symbol, g, bands in runs:
         consts, drivers = [], []
         for k1, k2 in bands:
-            kwargs = {"rng": rng, "N": extra.get("N", 0)}
-            if extra.get("trilinear"):
-                kwargs.update(k3=k2, p=2.0, q=6.0, r=6.0, q3=6.0)
-            out = multiplier_bound_measure(family, symbol, g, k1, k2, **kwargs)
+            k3 = k2 if family == TRILINEAR_FAMILY else None  # cubic: third band = second
+            out = multiplier_bound_measure(family, symbol, g, k1, k2, k3, N=N, rng=rng)
             report.rows.append({"family": tag, "k1": k1, "k2": k2,
                                 "constant": out["constant"]})
             consts.append(out["constant"])

@@ -22,7 +22,6 @@ __all__ = [
     "sobolev",
     "holder_sup",
     "weighted_l2",
-    "dyadic_composite",
     "sandwich_check",
     "FitResult",
     "loglog_fit",
@@ -64,39 +63,27 @@ def weighted_l2(f: Field, alpha: float) -> float:
     return float(np.sqrt(grid.quad_weight * total))
 
 
-def dyadic_composite(f: Field, alpha: float) -> float:
-    """l^1 in k of the l^2-in-j norm of 2^{j alpha} || Q_j P_k f ||.
+def sandwich_check(f: Field, alpha: float) -> dict:
+    """Measure the two-sided comparison around the weighted L^2 norm.
 
-    The controlling side of the weighted-norm sandwich; the shells run
-    over the full lattice ranges -1..k_top and -1..j_top.
+    Every single piece 2^{j alpha}||Q_j P_k f|| sits below the weighted
+    norm, and the weighted norm sits below the full composite, the l^1
+    in k of the l^2-in-j norm of the pieces, with the shells running
+    over the full lattice ranges -1..k_top and -1..j_top.  Returns the
+    measured constants; both must be finite for nonzero input.
     """
+    mid = weighted_l2(f, alpha)
     grid = f.grid
-    total = 0.0
+    largest_piece = 0.0
+    upper = 0.0
     for k in range(-1, grid.k_top + 1):
         pk = lp_project(f, k)
         sq = 0.0
         for j in range(-1, grid.j_top + 1):
             val = 2.0 ** (j * alpha) * q_shell(pk, j).l2()
+            largest_piece = max(largest_piece, val)
             sq += val * val
-        total += math.sqrt(sq)
-    return total
-
-
-def sandwich_check(f: Field, alpha: float) -> dict:
-    """Measure the two-sided comparison around the weighted L^2 norm.
-
-    Every single piece 2^{j alpha}||Q_j P_k f|| sits below the weighted
-    norm, and the weighted norm sits below the full composite.  Returns
-    the measured constants; both must be finite for nonzero input.
-    """
-    mid = weighted_l2(f, alpha)
-    grid = f.grid
-    largest_piece = 0.0
-    for k in range(-1, grid.k_top + 1):
-        pk = lp_project(f, k)
-        for j in range(-1, grid.j_top + 1):
-            largest_piece = max(largest_piece, 2.0 ** (j * alpha) * q_shell(pk, j).l2())
-    upper = dyadic_composite(f, alpha)
+        upper += math.sqrt(sq)
     lower_const = largest_piece / mid if mid > 0 else 0.0
     upper_const = mid / upper if upper > 0 else 0.0
     return {

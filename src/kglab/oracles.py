@@ -2,12 +2,14 @@
 
 Every nontrivial operator in the package has a second, slower
 implementation here that follows the defining sum or integral
-literally: explicit loops over output modes, explicit mode arithmetic,
-no rolls, no convolution shortcuts, no shared code with the fast
-paths.  Tests and the acceptance suite compare the two routes.
+literally: explicit mode arithmetic, no rolls, no convolution
+shortcuts, no shared code with the fast paths.  Tests and the
+acceptance suite compare the two routes.
 
-Guards are generous for correctness, not speed; keep oracle grids at
-n^d <= a few hundred modes.
+T_a has one slow route, the dense mode matrix of its defining sum
+(weyl_matrix, guarded to 4,096 modes so that the 1-D n = 4096 grids
+with live off-diagonal couplings fit).  The loop oracles for the
+pseudoproducts want n^d <= a few hundred modes.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import itertools
 import numpy as np
 
 from .cutoffs import psi_le
-from .grid import Field, Grid
+from .grid import Field
 from .paradiff import PARA_CUT_BAND, Symbol
 from .resonance import PHASE_FLOOR
 
 __all__ = [
+    "weyl_matrix",
     "weyl_oracle",
     "bilinear_oracle",
     "trilinear_oracle",
@@ -30,58 +33,58 @@ __all__ = [
 ]
 
 
-def _mode_table(grid: Grid) -> np.ndarray:
-    return grid.mode_tuples()  # (npts, d) integers, fft order
+# A dense matrix has npoints^2 complex entries: 4,096 modes is 268 MB.
+MAX_MATRIX_MODES = 4096
+
+
+def weyl_matrix(a: Symbol) -> np.ndarray:
+    """Dense mode-space matrix of T_a (rows output xi, columns input eta).
+
+    Row by row from the defining sum in kglab.paradiff: cutoff weight
+    times x-part coefficients at xi - eta times each term's zeta_fn at
+    (xi + eta)/2, which at zeta = 0 takes zeta0 (0 when None).  Nyquist
+    rows and columns are zero, so inputs need no Nyquist cleaning.
+    """
+    grid = a.grid
+    npts = grid.npoints
+    if npts > MAX_MATRIX_MODES:
+        raise ValueError(f"grid has {npts} modes; the Weyl matrix is "
+                         f"guarded to {MAX_MATRIX_MODES}")
+    modes = grid.mode_tuples()
+    nyq = grid.nyquist_mask.ravel()
+    dxi = grid.dxi
+    bparts = [t.xpart.coeffs.reshape(-1) for t in a.terms]
+    M = np.zeros((npts, npts), dtype=complex)
+
+    for row in range(npts):
+        if nyq[row]:
+            continue
+        xi = modes[row]
+        diff = xi - modes
+        summ = xi + modes
+        live = np.all(np.abs(diff) <= grid.n // 2 - 1, axis=1) & ~nyq
+        dmag = dxi * np.sqrt(np.sum(diff * diff, axis=1))
+        smag = dxi * np.sqrt(np.sum(summ * summ, axis=1))
+        w = psi_le(PARA_CUT_BAND, dmag / np.where(smag > 0.0, smag, 1.0))
+        w[smag == 0.0] = 0.0
+        w[dmag == 0.0] = 1.0
+        w[~live] = 0.0
+        zmid = 0.5 * dxi * summ.astype(float)
+        at0 = ~summ.any(axis=1)
+        idx = np.ravel_multi_index(tuple((diff % grid.n).T), grid.shape)
+        val = np.zeros(npts, dtype=complex)
+        for term, bp in zip(a.terms, bparts):
+            g = np.array(term.zeta_fn(zmid), dtype=complex)
+            g[at0] = 0.0 if term.zeta0 is None else complex(term.zeta0)
+            val += bp[idx] * g
+        M[row] = w * val
+    return M
 
 
 def weyl_oracle(a: Symbol, f: Field) -> Field:
-    """T_a f as the literal double sum over (xi, eta) lattice pairs."""
-    grid = f.grid
-    modes = _mode_table(grid)
-    npts = grid.npoints
-    dxi = grid.dxi
-    nyq = grid.nyquist_mask.ravel()
-    fin = f.coeffs.reshape(-1).copy()
-    fin[nyq] = 0.0
-    bparts = [t.xpart.coeffs.reshape(-1) for t in a.terms]
-    out = np.zeros(npts, dtype=complex)
-
-    for i in range(npts):
-        if nyq[i]:
-            continue
-        xi = modes[i]
-        total = 0.0 + 0.0j
-        for j in range(npts):
-            if nyq[j] or fin[j] == 0.0:
-                continue
-            eta = modes[j]
-            diff = xi - eta
-            if np.any(np.abs(diff) > grid.n // 2 - 1):
-                continue  # no wraparound: difference left the box
-            dmag = dxi * float(np.sqrt(np.dot(diff, diff)))
-            smag = dxi * float(np.sqrt(np.dot(xi + eta, xi + eta)))
-            if dmag == 0.0:
-                w = 1.0
-            elif smag == 0.0:
-                continue
-            else:
-                w = float(psi_le(PARA_CUT_BAND, dmag / smag))
-                if w == 0.0:
-                    continue
-            zmid = 0.5 * dxi * (xi + eta).astype(float)
-            val = 0.0 + 0.0j
-            for term, bp in zip(a.terms, bparts):
-                idx = int(np.ravel_multi_index(tuple(diff % grid.n), grid.shape))
-                if bp[idx] == 0.0:
-                    continue
-                if np.dot(zmid, zmid) == 0.0:
-                    g = 0.0 if term.zeta0 is None else complex(term.zeta0)
-                else:
-                    g = complex(term.zeta_fn(zmid[None, :])[0])
-                val += bp[idx] * g
-            total += w * val * fin[j]
-        out[i] = total
-    return Field.from_coeffs(grid, out.reshape(grid.shape))
+    """T_a f as the dense Weyl matrix times f's coefficients."""
+    out = weyl_matrix(a) @ f.coeffs.reshape(-1)
+    return Field.from_coeffs(f.grid, out.reshape(f.grid.shape))
 
 
 def bilinear_oracle(m_fn, f: Field, g: Field) -> Field:
@@ -92,7 +95,7 @@ def bilinear_oracle(m_fn, f: Field, g: Field) -> Field:
     the product normalization (m = 1 gives the dealiased product).
     """
     grid = f.grid
-    modes = _mode_table(grid)
+    modes = grid.mode_tuples()
     npts = grid.npoints
     deal = grid.dealias_mask.ravel()
     fc = np.where(deal, f.coeffs.reshape(-1), 0.0)
@@ -125,7 +128,7 @@ def trilinear_oracle(b_fn, f: Field, g: Field, h: Field) -> Field:
     pair frequency kept inside the 2/3 box (right-associated products).
     """
     grid = f.grid
-    modes = _mode_table(grid)
+    modes = grid.mode_tuples()
     deal = grid.dealias_mask.ravel()
     fc = np.where(deal, f.coeffs.reshape(-1), 0.0)
     gc = np.where(deal, g.coeffs.reshape(-1), 0.0)

@@ -21,6 +21,9 @@ Conventions fixed here and relied on everywhere:
   zeta = 0 excluded;
 * differences xi - eta leaving the frequency box contribute nothing
   (no wraparound), and Nyquist rows are zeroed on input and output.
+
+weyl_apply is T_a's one fast route; its oracle is the dense matrix of
+the sum above, kglab.oracles.weyl_matrix.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ __all__ = [
     "SymbolTerm",
     "Symbol",
     "weyl_apply",
-    "weyl_matrix",
-    "apply_matrix",
     "remainder",
     "error_op",
 ]
@@ -185,12 +186,6 @@ def _theta_candidates(grid: Grid) -> np.ndarray:
     return pts[order]
 
 
-def _clean_input(f: Field) -> np.ndarray:
-    c = f.coeffs.copy()
-    c[f.grid.nyquist_mask] = 0.0
-    return c
-
-
 def weyl_apply(a: Symbol, f: Field) -> Field:
     """T_a f via the banded sum over passing spatial offsets theta.
 
@@ -200,7 +195,8 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
     grid = f.grid
     if not a.grid.compatible(grid):
         raise ValueError("symbol and field live on different grids")
-    bf = _clean_input(f)
+    bf = f.coeffs.copy()
+    bf[grid.nyquist_mask] = 0.0
     modes = np.meshgrid(*grid.mode_axes, indexing="ij")
     out = np.zeros(grid.shape, dtype=complex)
 
@@ -240,55 +236,6 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
 
     out[grid.nyquist_mask] = 0.0
     return Field.from_coeffs(grid, out)
-
-
-def weyl_matrix(a: Symbol, max_modes: int = 4096) -> np.ndarray:
-    """Dense mode-space matrix of T_a (rows = output xi, cols = input eta).
-
-    Guarded to small grids; Nyquist rows and columns are zero.  Useful
-    for adjointness and spectrum checks against weyl_apply.
-    """
-    grid = a.grid
-    npts = grid.npoints
-    if npts > max_modes:
-        raise ValueError(f"grid has {npts} modes; matrix route guarded to {max_modes}")
-    modes = grid.mode_tuples()  # (npts, d)
-    nyq = grid.nyquist_mask.ravel()
-    M = np.zeros((npts, npts), dtype=complex)
-    dxi = grid.dxi
-
-    for row in range(npts):
-        if nyq[row]:
-            continue
-        mx = modes[row]
-        diff = mx[None, :] - modes  # (npts, d)
-        summ = mx[None, :] + modes
-        inbox = np.all((diff >= -grid.n // 2 + 1) & (diff <= grid.n // 2 - 1), axis=1)
-        diffmag = dxi * np.sqrt(np.sum(diff.astype(float) ** 2, axis=1))
-        summag = dxi * np.sqrt(np.sum(summ.astype(float) ** 2, axis=1))
-        on_diag = diffmag == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(summag > 0.0, diffmag / np.where(summag > 0, summag, 1.0), np.inf)
-        ratio = np.where(on_diag, 0.0, ratio)
-        w = psi_le(PARA_CUT_BAND, ratio)
-        w = np.where(on_diag, 1.0, np.where(summag == 0.0, 0.0, w))
-        w = np.where(inbox, w, 0.0)
-        w = np.where(nyq, 0.0, w)
-        zpts = 0.5 * dxi * summ.astype(float)
-        rowvals = np.zeros(npts, dtype=complex)
-        for term in a.terms:
-            bi = term.xpart.coeffs.reshape(-1)
-            # coefficient of the x-part at frequency diff (fft index)
-            idx = np.ravel_multi_index(tuple((diff[:, k]) % grid.n for k in range(grid.d)), grid.shape)
-            bvals = np.where(inbox, bi[idx], 0.0)
-            rowvals += bvals * term.eval_zeta(zpts)
-        M[row] = w * rowvals
-    return M
-
-
-def apply_matrix(M: np.ndarray, f: Field) -> Field:
-    c = _clean_input(f).reshape(-1)
-    return Field.from_coeffs(f.grid, (M @ c).reshape(f.grid.shape))
 
 
 # ---------------------------------------------------------------------------

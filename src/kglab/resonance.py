@@ -593,6 +593,10 @@ BOUND_FAMILIES = {
     "resonant_kernel": lambda d, k1, k2, N: (2 * d + 3) * min(k1, k2) + k2,
 }
 TRILINEAR_FAMILY = "cubic_profile"
+# Holder exponents 1/p = 1/q + 1/r (+ 1/q3) of the measured bounds
+_BILINEAR_EXPONENTS = (2.0, 2.0, float("inf"))
+_TRILINEAR_EXPONENTS = (2.0, 6.0, 6.0, 6.0)
+_BOUND_TRIALS = 6
 
 
 def _lp_norm(field: Field, p: float) -> float:
@@ -602,23 +606,16 @@ def _lp_norm(field: Field, p: float) -> float:
     return float((np.sum(v ** p) * field.grid.quad_weight) ** (1.0 / p))
 
 
-def _holder_ok(p, qs):
-    lhs = 0.0 if np.isinf(p) else 1.0 / p
-    rhs = sum(0.0 if np.isinf(q) else 1.0 / q for q in qs)
-    return abs(lhs - rhs) < 1e-12
-
-
 def multiplier_bound_measure(family: str, symbol, grid: Grid, k1: int, k2: int,
-                             k3: int | None = None, *, p=2.0, q=2.0,
-                             r=float("inf"), q3=None, N: int = 0,
-                             trials: int = 6, rng=None) -> dict:
+                             k3: int | None = None, *, N: int = 0, rng=None) -> dict:
     """Measure the operator constant of a kernel family on dyadic bands.
 
-    Randomized band-localized inputs; returns the max over trials of
-    the output norm divided by the family's dyadic right-hand scale
-    times the input norms.  Preconditions: the exponent relation
-    1/p = 1/q + 1/r (+ 1/q3 for the trilinear family), and
-    k1 <= k2 - 6 for the low-high quasilinear family.
+    Randomized band-localized inputs; returns the max over six trials
+    of the output L^p norm divided by the family's dyadic right-hand
+    scale times the input L^q, L^r (and L^q3) norms, with the Holder
+    exponents fixed per family: (p, q, r) = (2, 2, inf) for the
+    bilinear families, (p, q, r, q3) = (2, 6, 6, 6) for the trilinear
+    one.  Precondition: k1 <= k2 - 6 for the low-high quasilinear family.
     """
     from .data import make_rng, random_band_field
     from .spectral import lp_project
@@ -627,22 +624,20 @@ def multiplier_bound_measure(family: str, symbol, grid: Grid, k1: int, k2: int,
         rng = make_rng(0)
     trilinear = family == TRILINEAR_FAMILY
     if trilinear:
-        if k3 is None or q3 is None:
-            raise ValueError("trilinear family needs k3 and q3")
-        if not _holder_ok(p, (q, r, q3)):
-            raise ValueError("exponents must satisfy 1/p = 1/q + 1/r + 1/q3")
+        if k3 is None:
+            raise ValueError("trilinear family needs k3")
+        p, q, r, q3 = _TRILINEAR_EXPONENTS
         scale = 2.0 ** (3 * max(k1, k2, k3) + 2 * (k1 + k2 + k3))
     else:
         if family not in BOUND_FAMILIES:
             raise ValueError(f"unknown bound family {family!r}")
-        if not _holder_ok(p, (q, r)):
-            raise ValueError("exponents must satisfy 1/p = 1/q + 1/r")
+        p, q, r = _BILINEAR_EXPONENTS
         if family == "quasilinear_energy_low_high" and k1 > k2 - 6:
             raise ValueError("low-high family requires k1 <= k2 - 6")
         scale = 2.0 ** BOUND_FAMILIES[family](grid.d, k1, k2, N)
 
     ratios = []
-    for _ in range(trials):
+    for _ in range(_BOUND_TRIALS):
         f1 = lp_project(random_band_field(grid, rng, real=False), k1)
         f2 = lp_project(random_band_field(grid, rng, real=False), k2)
         if trilinear:
@@ -659,8 +654,7 @@ def multiplier_bound_measure(family: str, symbol, grid: Grid, k1: int, k2: int,
 
     return {
         "family": family, "tag": getattr(symbol, "tag", "?"),
-        "d": grid.d, "k1": k1, "k2": k2, "k3": k3,
-        "p": p, "q": q, "r": r, "q3": q3, "N": N,
+        "d": grid.d, "k1": k1, "k2": k2, "k3": k3, "N": N,
         "trials": len(ratios), "rhs_scale": scale,
         "constant": max(ratios) if ratios else 0.0,
         "ratios": ratios,

@@ -57,15 +57,24 @@ def test_run_exits_2_on_missing_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_run_exits_2_on_malformed_worker_env(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["run", "{cfg}"],
+    ["acceptance", "--fast"],
+    ["sweep-lifespan", "--eps", "0.4"],
+], ids=["run", "acceptance", "sweep-lifespan"])
+def test_run_exits_2_on_malformed_worker_env(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KGLAB_OUT", str(tmp_path / "ledger"))
-    monkeypatch.setenv("KGLAB_WORKERS", "-3")
+    monkeypatch.setenv("KGLAB_WORKERS", "two")
+    calls = []
+    monkeypatch.setattr("kglab.cli.run_experiment", calls.append)
+    monkeypatch.setattr("kglab.cli.acceptance_battery", lambda fast: calls.append(fast))
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(QUICK_SCAN)
-    code = main(["run", str(cfg)])
+    code = main([arg.format(cfg=cfg) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and "KGLAB_WORKERS" in err
+    assert calls == []
     assert not (tmp_path / "ledger").exists()
 
 

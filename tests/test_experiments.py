@@ -135,3 +135,34 @@ def test_no_module_imports_a_name_it_never_reads():
             if found:
                 unused[fname] = found
     assert not unused, unused
+
+
+FAST_PATH_MODULES = ("paradiff", "resonance", "spectral", "dynamics")
+
+
+def _fast_path_borrowings(source: str) -> list:
+    """What oracles.py takes from the fast-path modules beyond constants
+    and types: functions, _-prefixed names, whole modules, eval_zeta."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("kglab.")
+            for alias in node.names:
+                if module in ("", "kglab") and alias.name in FAST_PATH_MODULES:
+                    found.append((node.lineno, alias.name))
+                elif module in FAST_PATH_MODULES:
+                    obj = getattr(importlib.import_module(f"kglab.{module}"), alias.name)
+                    if alias.name.startswith("_") or (callable(obj) and not isinstance(obj, type)):
+                        found.append((node.lineno, f"{module}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.removeprefix("kglab.") in FAST_PATH_MODULES]
+        elif isinstance(node, ast.Attribute) and node.attr == "eval_zeta":
+            found.append((node.lineno, "eval_zeta"))
+    return found
+
+
+def test_oracles_share_no_code_with_the_fast_paths():
+    with open(os.path.join(os.path.dirname(kglab.__file__), "oracles.py"),
+              encoding="utf-8") as handle:
+        assert _fast_path_borrowings(handle.read()) == []

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from kglab.data import gaussian_bump, make_rng, random_band_field
 from kglab.grid import Field, make_grid
 from kglab.norms import (
-    dyadic_composite,
     holder_sup,
     linlog_fit,
     loglog_fit,
@@ -18,6 +17,7 @@ from kglab.norms import (
     sobolev,
     weighted_l2,
 )
+from kglab.spectral import lp_project, q_shell
 
 
 def _cosine(g, m, amp=1.0):
@@ -63,7 +63,11 @@ def test_sandwich_orders_the_three_quantities():
     assert out["ok"]
     assert out["largest_piece"] <= out["weighted"] * (1 + 1e-10)
     assert out["weighted"] <= out["composite"] * (1 + 1e-10)
-    assert out["composite"] == pytest.approx(dyadic_composite(f, 0.7), rel=1e-13)
+    pieces = [[2.0 ** (j * 0.7) * q_shell(lp_project(f, k), j).l2()
+               for j in range(-1, g.j_top + 1)] for k in range(-1, g.k_top + 1)]
+    assert out["largest_piece"] == max(max(row) for row in pieces)
+    composite = sum(math.sqrt(sum(v * v for v in row)) for row in pieces)
+    assert out["composite"] == pytest.approx(composite, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

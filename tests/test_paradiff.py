@@ -6,15 +6,8 @@ import pytest
 
 from kglab.data import make_rng, random_band_field
 from kglab.grid import Field, make_grid
-from kglab.oracles import weyl_oracle
-from kglab.paradiff import (
-    Symbol,
-    apply_matrix,
-    error_op,
-    remainder,
-    weyl_apply,
-    weyl_matrix,
-)
+from kglab.oracles import weyl_matrix, weyl_oracle
+from kglab.paradiff import Symbol, error_op, remainder, weyl_apply
 from kglab.spectral import dealiased_product, lambda_power
 
 
@@ -70,14 +63,23 @@ def test_pure_multiplier_is_exact():
     assert (out - want).l2() <= 1e-13 * want.l2()
 
 
-def test_matrix_agrees_with_apply():
-    g = make_grid(1, 32, 2 * np.pi)
-    rng = make_rng(15)
-    a = _symbol(g, rng)
-    f = random_band_field(g, rng, real=False)
-    via_matrix = apply_matrix(weyl_matrix(a), f)
-    direct = weyl_apply(a, f)
-    assert (via_matrix - direct).l2() <= 1e-12 * max(direct.l2(), 1e-30)
+def test_weyl_matches_matrix_on_live_off_diagonal_couplings():
+    # on a 1-D n = 4096 grid the cutoff's transition zone holds lattice
+    # pairs, so the off-diagonal shifts and psi weights act; the
+    # full-box input also reaches the box edge, where the shifts' box
+    # mask and the Nyquist row act
+    g = make_grid(1, 4096, 8 * np.pi)
+    rng = make_rng(22)
+    a = Symbol.separable(random_band_field(g, rng), _zeta_over_lam, 0.0, "all-band")
+    M = weyl_matrix(a)
+    live_off_diagonal = np.count_nonzero(M) - np.count_nonzero(np.diag(M))
+    assert live_off_diagonal >= 20_000
+    full_box = Field.from_coeffs(g, rng.standard_normal(g.shape)
+                                 + 1j * rng.standard_normal(g.shape))
+    for f in (random_band_field(g, rng), full_box):
+        slow = Field.from_coeffs(g, M @ f.coeffs)
+        fast = weyl_apply(a, f)
+        assert (fast - slow).l2() <= 1e-12 * slow.l2()
 
 
 def test_real_even_symbol_is_hermitian():
@@ -151,7 +153,7 @@ def test_error_op_matches_matrix_composition():
     f = random_band_field(g, rng, real=False)
     direct = error_op([a, b], f)
     Ma, Mb, Mab = weyl_matrix(a), weyl_matrix(b), weyl_matrix(a * b)
-    via = apply_matrix(Ma @ Mb - Mab, f)
+    via = Field.from_coeffs(g, ((Ma @ Mb - Mab) @ f.coeffs.reshape(-1)).reshape(g.shape))
     assert (direct - via).l2() <= 1e-12 * max(via.l2(), 1e-30)
 
 

@@ -127,6 +127,11 @@ class ExperimentConfig:
     workers: int = 0         # 0 falls back to KGLAB_WORKERS or 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; "
@@ -175,6 +180,9 @@ class ExperimentConfig:
             raise ValueError("blow_up_factor must exceed 1")
         if self.ladder < 1:
             raise ValueError("ladder must be at least 1")
+        if "#" in self.out or self.out != self.out.strip() or len(self.out.splitlines()) > 1:
+            raise ValueError(f"out must be one line with no '#' and no surrounding "
+                             f"spaces, got {self.out!r}")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative (0 = env/default)")
         if self.snapshot:

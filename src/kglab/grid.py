@@ -1,9 +1,10 @@
 """Periodic box discretization and lazily transformed fields.
 
 A :class:`Grid` is a uniform periodic box [-L, L)^d with n points per
-axis (n a power of two) and frequency lattice {pi m / L}.  Fields are
-stored in physical space with a cached frequency representation; the
-two are tied together by the Fourier series convention
+axis (n a power of two) and frequency lattice {pi m / L}.  A field is
+stored in physical or frequency space, and the other representation is
+computed once, on first use, and cached; the two are tied together by
+the Fourier series convention
 
     f(x_j) = sum_m  c_m  exp(2 pi i j m / n),
 
@@ -151,12 +152,19 @@ def make_grid(d: int, n: int, L: float) -> Grid:
     return Grid(d=d, n=n, L=float(L))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 class Field:
     """A complex field on a Grid with lazily cached FFT representation.
 
-    Treat instances as immutable: arithmetic returns new fields and the
-    cached representation is never invalidated in place.  Construct
-    with :meth:`from_values` or :meth:`from_coeffs`.
+    Instances are immutable: arithmetic returns new fields, and every
+    cached array is read-only, so writing into ``values`` or ``coeffs``
+    raises ``ValueError``.  A Field takes ownership of the array it is
+    given: a complex array is stored as is, not copied, and becomes
+    read-only.  Construct with :meth:`from_values` or :meth:`from_coeffs`.
     """
 
     __slots__ = ("grid", "_values", "_coeffs")
@@ -165,8 +173,8 @@ class Field:
         if values is None and coeffs is None:
             raise ValueError("need physical values or frequency coefficients")
         self.grid = grid
-        self._values = None if values is None else np.asarray(values, dtype=complex)
-        self._coeffs = None if coeffs is None else np.asarray(coeffs, dtype=complex)
+        self._values = None if values is None else _frozen(np.asarray(values, dtype=complex))
+        self._coeffs = None if coeffs is None else _frozen(np.asarray(coeffs, dtype=complex))
         ref = self._values if self._values is not None else self._coeffs
         if ref.shape != grid.shape:
             raise ValueError(f"shape {ref.shape} does not match grid {grid.shape}")
@@ -183,7 +191,11 @@ class Field:
 
     @classmethod
     def zero(cls, grid: Grid) -> "Field":
-        return cls(grid, values=np.zeros(grid.shape, dtype=complex))
+        """The zero field, held in coefficient space.
+
+        Sums with spectral fields then stay spectral, with no transform.
+        """
+        return cls(grid, coeffs=np.zeros(grid.shape, dtype=complex))
 
     @classmethod
     def one(cls, grid: Grid) -> "Field":
@@ -194,14 +206,23 @@ class Field:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = np.fft.ifftn(self._coeffs) * self.grid.npoints
+            self._values = _frozen(np.fft.ifftn(self._coeffs) * self.grid.npoints)
         return self._values
 
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            self._coeffs = np.fft.fftn(self._values) / self.grid.npoints
+            self._coeffs = _frozen(np.fft.fftn(self._values) / self.grid.npoints)
         return self._coeffs
+
+    def is_zero(self) -> bool:
+        """True when the field is identically zero; makes no transform.
+
+        Reads whichever representation is cached.  A NaN entry is not
+        zero, so a field holding one is not zero either.
+        """
+        arr = self._coeffs if self._coeffs is not None else self._values
+        return not np.any(arr)
 
     def is_real(self, tol: float = 1e-12) -> bool:
         v = self.values
@@ -232,7 +253,7 @@ class Field:
         if self._coeffs is not None:
             out = Field(self.grid, coeffs=self._coeffs * scalar)
             if self._values is not None:
-                out._values = self._values * scalar
+                out._values = _frozen(self._values * scalar)
             return out
         return Field.from_values(self.grid, self.values * scalar)
 

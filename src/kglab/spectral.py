@@ -9,10 +9,16 @@ Conventions:
 * lambda_power and semigroup are even pure multipliers and keep the
   Nyquist rows; derivative has an odd symbol and zeroes them.
 * Every pointwise product in the package goes through
-  :func:`dealiased_product` (2/3 rule).
+  :func:`dealiased_product` (2/3 rule, Orszag 1971).  It spends no
+  transform on a zero operand and one inverse transform on a square,
+  and it returns its result in coefficient space.  Multipliers, sums
+  and ``Field.zero`` keep fields in coefficient space too, so in
+  ``dynamics.rhs`` the live products make the only transforms.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,17 +91,26 @@ def semigroup(f: Field, t: float, sign: int = +1) -> Field:
     return Field.from_coeffs(f.grid, f.coeffs * phase)
 
 
+@lru_cache(maxsize=None)
+def _derivative_symbol(d: int, n: int, dxi: float, axis: int, order: int) -> np.ndarray:
+    """(i xi_axis)^order, broadcastable along ``axis``; read-only and shared."""
+    imodes = np.rint(np.fft.fftfreq(n) * n).astype(int)
+    modes = imodes.astype(float)
+    if order % 2 == 1:
+        modes = np.where(np.abs(imodes) == n // 2, 0.0, modes)
+    shape = [1] * d
+    shape[axis] = n
+    sym = (1j * dxi * modes.reshape(shape)) ** order
+    sym.setflags(write=False)
+    return sym
+
+
 def derivative(f: Field, axis: int, order: int = 1) -> Field:
     """Spectral partial derivative along one axis (odd symbol: Nyquist zeroed)."""
     grid = f.grid
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
-    modes = grid.mode_axes[axis].astype(float)
-    if order % 2 == 1:
-        modes = np.where(np.abs(grid.mode_axes[axis]) == grid.n // 2, 0.0, modes)
-    shape = [1] * grid.d
-    shape[axis] = grid.n
-    sym = (1j * grid.dxi * modes.reshape(shape)) ** order
+    sym = _derivative_symbol(grid.d, grid.n, grid.dxi, axis, order)
     return Field.from_coeffs(grid, f.coeffs * sym)
 
 
@@ -113,10 +128,17 @@ def dealiased_product(f: Field, g: Field) -> Field:
 
     Inputs are truncated to the 2/3 box, multiplied in physical space,
     and the result is truncated again, so quadratic aliasing images
-    never land on retained modes.
+    never land on retained modes.  The result is held in coefficient
+    space.
+
+    A zero operand gives a zero product, with no transform, whatever
+    the other operand holds (even NaN).  A square (``g is f``) makes
+    one inverse transform for both factors.
     """
     if not f.grid.compatible(g.grid):
         raise ValueError("fields live on different grids")
+    if f.is_zero() or g.is_zero():
+        return Field.zero(f.grid)
     fv = dealias(f).values
-    gv = dealias(g).values
+    gv = fv if g is f else dealias(g).values
     return dealias(Field.from_values(f.grid, fv * gv))

@@ -110,6 +110,9 @@ def test_validation_runs_at_parse_time():
         ("experiment = phase-scan\ncheckpoints = 1", "checkpoints"),
         ("experiment = phase-scan\nrule = gauss", "rule"),
         ("experiment = phase-scan\nsnapshot = true", "snapshot"),
+        ("experiment = phase-scan\nbox = nan", "box must be finite"),
+        ("experiment = phase-scan\nt1 = inf", "t1 must be finite"),
+        ("experiment = phase-scan\neps = 0.1, nan", "eps must be finite"),
     ]
     for body, needle in cases:
         with pytest.raises(ValueError, match=needle):
@@ -151,6 +154,12 @@ def test_load_config_rejects_malformed_worker_env(tmp_path, monkeypatch, raw):
         load_config(str(p))
     monkeypatch.setenv("KGLAB_WORKERS", "0")
     assert load_config(str(p)).worker_count() == 1
+
+
+@pytest.mark.parametrize("out", ["runs#1", " runs", "runs\n", "a\rb", "a\x1cb"])
+def test_out_the_file_format_cannot_carry_is_rejected(out):
+    with pytest.raises(ValueError, match="out must be one line"):
+        ExperimentConfig(experiment="phase-scan", out=out)
 
 
 def test_direct_construction_validates_too():

@@ -16,6 +16,7 @@ from kglab.dynamics import (
     good_unknown_field,
     normal_form_boundary,
     reduced_equation_residual,
+    rhs,
     run_to_time,
     scattering_limit,
     step,
@@ -90,6 +91,18 @@ def test_nonlinear_step_preserves_reality():
     for _ in range(5):
         cur = step(cur, spec, 0.8 * cfl_limit(g))
     assert cur.u.is_real() and cur.w.is_real()
+
+
+def test_lifespan_rhs_makes_two_transforms(fft_calls):
+    # the pinned lifespan spec S = 2u^2: the square is the only live
+    # product, one inverse transform in and one forward transform out
+    g = make_grid(1, 256, 8 * np.pi)
+    st = _small_state(g, 0.1)
+    st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
+    fft_calls.update(fftn=0, ifftn=0)
+    du, dw = rhs(st, default_spec(1, 0.0, 0.0, 2.0, 0.0))
+    assert fft_calls == {"fftn": 1, "ifftn": 1}
+    assert du._values is None and dw._values is None
 
 
 def test_run_to_time_guards_and_rows():

@@ -86,6 +86,46 @@ def test_field_arithmetic():
     assert np.allclose(f.conj().values, np.conj(f.values))
 
 
+def test_cached_arrays_are_read_only():
+    g = make_grid(1, 16, 1.0)
+    f = random_band_field(g, make_rng(3))
+    fresh = Field.from_values(g, np.ones(g.shape, dtype=complex))
+    scaled = Field.from_coeffs(g, f.coeffs) * 2.0
+    _ = scaled.values  # both caches filled: __mul__ scales each
+    for arr in (f.values, f.coeffs, fresh.values, fresh.coeffs,
+                (f * 3.0).coeffs, (scaled * 0.5).values):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_field_takes_ownership_of_its_array():
+    g = make_grid(1, 16, 1.0)
+    arr = np.zeros(g.shape, dtype=complex)
+    Field.from_coeffs(g, arr)
+    with pytest.raises(ValueError):
+        arr[0] = 1.0
+
+
+def test_is_zero_reads_the_cache_and_counts_nan_as_live(fft_calls):
+    g = make_grid(2, 8, 1.0)
+    assert Field.zero(g).is_zero()
+    assert Field.from_values(g, np.zeros(g.shape)).is_zero()
+    assert not Field.one(g).is_zero()
+    nan = np.zeros(g.shape)
+    nan[1, 2] = np.nan
+    assert not Field.from_values(g, nan).is_zero()
+    assert not Field.from_coeffs(g, nan).is_zero()
+    assert fft_calls == {"fftn": 0, "ifftn": 0}
+
+
+def test_zero_is_held_in_coefficient_space(fft_calls):
+    g = make_grid(1, 16, 1.0)
+    f = Field.from_coeffs(g, np.arange(g.n, dtype=complex))
+    total = Field.zero(g) + f
+    assert np.array_equal(total.coeffs, f.coeffs)
+    assert fft_calls == {"fftn": 0, "ifftn": 0}
+
+
 def test_field_product_guard():
     g = make_grid(1, 16, 1.0)
     f = Field.one(g)

@@ -128,6 +128,39 @@ def test_dealiased_product_exact_in_box():
     assert np.max(np.abs(prod.values - want)) < 1e-12
 
 
+def test_zero_operand_gives_exact_zeros_with_no_transform(fft_calls):
+    f = _field(G2, 11)
+    nan = Field.from_values(G2, np.full(G2.shape, np.nan))
+    for zero in (Field.zero(G2), Field.from_values(G2, np.zeros(G2.shape))):
+        for a, b in ((zero, f), (f, zero), (zero, nan), (zero, zero)):
+            prod = dealiased_product(a, b)
+            assert prod._coeffs is not None and prod._values is None
+            assert not np.any(prod.coeffs)
+    assert fft_calls == {"fftn": 0, "ifftn": 0}
+
+
+def test_square_shares_one_inverse_transform(fft_calls):
+    f = Field.from_coeffs(G1, _field(G1, 12).coeffs)
+    g = f.copy()
+    square = dealiased_product(f, f)
+    assert fft_calls == {"fftn": 1, "ifftn": 1}
+    assert np.array_equal(square.coeffs, dealiased_product(f, g).coeffs)
+
+
+def test_derivative_symbol_has_the_bits_of_the_inline_expression():
+    for g in (G1, G2, make_grid(3, 8, 2.0)):
+        f = _field(g, 13)
+        for axis in range(g.d):
+            for order in (1, 2, 3):
+                modes = g.mode_axes[axis].astype(float)
+                if order % 2 == 1:
+                    modes = np.where(np.abs(g.mode_axes[axis]) == g.n // 2, 0.0, modes)
+                shape = [1] * g.d
+                shape[axis] = g.n
+                sym = (1j * g.dxi * modes.reshape(shape)) ** order
+                assert np.array_equal(derivative(f, axis, order).coeffs, f.coeffs * sym)
+
+
 def test_q_shell_is_spatial_weight():
     f = _field(G1, 10)
     qd = q_shell(f, 2)

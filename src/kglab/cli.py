@@ -94,8 +94,11 @@ def _cmd_sweep_lifespan(args) -> int:
         return 2
     if _bad_worker_env():
         return 2
-    base = pinned_config("lifespan-sweep")
-    cfg = dataclasses.replace(base, dim=args.dim, eps=eps)
+    try:
+        cfg = dataclasses.replace(pinned_config("lifespan-sweep"), dim=args.dim, eps=eps)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     report = run_experiment(cfg)
     print(report.summary())
     for row in report.rows:

@@ -89,6 +89,9 @@ class ExperimentConfig:
     Defaults are the desk-scale parameters each experiment was tuned
     at; a config file only has to override what it changes.  `eps`,
     `signs`, and similar list-valued knobs expand into the run matrix.
+    The default single `eps` does not serve good-unknown-scaling,
+    scattering, or reduced-residual without the tail: each fits a slope
+    across eps and needs two or more distinct values.
     """
 
     experiment: str
@@ -153,6 +156,17 @@ class ExperimentConfig:
             raise ValueError("eps list must be nonempty")
         if any(e <= 0 for e in self.eps):
             raise ValueError("every eps must be positive")
+        if len(set(self.eps)) < len(self.eps):
+            raise ValueError(f"eps values must be distinct, got {self.eps!r}")
+        # these verdicts rest on a slope fitted across eps; lifespan-sweep
+        # also fits one but takes a single eps, and then fails without a fit
+        fits_in_eps = (self.experiment in ("good-unknown-scaling", "scattering")
+                       or (self.experiment == "reduced-residual" and not self.include_tail))
+        if fits_in_eps and len(self.eps) < 2:
+            raise ValueError(f"{self.experiment} fits an exponent in eps: "
+                             f"it needs at least two eps values")
+        if self.experiment == "weighted-bootstrap" and len(self.eps) > 1:
+            raise ValueError(f"weighted-bootstrap runs one eps, got {self.eps!r}")
         if self.t0 <= 0 or self.t1 <= self.t0:
             raise ValueError("need 0 < t0 < t1")
         if self.dt < 0:

@@ -140,8 +140,8 @@ def loglog_fit(ts, ys, t_min: float = None, t_max: float = None) -> FitResult:
     lo = ts.min() if t_min is None else t_min
     hi = ts.max() if t_max is None else t_max
     keep = (ts >= lo) & (ts <= hi) & (ys > 0)
-    if keep.sum() < 2:
-        raise ValueError("need at least two positive samples inside the window")
+    if keep.sum() < 2 or ts[keep].min() == ts[keep].max():
+        raise ValueError("need positive samples at two distinct t inside the window")
     return _ols(np.log(ts[keep]), np.log(ys[keep]), (float(lo), float(hi)))
 
 
@@ -152,6 +152,6 @@ def linlog_fit(ts, ys, t_min: float = None, t_max: float = None) -> FitResult:
     lo = ts.min() if t_min is None else t_min
     hi = ts.max() if t_max is None else t_max
     keep = (ts >= lo) & (ts <= hi)
-    if keep.sum() < 2:
-        raise ValueError("need at least two samples inside the window")
+    if keep.sum() < 2 or ts[keep].min() == ts[keep].max():
+        raise ValueError("need samples at two distinct t inside the window")
     return _ols(np.log(ts[keep]), ys[keep], (float(lo), float(hi)))

@@ -6,10 +6,17 @@ literally: explicit mode arithmetic, no rolls, no convolution
 shortcuts, no shared code with the fast paths.  Tests and the
 acceptance suite compare the two routes.
 
-T_a has one slow route, the dense mode matrix of its defining sum
-(weyl_matrix, guarded to 4,096 modes so that the 1-D n = 4096 grids
-with live off-diagonal couplings fit).  The loop oracles for the
-pseudoproducts want n^d <= a few hundred modes.
+All three operator oracles are row-wise literal sums: each evaluates
+its symbol or kernel once per output row, on arrays, at exactly the
+points of the defining sum.
+  - weyl_matrix, the one slow route for T_a: one row per mode, so
+    npoints^2 entries in time and memory; guarded to 4,096 modes so
+    that the 1-D n = 4096 grids with live off-diagonal couplings fit.
+  - bilinear_oracle: one kernel call per output mode of the 2/3 box,
+    each on at most as many points as g has active modes.
+  - trilinear_oracle: a (g, h) pair list of (active g) x (active h)
+    entries, then one kernel call per active mode of f on at most that
+    many points.
 """
 
 from __future__ import annotations
@@ -93,39 +100,47 @@ def bilinear_oracle(m_fn, f: Field, g: Field) -> Field:
     ``m_fn(z1, z2)`` takes frequency-vector arrays of shape (..., d).
     Inputs are 2/3-truncated and the output is 2/3-truncated, matching
     the product normalization (m = 1 gives the dealiased product).
+
+    Row by row, in index order over the output modes xi of the 2/3 box:
+    of the active eta (nonzero g^), keep those with xi - eta in the box
+    and f^(xi - eta) nonzero, call m_fn once on the kept (xi - eta, eta)
+    arrays, and set out(xi) to the sum of m f^ g^ over them.  A row
+    with nothing kept makes no call.
     """
     grid = f.grid
     modes = grid.mode_tuples()
-    npts = grid.npoints
     deal = grid.dealias_mask.ravel()
     fc = np.where(deal, f.coeffs.reshape(-1), 0.0)
     gc = np.where(deal, g.coeffs.reshape(-1), 0.0)
-    out = np.zeros(npts, dtype=complex)
+    out = np.zeros(grid.npoints, dtype=complex)
     dxi = grid.dxi
+    cut = grid.n // 3
 
     active = np.nonzero(gc)[0]
-    for i in range(npts):
-        if not deal[i]:
+    eta = modes[active]
+    for i in np.nonzero(deal)[0]:
+        diff = modes[i] - eta
+        inbox = np.nonzero(np.all(np.abs(diff) <= cut, axis=1))[0]
+        idx = np.ravel_multi_index(tuple((diff[inbox] % grid.n).T), grid.shape)
+        live = fc[idx] != 0.0
+        if not live.any():
             continue
-        xi = modes[i]
-        total = 0.0 + 0.0j
-        for j in active:
-            eta = modes[j]
-            diff = xi - eta
-            if np.any(np.abs(diff) > grid.n // 3):
-                continue  # first factor must also sit in the 2/3 box
-            idx = int(np.ravel_multi_index(tuple(diff % grid.n), grid.shape))
-            if fc[idx] == 0.0:
-                continue
-            mval = complex(m_fn(dxi * diff.astype(float)[None, :], dxi * eta.astype(float)[None, :])[0])
-            total += mval * fc[idx] * gc[j]
-        out[i] = total
+        k = inbox[live]
+        mval = m_fn(dxi * diff[k].astype(float), dxi * eta[k].astype(float))
+        out[i] = np.sum(mval * fc[idx[live]] * gc[active[k]])
     return Field.from_coeffs(grid, out.reshape(grid.shape))
 
 
 def trilinear_oracle(b_fn, f: Field, g: Field, h: Field) -> Field:
     """T_b(f, g, h): literal double frequency sum with the inner (g, h)
     pair frequency kept inside the 2/3 box (right-associated products).
+
+    The pairs (t2, t3) of active modes (nonzero g^ and h^) are listed
+    once, g-major, keeping those with eta = t2 + t3 in the box.  Then,
+    in index order over the active modes t1 of f, the pairs with
+    t1 + eta in the box are kept, b_fn is called once on them, and
+    b f^ g^ h^ is added at t1 + eta in pair order: each output mode sums
+    its terms in the order of the literal triple loop over f, g, h.
     """
     grid = f.grid
     modes = grid.mode_tuples()
@@ -137,30 +152,21 @@ def trilinear_oracle(b_fn, f: Field, g: Field, h: Field) -> Field:
     dxi = grid.dxi
     cut = grid.n // 3
 
-    f_active = np.nonzero(fc)[0]
-    g_active = np.nonzero(gc)[0]
-    h_active = np.nonzero(hc)[0]
-    for jf in f_active:
-        t1 = modes[jf]
-        for jg in g_active:
-            t2 = modes[jg]
-            for jh in h_active:
-                t3 = modes[jh]
-                inner = t2 + t3
-                if np.any(np.abs(inner) > cut):
-                    continue  # intermediate (g h) frequency dealiased
-                total_mode = t1 + inner
-                if np.any(np.abs(total_mode) > cut):
-                    continue
-                bval = complex(
-                    b_fn(
-                        dxi * t1.astype(float)[None, :],
-                        dxi * t2.astype(float)[None, :],
-                        dxi * t3.astype(float)[None, :],
-                    )[0]
-                )
-                idx = int(np.ravel_multi_index(tuple(total_mode % grid.n), grid.shape))
-                out[idx] += bval * fc[jf] * gc[jg] * hc[jh]
+    g_active, h_active = np.nonzero(gc)[0], np.nonzero(hc)[0]
+    jg = np.repeat(g_active, h_active.size)  # g-major pair list
+    jh = np.tile(h_active, g_active.size)
+    inner = modes[jg] + modes[jh]
+    inbox = np.all(np.abs(inner) <= cut, axis=1)
+    jg, jh, inner = jg[inbox], jh[inbox], inner[inbox]
+    for jf in np.nonzero(fc)[0]:
+        total = modes[jf] + inner
+        k = np.nonzero(np.all(np.abs(total) <= cut, axis=1))[0]
+        if k.size == 0:
+            continue
+        t1 = np.tile(dxi * modes[jf].astype(float), (k.size, 1))
+        bval = b_fn(t1, dxi * modes[jg[k]].astype(float), dxi * modes[jh[k]].astype(float))
+        idx = np.ravel_multi_index(tuple((total[k] % grid.n).T), grid.shape)
+        np.add.at(out, idx, bval * fc[jf] * gc[jg[k]] * hc[jh[k]])
     return Field.from_coeffs(grid, out.reshape(grid.shape))
 
 

@@ -133,6 +133,25 @@ def test_sweep_lifespan_rejects_empty_eps(capsys):
     assert "empty eps" in capsys.readouterr().err
 
 
+def test_sweep_lifespan_repeated_eps_is_a_config_error(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("kglab.cli.run_experiment", calls.append)
+    code = main(["sweep-lifespan", "--eps", "0.4,0.4"])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_lifespan_with_one_eps_reports_and_fails(capsys):
+    # one lifespan carries no growth exponent: a failed verdict, not a crash
+    code = main(["sweep-lifespan", "--eps", "0.4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "lifespan-sweep: fail" in out
+    assert "[FAIL] grows-at-least-square" in out
+    assert "eps=0.4 lifespan=" in out
+
+
 def test_subcommand_is_required():
     with pytest.raises(SystemExit) as exc:
         main([])

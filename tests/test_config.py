@@ -113,10 +113,23 @@ def test_validation_runs_at_parse_time():
         ("experiment = phase-scan\nbox = nan", "box must be finite"),
         ("experiment = phase-scan\nt1 = inf", "t1 must be finite"),
         ("experiment = phase-scan\neps = 0.1, nan", "eps must be finite"),
+        ("experiment = reduced-residual\neps = 0.1, 0.1", "distinct"),
+        ("experiment = lifespan-sweep\neps = 0.4, 0.3, 0.4", "distinct"),
+        ("experiment = good-unknown-scaling\neps = 0.05", "at least two eps"),
+        ("experiment = reduced-residual\neps = 0.1", "at least two eps"),
+        ("experiment = scattering\neps = 0.1", "at least two eps"),
+        ("experiment = weighted-bootstrap\neps = 0.05, 0.1", "runs one eps"),
     ]
     for body, needle in cases:
         with pytest.raises(ValueError, match=needle):
             parse_config(f"schema = {SCHEMA}\n{body}\n")
+
+
+def test_reduced_residual_with_the_tail_takes_one_eps():
+    # with the truncation tail there is no floor, so no fit across eps
+    cfg = parse_config(f"schema = {SCHEMA}\nexperiment = reduced-residual\n"
+                       "eps = 0.1\ninclude_tail = true\n")
+    assert cfg.eps == (0.1,)
 
 
 def test_load_config_reads_files(tmp_path):

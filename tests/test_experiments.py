@@ -63,6 +63,15 @@ def test_run_experiment_dispatches_and_reports():
     assert report.checks["+--refinement-stable"]
 
 
+def test_lifespan_sweep_with_one_eps_fails_growth_without_a_fit():
+    cfg = dataclasses.replace(pinned_config("lifespan-sweep"), eps=(0.4,))
+    report = run_experiment(cfg)
+    assert report.checks["blew-up-eps-0.4"]
+    assert report.checks["grows-at-least-square"] is False
+    assert report.fits == {} and "lifespan_power" not in report.constants
+    assert report.verdict == "fail"
+
+
 def test_worker_pool_gives_identical_rows():
     base = ExperimentConfig(experiment="phase-scan", dim=1, radius=3.0,
                             step=0.5, signs=("++", "+-", "--"))

@@ -112,3 +112,10 @@ def test_fits_need_two_samples():
         linlog_fit([1.0], [1.0])
     with pytest.raises(ValueError):
         loglog_fit([1.0, 2.0], [0.0, -1.0])  # positivity filter empties it
+    # samples at one t carry no slope, though numpy would fit one
+    for fit in (loglog_fit, linlog_fit):
+        with pytest.raises(ValueError, match="two distinct t"):
+            fit([0.1, 0.1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="two distinct t"):
+            fit([1.0, 1.0, 1.0, 5.0], [1.0, 2.0, 3.0, 4.0], t_min=0.5, t_max=2.0)
+        assert fit([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]).n_points == 3

@@ -39,7 +39,6 @@ from .resonance import (
 from .norms import holder_sup, loglog_fit, sobolev, weighted_l2
 from .dynamics import (
     KGState,
-    cfl_limit,
     duhamel_check,
     good_unknown,
     normal_form_boundary,
@@ -48,6 +47,7 @@ from .dynamics import (
     run_to_time,
     scattering_limit,
     step,
+    step_limit,
 )
 from .config import ExperimentConfig, load_config, parse_config
 from .reports import RunReport, write_report

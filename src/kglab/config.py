@@ -102,7 +102,7 @@ class ExperimentConfig:
     eps: tuple = (0.1,)
     t0: float = 1.0
     t1: float = 2.0
-    dt: float = 0.0          # 0 means "use the CFL limit"
+    dt: float = 0.0          # 0 means "use dynamics.step_limit"
     checkpoints: int = 17
     schedule: str = "log"
     band_lo: int = -1
@@ -170,7 +170,7 @@ class ExperimentConfig:
         if self.t0 <= 0 or self.t1 <= self.t0:
             raise ValueError("need 0 < t0 < t1")
         if self.dt < 0:
-            raise ValueError("dt must be nonnegative (0 = CFL)")
+            raise ValueError("dt must be nonnegative (0 = the step limit)")
         if self.checkpoints < 2:
             raise ValueError("checkpoints must be at least 2")
         if self.schedule not in ("log", "linear"):

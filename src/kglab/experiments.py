@@ -24,7 +24,6 @@ from .config import ExperimentConfig, _env_workers
 from .data import envelope_field, gaussian_bump, make_rng, random_band_field
 from .dynamics import (
     KGState,
-    cfl_limit,
     default_norm_order,
     duhamel_check,
     good_unknown,
@@ -32,6 +31,7 @@ from .dynamics import (
     run_to_time,
     scattering_limit,
     step,
+    step_limit,
 )
 from .grid import Field, make_grid
 from .nonlinearity import default_spec
@@ -451,7 +451,7 @@ def run_scattering(cfg: ExperimentConfig) -> RunReport:
 
     def entry(eps):
         state = _band_state(grid, make_rng(cfg.seed), eps, cfg.t0)
-        dt = min((cfg.dt if cfg.dt > 0 else 0.25) * eps, cfl_limit(grid))
+        dt = min((cfg.dt if cfg.dt > 0 else 0.25) * eps, step_limit(grid, spec))
         result = run_to_time(state, spec, cfg.t1, dt=dt, checkpoints=nodes,
                              schedule="linear", keep_states=True)
         audit = duhamel_check(result.states, spec, rule=cfg.rule)

@@ -9,7 +9,6 @@ import pytest
 from kglab.data import gaussian_bump, make_rng, random_band_field
 from kglab.dynamics import (
     KGState,
-    cfl_limit,
     default_norm_order,
     duhamel_check,
     good_unknown,
@@ -20,6 +19,7 @@ from kglab.dynamics import (
     run_to_time,
     scattering_limit,
     step,
+    step_limit,
 )
 from kglab.grid import Field, make_grid
 from kglab.nonlinearity import default_spec, zero_spec
@@ -57,40 +57,72 @@ def test_half_wave_round_trip():
     assert (back.w - st.w).l2() < 1e-13
 
 
+# the lifespan spec S = 2u^2 is semilinear; the default spec is not
+LIFESPAN_SPEC = default_spec(1, 0.0, 0.0, 2.0, 0.0)
+
+
 def test_step_rejects_super_cfl_dt():
     g = make_grid(1, 64, np.pi)
     st = _small_state(g, 0.1)
-    with pytest.raises(ValueError, match="CFL"):
-        step(st, zero_spec(1), 2.0 * cfl_limit(g))
+    assert step_limit(g, zero_spec(1)) == pytest.approx(4.0 * step_limit(g, default_spec(1)))
+    for spec in (zero_spec(1), LIFESPAN_SPEC, default_spec(1)):
+        step(st, spec, step_limit(g, spec))
+        with pytest.raises(ValueError, match="step limit"):
+            step(st, spec, 2.0 * step_limit(g, spec))
 
 
-def test_linear_flow_matches_semigroup_at_fourth_order():
-    g = make_grid(1, 64, np.pi)
-    st = _small_state(g, 0.5)
-    spec = zero_spec(1)
-    T = 0.5
-    exact = semigroup(st.half_wave(), T, +1)
+def _self_convergence(st, spec, T, base):
+    """|y_h - y_{h/2}| / |y_{h/2} - y_{h/4}| over [t, t + T], h = T / base."""
 
     def integrate(substeps):
         cur, h = st, T / substeps
         for _ in range(substeps):
             cur = step(cur, spec, h)
-        return (cur.half_wave() - exact).l2()
+        return cur.half_wave()
 
-    base = max(64, int(math.ceil(T / cfl_limit(g))))
-    e1, e2 = integrate(base), integrate(2 * base)
-    assert e1 / e2 == pytest.approx(16.0, rel=0.3)
-    assert e2 < 1e-6 * exact.l2()
+    y1, y2, y4 = integrate(base), integrate(2 * base), integrate(4 * base)
+    return (y1 - y2).l2() / (y2 - y4).l2()
+
+
+def test_lawson_linear_flow_is_the_semigroup():
+    # a zero nonlinearity leaves only the linear flow, which Lawson's
+    # method moves exactly, even at the step limit
+    g = make_grid(1, 64, np.pi)
+    st = _small_state(g, 0.5)
+    spec = zero_spec(1)
+    T = 0.5
+    exact = semigroup(st.half_wave(), T, +1)
+    n_sub = int(math.ceil(T / step_limit(g, spec)))
+    cur = st
+    for _ in range(n_sub):
+        cur = step(cur, spec, T / n_sub)
+    assert (cur.half_wave() - exact).l2() < 1e-12 * exact.l2()
+
+
+def test_classical_rk4_is_fourth_order():
+    g = make_grid(1, 64, np.pi)
+    spec = default_spec(1)
+    T = 0.5
+    base = int(math.ceil(T / step_limit(g, spec)))
+    assert _self_convergence(_small_state(g, 0.3), spec, T, base) == pytest.approx(16.0, rel=0.3)
+
+
+def test_lawson_rk4_is_fourth_order_on_the_lifespan_spec():
+    g = make_grid(1, 64, np.pi)
+    T = 2.0
+    base = int(math.ceil(T / step_limit(g, LIFESPAN_SPEC)))
+    ratio = _self_convergence(_small_state(g, 0.3), LIFESPAN_SPEC, T, base)
+    assert ratio == pytest.approx(16.0, rel=0.3)
 
 
 def test_nonlinear_step_preserves_reality():
     g = make_grid(1, 64, 2 * np.pi)
     st = _small_state(g, 0.05)
-    spec = default_spec(1)
-    cur = st
-    for _ in range(5):
-        cur = step(cur, spec, 0.8 * cfl_limit(g))
-    assert cur.u.is_real() and cur.w.is_real()
+    for spec in (LIFESPAN_SPEC, default_spec(1)):
+        cur = st
+        for _ in range(5):
+            cur = step(cur, spec, 0.8 * step_limit(g, spec))
+        assert cur.u.is_real() and cur.w.is_real()
 
 
 def test_lifespan_rhs_makes_two_transforms(fft_calls):
@@ -100,9 +132,19 @@ def test_lifespan_rhs_makes_two_transforms(fft_calls):
     st = _small_state(g, 0.1)
     st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
     fft_calls.update(fftn=0, ifftn=0)
-    du, dw = rhs(st, default_spec(1, 0.0, 0.0, 2.0, 0.0))
+    du, dw = rhs(st, LIFESPAN_SPEC)
     assert fft_calls == {"fftn": 1, "ifftn": 1}
     assert du._values is None and dw._values is None
+
+
+def test_lawson_step_makes_two_transforms_per_stage(fft_calls):
+    g = make_grid(1, 256, 8 * np.pi)
+    st = _small_state(g, 0.1)
+    st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
+    fft_calls.update(fftn=0, ifftn=0)
+    nxt = step(st, LIFESPAN_SPEC, step_limit(g, LIFESPAN_SPEC))
+    assert fft_calls == {"fftn": 4, "ifftn": 4}
+    assert nxt.u._values is None and nxt.w._values is None
 
 
 def test_run_to_time_guards_and_rows():
@@ -173,7 +215,7 @@ def test_reduced_residual_halves_like_dt_squared():
     st = _small_state(g, 0.1, seed=61, t=1.0)
 
     def advance(s, span):
-        n_sub = max(1, int(math.ceil(span / (0.8 * cfl_limit(g)))))
+        n_sub = max(1, int(math.ceil(span / (0.8 * step_limit(g, spec)))))
         cur, h = s, span / n_sub
         for _ in range(n_sub):
             cur = step(cur, spec, h)

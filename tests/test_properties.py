@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kglab.config import EXPERIMENT_IDS, ExperimentConfig, parse_config
+from kglab.data import make_rng, random_band_field
 from kglab.grid import Field, make_grid
+from kglab.paradiff import Symbol, weyl_apply
 from kglab.resonance import BilinearSymbol, bilinear_apply
 from kglab.spectral import dealiased_product
 
@@ -53,6 +55,23 @@ def test_bilinear_apply_with_unit_symbol_is_the_dealiased_product(case, in_coeff
     # each product coefficient is a convolution sum, bounded by the l1 norms
     scale = np.sum(np.abs(f.coeffs)) * np.sum(np.abs(g.coeffs))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@st.composite
+def band_fields(draw):
+    d, n = draw(st.sampled_from([(1, 16), (1, 32), (1, 64), (2, 8), (2, 16)]))
+    grid = make_grid(d, n, draw(HALF_LENGTHS))
+    k_lo = draw(st.integers(-1, grid.k_top))
+    k_hi = draw(st.integers(k_lo, grid.k_top))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    return random_band_field(grid, rng, k_lo=k_lo, k_hi=k_hi, real=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(band_fields())
+def test_weyl_quantization_of_one_is_the_identity(f):
+    got = weyl_apply(Symbol.one(f.grid), f)
+    assert (got - f).l2() <= 1e-14 * f.l2()
 
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)

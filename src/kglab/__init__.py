@@ -27,7 +27,7 @@ from .data import envelope_field, gaussian_bump, make_rng, random_band_field
 from .nonlinearity import NonlinearitySpec, default_spec, zero_spec
 from .paradiff import Symbol, error_op, remainder, weyl_apply
 from .resonance import (
-    TrilinearKernel,
+    Pseudoproduct,
     a_kernel,
     b_kernel,
     bilinear_apply,

@@ -92,6 +92,14 @@ class ExperimentConfig:
     The default single `eps` does not serve good-unknown-scaling,
     scattering, or reduced-residual without the tail: each fits a slope
     across eps and needs two or more distinct values.
+
+    A few keys mean different things per experiment.  `dt` is the step
+    limit cap of lifespan-sweep and weighted-bootstrap (0: the step
+    limit alone), the step per unit eps of scattering (0: 0.25), and the
+    first rung of reduced-residual's ladder (0: 0.08).  `envelope` is the
+    decay of the data envelope of strichartz-growth (0: no envelope) and
+    of weighted-bootstrap (0: 2.0).  Scattering integrates its
+    `checkpoints` nodes with `rule`, so Simpson's rule needs an odd count.
     """
 
     experiment: str
@@ -102,12 +110,12 @@ class ExperimentConfig:
     eps: tuple = (0.1,)
     t0: float = 1.0
     t1: float = 2.0
-    dt: float = 0.0          # 0 means "use dynamics.step_limit"
+    dt: float = 0.0          # 0 means the experiment's default step; see above
     checkpoints: int = 17
     schedule: str = "log"
     band_lo: int = -1
     band_hi: int = 0
-    envelope: float = 0.0    # <x>^-envelope data shaping; 0 disables
+    envelope: float = 0.0    # <x>^-envelope data shaping; 0: see above
     alpha: float = 0.18
     norm_order: int = 0      # 0 means "default for the dimension"
     coeff_alpha: float = 1.0
@@ -190,6 +198,10 @@ class ExperimentConfig:
             raise ValueError("radius and step must be positive")
         if self.rule not in ("simpson", "trapezoid"):
             raise ValueError("rule must be 'simpson' or 'trapezoid'")
+        if (self.experiment == "scattering" and self.rule == "simpson"
+                and self.checkpoints % 2 == 0):
+            raise ValueError(f"scattering with rule = simpson needs an odd number "
+                             f"of checkpoints, got {self.checkpoints}")
         if self.blow_up_factor <= 1:
             raise ValueError("blow_up_factor must exceed 1")
         if self.ladder < 1:

@@ -32,31 +32,18 @@ def random_band_field(
     k_lo: int = -1,
     k_hi: int | None = None,
     real: bool = True,
-    band_fraction: float | None = None,
 ) -> Field:
     """Gaussian random field band-limited to dyadic bands [k_lo, k_hi].
 
-    ``band_fraction`` instead keeps modes with |m| <= band_fraction *
-    n/2 per axis (useful when products must stay alias-free).  Real
-    fields get Hermitian-symmetrized coefficients.
+    Real fields get Hermitian-symmetrized coefficients.
     """
     shape = grid.shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     f = Field.from_coeffs(grid, coeffs)
     if real:
         f = Field.from_values(grid, f.values.real)
-    if band_fraction is not None:
-        keep = np.ones(shape, dtype=bool)
-        cut = band_fraction * grid.n / 2.0
-        for axis, modes in enumerate(grid.mode_axes):
-            sh = [1] * grid.d
-            sh[axis] = grid.n
-            keep &= np.abs(modes.reshape(sh)) <= cut
-        f = Field.from_coeffs(grid, np.where(keep, f.coeffs, 0.0))
-    else:
-        k_hi = grid.k_top if k_hi is None else k_hi
-        f = lp_interval(f, k_lo, k_hi)
-    return dealias(f)
+    k_hi = grid.k_top if k_hi is None else k_hi
+    return dealias(lp_interval(f, k_lo, k_hi))
 
 
 def gaussian_bump(grid: Grid, sigma: float, amplitude: float = 1.0) -> Field:

@@ -5,7 +5,10 @@ pseudospectral integrators, and the analysis-side derived objects: the
 half-wave variables U = w + i Lambda u, the profile V = e^{-it Lambda} U,
 the good unknown built from the square-root paradifferential symbol, the
 reduced-equation residual, and the normal-form pieces of the profile
-identity (quadratic boundary term, cubic time integral).
+identity (quadratic boundary term, cubic time integral).  Those pieces
+apply resonance.Pseudoproduct kernels built once per grid and spec on
+the whole 2/3 box (make_boundary_kernels, make_cubic_kernels), so an
+audit of many states, or of many amplitudes, evaluates each kernel once.
 
 The square root sqrt(1+q) is carried as its cubic Taylor polynomial
 W(q) = 1 + q/2 - q^2/8 + q^3/16 throughout; the neglected tail is
@@ -35,13 +38,11 @@ from .nonlinearity import NonlinearitySpec
 from .norms import holder_sup, sobolev
 from .paradiff import Symbol, error_op, remainder, weyl_apply
 from .resonance import (
-    PHASE_FLOOR,
     SIGN_PAIRS,
     SIGN_TRIPLES,
-    TrilinearKernel,
+    Pseudoproduct,
     a_kernel,
     b_kernel,
-    bilinear_apply,
     resonant_kernel,
 )
 from .spectral import (
@@ -72,6 +73,7 @@ __all__ = [
     "good_unknown",
     "reduced_rhs",
     "reduced_equation_residual",
+    "make_boundary_kernels",
     "normal_form_boundary",
     "make_cubic_kernels",
     "cubic_profile_term",
@@ -666,38 +668,33 @@ def _half_wave_pair(state: KGState):
     return {+1: U, -1: U.conj()}
 
 
-def normal_form_boundary(
-    state: KGState,
-    spec: NonlinearitySpec,
-    signs: tuple = None,
-    *,
-    floor: float = PHASE_FLOOR,
-) -> Field:
-    """-i e^{-it Lambda} B_{Phi^{-1} a}(U_mu, U_nu), summed over sign pairs.
+def make_boundary_kernels(grid: Grid, spec: NonlinearitySpec) -> dict:
+    """The B_{Phi^{-1} a} pseudoproducts on the whole 2/3 box, per sign pair."""
+    return {
+        (mu, nu): Pseudoproduct(resonant_kernel(a_kernel(spec, mu, nu), mu, nu),
+                                grid, None, None)
+        for mu, nu in SIGN_PAIRS
+    }
+
+
+def normal_form_boundary(state: KGState, kernels: dict) -> Field:
+    """-i e^{-it Lambda} B_{Phi^{-1} a}(U_mu, U_nu), summed over sign pairs,
+    with the kernels of make_boundary_kernels.
 
     The boundary contribution of integrating the quadratic interaction
-    by parts in time; pass a specific (mu, nu) to get a single pair.
+    by parts in time.
     """
-    pairs = SIGN_PAIRS if signs is None else (signs,)
     fields = _half_wave_pair(state)
     total = Field.zero(state.grid)
-    for mu, nu in pairs:
-        kern = resonant_kernel(a_kernel(spec, mu, nu), mu, nu, floor=floor)
-        total = total + bilinear_apply(kern, fields[mu], fields[nu])
+    for (mu, nu), kern in kernels.items():
+        total = total + kern.apply(fields[mu], fields[nu])
     return semigroup(total, state.t, -1) * (-1j)
 
 
-def make_cubic_kernels(
-    grid: Grid,
-    spec: NonlinearitySpec,
-    *,
-    floor: float = PHASE_FLOOR,
-) -> dict:
-    """Precompute the trilinear kernels on the full dealias box, per sign triple."""
-    return {
-        trip: TrilinearKernel(b_kernel(spec, *trip, floor=floor), grid)
-        for trip in SIGN_TRIPLES
-    }
+def make_cubic_kernels(grid: Grid, spec: NonlinearitySpec) -> dict:
+    """The T_b pseudoproducts on the whole 2/3 box, per sign triple."""
+    return {trip: Pseudoproduct(b_kernel(spec, *trip), grid, None, None, None)
+            for trip in SIGN_TRIPLES}
 
 
 def cubic_profile_term(state: KGState, kernels: dict) -> Field:
@@ -735,17 +732,18 @@ def _quad_weights(ts: np.ndarray, rule: str) -> np.ndarray:
 
 def duhamel_check(
     states: list,
-    spec: NonlinearitySpec,
+    boundary_kernels: dict,
+    cubic_kernels: dict,
     *,
     rule: str = "simpson",
-    floor: float = PHASE_FLOOR,
 ) -> dict:
     """Profile identity audit: V(T) - V(1) vs boundary + cubic integral.
 
-    The states are quadrature nodes of one trajectory.  Returns the L^2
-    sizes of each piece and of the mismatch; for small data the boundary
-    is quadratic in the amplitude, the integral cubic, and the mismatch
-    carries only the integrator and quadrature errors.
+    The states are quadrature nodes of one trajectory, and the kernels
+    those of make_boundary_kernels and make_cubic_kernels on their grid.
+    Returns the L^2 sizes of each piece and of the mismatch; for small
+    data the boundary is quadratic in the amplitude, the integral cubic,
+    and the mismatch carries only the integrator and quadrature errors.
     """
     if len(states) < 2:
         raise ValueError("need at least the two endpoint states")
@@ -754,14 +752,12 @@ def duhamel_check(
         raise ValueError("states must be strictly increasing in time")
     grid = states[0].grid
     lhs = states[-1].profile() - states[0].profile()
-    bnd = normal_form_boundary(states[-1], spec, floor=floor) - normal_form_boundary(
-        states[0], spec, floor=floor
-    )
-    kernels = make_cubic_kernels(grid, spec, floor=floor)
+    bnd = (normal_form_boundary(states[-1], boundary_kernels)
+           - normal_form_boundary(states[0], boundary_kernels))
     wts = _quad_weights(ts, rule)
     integral = Field.zero(grid)
     for wt, s in zip(wts, states):
-        integral = integral + cubic_profile_term(s, kernels) * wt
+        integral = integral + cubic_profile_term(s, cubic_kernels) * wt
     mismatch = lhs - bnd - integral
     return {
         "increment": lhs.l2(),

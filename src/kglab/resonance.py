@@ -13,6 +13,13 @@ reproduces the dealiased pointwise product: both input spectra are
 truncated to the 2/3 box, mode sums are exact integer sums (no
 wraparound), and the output is truncated to the same box.
 
+Both arities have one route, :class:`Pseudoproduct`: the kernel is
+tabulated once on fixed coefficient supports and every application is
+one scatter.  Callers that apply a kernel many times (the normal-form
+pieces in dynamics) build it once on the whole box;
+:func:`bilinear_apply` and :func:`trilinear_apply` are its one-shot
+forms on the inputs' nonzero supports.
+
 Derived kernel families (the energy-functional multipliers, the
 quadratic interaction kernels of a given nonlinearity, and the cubic
 profile kernel built from them) are provided as symbol objects carrying
@@ -37,7 +44,7 @@ __all__ = [
     "phase_bound_scan",
     "BilinearSymbol", "TrilinearSymbol",
     "a_kernel", "semilinear_symbol", "quasilinear_symbol", "resonant_kernel",
-    "b_kernel", "bilinear_apply", "trilinear_apply", "TrilinearKernel",
+    "b_kernel", "Pseudoproduct", "bilinear_apply", "trilinear_apply",
     "multiplier_bound_measure", "BOUND_FAMILIES",
 ]
 
@@ -430,20 +437,18 @@ def quasilinear_symbol(N: int) -> BilinearSymbol:
     return BilinearSymbol(fn, tag=f"m_Q[N={N}]")
 
 
-def resonant_kernel(base: BilinearSymbol, mu: int, nu: int,
-                    floor: float = PHASE_FLOOR) -> BilinearSymbol:
+def resonant_kernel(base: BilinearSymbol, mu: int, nu: int) -> BilinearSymbol:
     """Phi^{-1}_{mu nu} times a bilinear kernel."""
     _check_sign(mu), _check_sign(nu)
 
     def fn(z1, z2):
         return phi_inv(mu, nu, np.asarray(z1, float),
-                       np.asarray(z2, float), floor) * base(z1, z2)
+                       np.asarray(z2, float)) * base(z1, z2)
 
     return BilinearSymbol(fn, tag=f"phi_inv[{mu:+d}{nu:+d}]*{base.tag}")
 
 
-def b_kernel(spec: NonlinearitySpec, mu: int, sigma: int, iota: int,
-             floor: float = PHASE_FLOOR) -> TrilinearSymbol:
+def b_kernel(spec: NonlinearitySpec, mu: int, sigma: int, iota: int) -> TrilinearSymbol:
     """Cubic profile kernel of a nonlinearity, with sign-resolved quadratic kernels."""
     for s in (mu, sigma, iota):
         _check_sign(s)
@@ -457,8 +462,8 @@ def b_kernel(spec: NonlinearitySpec, mu: int, sigma: int, iota: int,
         eta = z2 + z3
         acc = 0.0
         for nu in (1, -1):
-            acc = acc + phi_inv(mu, nu, z1, eta, floor) * a_out[(mu, nu)](z1, eta)
-            acc = acc + phi_inv(nu, mu, eta, z1, floor) * a_out[(nu, mu)](eta, z1)
+            acc = acc + phi_inv(mu, nu, z1, eta) * a_out[(mu, nu)](z1, eta)
+            acc = acc + phi_inv(nu, mu, eta, z1) * a_out[(nu, mu)](eta, z1)
         return a_in(z2, z3) * acc
 
     return TrilinearSymbol(fn, tag=f"b[{mu:+d}{sigma:+d}{iota:+d}](derived)")
@@ -475,10 +480,8 @@ def _shared_grid(*fields) -> Grid:
     return grid
 
 
-# largest kernel tensor a TrilinearKernel builds, in entries; bilinear
-# kernels are evaluated in blocks of about _PAIR_BLOCK pairs
+# largest kernel table a Pseudoproduct builds, in entries
 _MAX_KERNEL_ENTRIES = 30_000_000
-_PAIR_BLOCK = 4_000_000
 
 
 def _box_support(grid: Grid, support: np.ndarray | None):
@@ -504,80 +507,66 @@ def _box_targets(grid: Grid, targets: np.ndarray):
     return keep, flat
 
 
-def bilinear_apply(m, f: Field, g: Field) -> Field:
-    """Apply the bilinear pseudoproduct B_m to two fields.
+class Pseudoproduct:
+    """B_m (two operands) or T_b (three) with its kernel tabulated once
+    on fixed coefficient supports (None is the whole 2/3 box).
 
-    Exact summation over the nonzero coefficients of the 2/3-truncated
-    inputs, chunked to bound memory; m = 1 reproduces dealiased f*g.
+    The trailing operands pair first and their mode sum is kept inside
+    the box; that sum is combined with the first operand's modes and
+    truncated again.  So a unit kernel reproduces the dealiased product
+    f*g, or the right-associated f*(g*h).  apply is one scatter of
+    kernel times coefficients onto the output modes.
     """
-    grid = _shared_grid(f, g)
-    fmask, fm = _box_support(grid, f.coeffs != 0)
-    gmask, gm = _box_support(grid, g.coeffs != 0)
-    fv, gv = f.coeffs[fmask], g.coeffs[gmask]
-    out = np.zeros(grid.shape, dtype=complex)
-    if fv.size == 0 or gv.size == 0:
-        return Field.from_coeffs(grid, out)
-    zg = gm * grid.dxi
-    block = max(1, _PAIR_BLOCK // gv.size)
-    for i0 in range(0, fv.size, block):
-        i1 = min(i0 + block, fv.size)
-        z1 = np.broadcast_to((fm[i0:i1] * grid.dxi)[:, None, :],
-                             (i1 - i0, gv.size, grid.d))
-        z2 = np.broadcast_to(zg[None, :, :], (i1 - i0, gv.size, grid.d))
-        mv = np.asarray(m(z1, z2), dtype=complex)
-        keep, flat = _box_targets(grid, fm[i0:i1, None, :] + gm[None, :, :])
-        np.add.at(out.reshape(-1), flat, (mv * fv[i0:i1, None] * gv[None, :])[keep])
-    return Field.from_coeffs(grid, out)
 
-
-def trilinear_apply(b, f: Field, g: Field, h: Field) -> Field:
-    """Apply the trilinear pseudoproduct T_b to three fields.
-
-    The inner (g, h) pair frequency is truncated to the 2/3 box, then
-    combined with f and truncated again, so b = 1 reproduces the
-    right-associated dealiased product f*(g*h).
-    """
-    kern = TrilinearKernel(b, _shared_grid(f, g, h),
-                           support_f=f.coeffs != 0, support_g=g.coeffs != 0,
-                           support_h=h.coeffs != 0)
-    return kern.apply(f, g, h)
-
-
-class TrilinearKernel:
-    """Cached trilinear kernel on fixed coefficient supports."""
-
-    def __init__(self, b, grid: Grid, support_f: np.ndarray | None = None,
-                 support_g: np.ndarray | None = None,
-                 support_h: np.ndarray | None = None):
+    def __init__(self, kernel, grid: Grid, *supports):
+        if len(supports) not in (2, 3):
+            raise ValueError(f"a pseudoproduct takes 2 or 3 operands, got {len(supports)}")
         self.grid = grid
-        self._mask_f, fm = _box_support(grid, support_f)
-        self._mask_g, gm = _box_support(grid, support_g)
-        self._mask_h, hm = _box_support(grid, support_h)
-        # inner pair list with the (g, h) sum confined to the box
-        eta = gm[:, None, :] + hm[None, :, :]
+        boxes = [_box_support(grid, s) for s in supports]
+        self._masks = [mask for mask, _ in boxes]
+        fm, *rest = [modes for _, modes in boxes]
+        # row-major index tuples into the trailing operands' modes
+        idx = np.indices([m.shape[0] for m in rest]).reshape(len(rest), -1)
+        eta = sum(m[i] for m, i in zip(rest, idx))
         keep, _ = _box_targets(grid, eta)
-        self._gi, self._hi = np.nonzero(keep)
-        eta = eta[keep]
-        if fm.shape[0] * eta.shape[0] > _MAX_KERNEL_ENTRIES:
-            raise ValueError("kernel tensor too large; restrict the supports")
-        z1 = np.broadcast_to((fm * grid.dxi)[:, None, :],
-                             (fm.shape[0], eta.shape[0], grid.d))
-        z2 = np.broadcast_to((gm[self._gi] * grid.dxi)[None, :, :], z1.shape)
-        z3 = np.broadcast_to((hm[self._hi] * grid.dxi)[None, :, :], z1.shape)
-        self._kernel = np.asarray(b(z1, z2, z3), dtype=complex)
+        self._idx, eta = idx[:, keep], eta[keep]
+        shape = (fm.shape[0], eta.shape[0])
+        if shape[0] * shape[1] > _MAX_KERNEL_ENTRIES:
+            raise ValueError("kernel table too large; restrict the supports")
+        zs = [np.broadcast_to((fm * grid.dxi)[:, None, :], shape + (grid.d,))]
+        zs += [np.broadcast_to((m[i] * grid.dxi)[None, :, :], zs[0].shape)
+               for m, i in zip(rest, self._idx)]
+        self._table = np.asarray(kernel(*zs), dtype=complex)
         self._keep, self._flat = _box_targets(grid, fm[:, None, :] + eta[None, :, :])
 
-    def apply(self, f: Field, g: Field, h: Field) -> Field:
-        grid = _shared_grid(f, g, h)
+    def apply(self, *fields: Field) -> Field:
+        if len(fields) != len(self._masks):
+            raise ValueError(f"this pseudoproduct takes {len(self._masks)} fields, "
+                             f"got {len(fields)}")
+        grid = _shared_grid(*fields)
         if not grid.compatible(self.grid):
             raise ValueError("fields do not match the kernel grid")
-        fv = f.coeffs[self._mask_f]
-        pair = (g.coeffs[self._mask_g][self._gi]
-                * h.coeffs[self._mask_h][self._hi])
-        vals = (self._kernel * fv[:, None] * pair[None, :])[self._keep]
+        fv, *rest = [f.coeffs[mask] for f, mask in zip(fields, self._masks)]
+        pair = rest[0][self._idx[0]]
+        for vals, i in zip(rest[1:], self._idx[1:]):
+            pair = pair * vals[i]
+        vals = (self._table * fv[:, None] * pair[None, :])[self._keep]
         out = np.zeros(grid.shape, dtype=complex)
         np.add.at(out.reshape(-1), self._flat, vals)
         return Field.from_coeffs(grid, out)
+
+
+def bilinear_apply(m, f: Field, g: Field) -> Field:
+    """B_m(f, g), one-shot on the inputs' nonzero supports; m = 1
+    reproduces dealiased f*g."""
+    return Pseudoproduct(m, _shared_grid(f, g), f.coeffs != 0, g.coeffs != 0).apply(f, g)
+
+
+def trilinear_apply(b, f: Field, g: Field, h: Field) -> Field:
+    """T_b(f, g, h), one-shot on the inputs' nonzero supports; b = 1
+    reproduces the right-associated dealiased product f*(g*h)."""
+    return Pseudoproduct(b, _shared_grid(f, g, h), f.coeffs != 0, g.coeffs != 0,
+                         h.coeffs != 0).apply(f, g, h)
 
 
 # ---------------------------------------------------------------------------

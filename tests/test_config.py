@@ -118,11 +118,19 @@ def test_validation_runs_at_parse_time():
         ("experiment = good-unknown-scaling\neps = 0.05", "at least two eps"),
         ("experiment = reduced-residual\neps = 0.1", "at least two eps"),
         ("experiment = scattering\neps = 0.1", "at least two eps"),
+        ("experiment = scattering\neps = 0.1, 0.2\ncheckpoints = 8",
+         "simpson needs an odd number of checkpoints, got 8"),
         ("experiment = weighted-bootstrap\neps = 0.05, 0.1", "runs one eps"),
     ]
     for body, needle in cases:
         with pytest.raises(ValueError, match=needle):
             parse_config(f"schema = {SCHEMA}\n{body}\n")
+
+
+def test_scattering_takes_an_even_node_count_under_the_trapezoid_rule():
+    cfg = parse_config(f"schema = {SCHEMA}\nexperiment = scattering\n"
+                       "eps = 0.1, 0.2\ncheckpoints = 8\nrule = trapezoid\n")
+    assert cfg.checkpoints == 8
 
 
 def test_reduced_residual_with_the_tail_takes_one_eps():

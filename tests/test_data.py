@@ -32,14 +32,6 @@ def test_band_field_is_real_and_band_limited():
     assert not np.any(live & g.nyquist_mask)
 
 
-def test_band_fraction_keeps_a_mode_box():
-    g = make_grid(2, 32, np.pi)
-    f = random_band_field(g, make_rng(81), band_fraction=1 / 4)
-    live = np.abs(f.coeffs) > 1e-14
-    m0, m1 = np.meshgrid(*g.mode_axes, indexing="ij")
-    assert np.all(np.abs(m0[live]) <= 4) and np.all(np.abs(m1[live]) <= 4)
-
-
 def test_complex_band_field_draws_differ_from_real():
     g = make_grid(1, 64, np.pi)
     f = random_band_field(g, make_rng(82), real=False)

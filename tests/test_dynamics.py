@@ -13,6 +13,8 @@ from kglab.dynamics import (
     duhamel_check,
     good_unknown,
     good_unknown_field,
+    make_boundary_kernels,
+    make_cubic_kernels,
     normal_form_boundary,
     reduced_equation_residual,
     rhs,
@@ -24,6 +26,7 @@ from kglab.dynamics import (
 from kglab.grid import Field, make_grid
 from kglab.nonlinearity import default_spec, zero_spec
 from kglab.oracles import fd_gradient_oracle
+from kglab.resonance import SIGN_PAIRS, a_kernel, bilinear_apply, resonant_kernel
 from kglab.spectral import derivative, semigroup
 
 
@@ -244,7 +247,8 @@ def test_duhamel_pieces_scale_and_close():
     st = _small_state(g, 0.05, seed=62, t=1.0)
     run = run_to_time(st, spec, 2.0, checkpoints=5, schedule="linear",
                       keep_states=True)
-    out = duhamel_check(run.states, spec, rule="simpson")
+    out = duhamel_check(run.states, make_boundary_kernels(g, spec),
+                        make_cubic_kernels(g, spec), rule="simpson")
     assert out["nodes"] == 5
     assert out["mismatch"] < 0.2 * out["boundary"]
     assert out["cubic"] < out["boundary"]
@@ -252,29 +256,34 @@ def test_duhamel_pieces_scale_and_close():
 
 def test_duhamel_quadrature_guards():
     g = make_grid(1, 32, 4 * np.pi)
-    spec = default_spec(1)
+    kernels = make_boundary_kernels(g, default_spec(1)), make_cubic_kernels(g, default_spec(1))
     sts = [_small_state(g, 0.05, t=float(t)) for t in (1, 2, 3, 4)]
     with pytest.raises(ValueError, match="odd"):
-        duhamel_check(sts, spec, rule="simpson")
+        duhamel_check(sts, *kernels, rule="simpson")
     with pytest.raises(ValueError, match="quadrature rule"):
-        duhamel_check(sts, spec, rule="midpoint")
+        duhamel_check(sts, *kernels, rule="midpoint")
     with pytest.raises(ValueError):
-        duhamel_check(sts[:1], spec)
+        duhamel_check(sts[:1], *kernels)
     with pytest.raises(ValueError):
-        duhamel_check([sts[1], sts[0]], spec, rule="trapezoid")
+        duhamel_check([sts[1], sts[0]], *kernels, rule="trapezoid")
 
 
 def test_normal_form_boundary_sums_over_sign_pairs():
+    # the full-box kernels built once give bitwise the sum of the
+    # one-shot pseudoproducts on the half-waves' own supports
     g = make_grid(1, 16, 2 * np.pi)
     spec = default_spec(1)
     st = _small_state(g, 0.2, seed=63, t=1.5)
-    total = normal_form_boundary(st, spec)
-    parts = None
-    for mu in (1, -1):
-        for nu in (1, -1):
-            piece = normal_form_boundary(st, spec, signs=(mu, nu))
-            parts = piece if parts is None else parts + piece
-    assert (total - parts).l2() < 1e-13 * max(total.l2(), 1e-30)
+    total = normal_form_boundary(st, make_boundary_kernels(g, spec))
+    U = st.half_wave()
+    fields = {1: U, -1: U.conj()}
+    parts = Field.zero(g)
+    for mu, nu in SIGN_PAIRS:
+        kern = resonant_kernel(a_kernel(spec, mu, nu), mu, nu)
+        parts = parts + bilinear_apply(kern, fields[mu], fields[nu])
+    want = semigroup(parts, st.t, -1) * (-1j)
+    assert np.array_equal(total.coeffs, want.coeffs)
+    assert total.l2() > 0
 
 
 def test_scattering_limit_on_synthetic_cauchy_sequence():

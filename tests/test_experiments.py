@@ -13,6 +13,7 @@ import pytest
 
 import kglab
 from kglab.config import EXPERIMENT_IDS, ExperimentConfig
+from kglab.resonance import Pseudoproduct
 from kglab.experiments import (
     CRITERIA,
     EXPERIMENT_DRIVERS,
@@ -20,6 +21,7 @@ from kglab.experiments import (
     pinned_config,
     run_experiment,
     run_phase_scan,
+    run_scattering,
 )
 
 
@@ -79,6 +81,38 @@ def test_worker_pool_gives_identical_rows():
     pooled = run_phase_scan(dataclasses.replace(base, workers=3))
     assert solo.rows == pooled.rows
     assert solo.verdict == pooled.verdict == "pass"
+
+
+# the pinned scattering run at a fraction of its cost
+SMALL_SCATTERING = dataclasses.replace(pinned_config("scattering"), n=16,
+                                       t1=1.5, checkpoints=3)
+
+
+def test_scattering_builds_its_kernels_once_for_every_eps(monkeypatch):
+    built = []
+    init = Pseudoproduct.__init__
+
+    def counting_init(self, *args):
+        built.append(len(args) - 2)
+        init(self, *args)
+
+    monkeypatch.setattr(Pseudoproduct, "__init__", counting_init)
+    assert len(SMALL_SCATTERING.eps) == 4
+    run_scattering(SMALL_SCATTERING)
+    # four sign pairs of the boundary, eight sign triples of the cubic term
+    assert sorted(built) == [2] * 4 + [3] * 8
+
+
+def test_scattering_threads_share_the_kernels(monkeypatch):
+    # the worker count comes from the environment, so both runs have
+    # the same config hash and their reports must match byte for byte
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("KGLAB_WORKERS", workers)
+        reports.append(run_scattering(SMALL_SCATTERING))
+    solo, pooled = reports
+    assert solo.csv_text() == pooled.csv_text()
+    assert solo.json_text() == pooled.json_text()
 
 
 def test_malformed_worker_env_fails_before_compute(monkeypatch):

@@ -14,6 +14,7 @@ from kglab.nonlinearity import default_spec
 from kglab.oracles import bilinear_oracle, phase_scan_oracle, trilinear_oracle
 from kglab.resonance import (
     BilinearSymbol,
+    Pseudoproduct,
     TrilinearSymbol,
     a_kernel,
     b_kernel,
@@ -199,8 +200,8 @@ def test_high_high_and_high_low_products_reach_a_lower_band():
 def test_unit_kernel_reproduces_product():
     g = make_grid(1, 64, np.pi)
     rng = make_rng(37)
-    f = random_band_field(g, rng, band_fraction=1 / 6)
-    h = random_band_field(g, rng, band_fraction=1 / 6)
+    f = random_band_field(g, rng)
+    h = random_band_field(g, rng)
     one = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]), tag="1")
     out = bilinear_apply(one, f, h)
     assert (out - dealiased_product(f, h)).l2() < 1e-13 * f.l2() * h.l2()
@@ -228,6 +229,34 @@ def test_bilinear_apply_matches_oracle_2d():
     fast = bilinear_apply(m, f, h)
     slow = bilinear_oracle(m, f, h)
     assert (fast - slow).l2() <= 1e-12 * max(slow.l2(), 1e-30)
+
+
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 8)])
+def test_full_box_bilinear_pseudoproduct_matches_oracle(d, n):
+    # the cached route that normal_form_boundary applies at every state
+    g = make_grid(d, n, np.pi)
+    rng = make_rng(44)
+    m = resonant_kernel(a_kernel(default_spec(d), 1, -1), 1, -1)
+    f = random_band_field(g, rng, real=False)
+    h = random_band_field(g, rng, real=False)
+    slow = bilinear_oracle(m, f, h)
+    fast = Pseudoproduct(m, g, None, None).apply(f, h)
+    assert (fast - slow).l2() <= 1e-12 * slow.l2()
+
+
+def test_pseudoproduct_takes_two_or_three_operands():
+    g = make_grid(1, 16, np.pi)
+    f = random_band_field(g, make_rng(45), real=False)
+    one = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]), tag="1")
+    with pytest.raises(ValueError, match="2 or 3 operands"):
+        Pseudoproduct(one, g, None)
+    with pytest.raises(ValueError, match="2 or 3 operands"):
+        Pseudoproduct(one, g, None, None, None, None)
+    kern = Pseudoproduct(one, g, None, None)
+    with pytest.raises(ValueError, match="takes 2 fields, got 3"):
+        kern.apply(f, f, f)
+    with pytest.raises(ValueError, match="takes 2 fields, got 1"):
+        kern.apply(f)
 
 
 def test_trilinear_apply_matches_oracle():

@@ -24,14 +24,13 @@ from .spectral import (
     semigroup,
 )
 from .data import envelope_field, gaussian_bump, make_rng, random_band_field
-from .nonlinearity import NonlinearitySpec, default_spec, zero_spec
+from .nonlinearity import NonlinearitySpec, default_spec
 from .paradiff import Symbol, error_op, remainder, weyl_apply
 from .resonance import (
     Pseudoproduct,
     a_kernel,
     b_kernel,
     bilinear_apply,
-    multiplier_bound_measure,
     phase_bound_scan,
     resonant_kernel,
     trilinear_apply,

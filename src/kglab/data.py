@@ -46,9 +46,9 @@ def random_band_field(
     return dealias(lp_interval(f, k_lo, k_hi))
 
 
-def gaussian_bump(grid: Grid, sigma: float, amplitude: float = 1.0) -> Field:
+def gaussian_bump(grid: Grid, sigma: float) -> Field:
     """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), dealiased."""
-    vals = amplitude * np.exp(-(grid.x_mags**2) / (2.0 * sigma**2))
+    vals = np.exp(-(grid.x_mags**2) / (2.0 * sigma**2))
     return dealias(Field.from_values(grid, vals))
 
 

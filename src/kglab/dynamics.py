@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, make_grid
+from .grid import Field, Grid
 from .nonlinearity import NonlinearitySpec
 from .norms import holder_sup, sobolev
 from .paradiff import Symbol, error_op, remainder, weyl_apply
@@ -43,6 +42,7 @@ from .resonance import (
     Pseudoproduct,
     a_kernel,
     b_kernel,
+    lam,
     resonant_kernel,
 )
 from .spectral import (
@@ -65,6 +65,7 @@ __all__ = [
     "rhs",
     "step_limit",
     "step",
+    "checkpoint_times",
     "run_to_time",
     "default_norm_order",
     "q_symbol",
@@ -190,21 +191,6 @@ def step_limit(grid: Grid, spec: NonlinearitySpec) -> float:
     return (2.0 if _semilinear(spec) else 0.5) / lam_max
 
 
-@lru_cache(maxsize=8)
-def _flow(d: int, n: int, L: float, h: float) -> tuple:
-    """The exact linear flow over h per mode, read-only and shared.
-
-    (u, w) -> (cos(lam h) u + sin(lam h)/lam w, -lam sin(lam h) u +
-    cos(lam h) w), returned as (cos, sin/lam, lam sin).
-    """
-    lam = lambda_mag(make_grid(d, n, L))
-    cos, sin = np.cos(lam * h), np.sin(lam * h)
-    out = (cos, sin / lam, lam * sin)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
     """Lawson IF-RK4 in coefficient space: classical RK4 on the profile
     e^{-tL} y, written back in the state variables y = (u, w).
@@ -214,7 +200,12 @@ def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
     N2 = N(E (y + dt/2 N1)), N3 = N(E y + dt/2 N2), N4 = N(E (E y + dt N3)).
     """
     g, t = state.grid, state.t
-    cos, sin_over_lam, lam_sin = _flow(g.d, g.n, g.L, dt / 2)
+    # the exact linear flow over dt/2 per mode: (u, w) -> (cos u + sin/lam w,
+    # -lam sin u + cos w), at the angle lam dt/2
+    lam_g = lambda_mag(g)
+    angle = lam_g * (dt / 2)
+    cos, sin = np.cos(angle), np.sin(angle)
+    sin_over_lam, lam_sin = sin / lam_g, lam_g * sin
     u, w = state.u.coeffs, state.w.coeffs
 
     def turn(a, b):
@@ -258,6 +249,18 @@ def default_norm_order(d: int) -> int:
     return 2 * d + d // 2 + 6
 
 
+def checkpoint_times(t0: float, t1: float, checkpoints: int, schedule: str) -> np.ndarray:
+    """checkpoints times from t0 to t1, geometrically ("log") or evenly
+    ("linear") spaced."""
+    if schedule == "log":
+        if t0 <= 0:
+            raise ValueError("logarithmic schedule needs a positive start time")
+        return np.geomspace(t0, t1, checkpoints)
+    if schedule == "linear":
+        return np.linspace(t0, t1, checkpoints)
+    raise ValueError(f"unknown schedule {schedule!r}")
+
+
 @dataclass
 class RunResult:
     rows: list
@@ -292,14 +295,7 @@ def run_to_time(
     """
     if t_end <= state.t:
         raise ValueError("t_end must exceed the initial time")
-    if schedule == "log":
-        if state.t <= 0:
-            raise ValueError("logarithmic schedule needs a positive start time")
-        times = np.geomspace(state.t, t_end, checkpoints)
-    elif schedule == "linear":
-        times = np.linspace(state.t, t_end, checkpoints)
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
+    times = checkpoint_times(state.t, t_end, checkpoints, schedule)
     limit = step_limit(state.grid, spec)
     h_max = limit if dt is None else min(dt, limit)
     if norm_order is None:
@@ -351,7 +347,7 @@ def _zeta_component(j):
 
 
 def _zeta_over_lam(j):
-    return lambda z, j=j: z[..., j] / np.sqrt(1.0 + np.sum(z * z, axis=-1))
+    return lambda z, j=j: z[..., j] / lam(z)
 
 
 def _zeta_pair_over_lam2(j, l):
@@ -359,15 +355,11 @@ def _zeta_pair_over_lam2(j, l):
 
 
 def _zeta_pair_over_lam(j, l):
-    return lambda z, j=j, l=l: z[..., j] * z[..., l] / np.sqrt(1.0 + np.sum(z * z, axis=-1))
-
-
-def _lam(z):
-    return np.sqrt(1.0 + np.sum(z * z, axis=-1))
+    return lambda z, j=j, l=l: z[..., j] * z[..., l] / lam(z)
 
 
 def _inv_lam(z):
-    return 1.0 / np.sqrt(1.0 + np.sum(z * z, axis=-1))
+    return 1.0 / lam(z)
 
 
 def q_symbol(state: KGState, spec: NonlinearitySpec) -> Symbol:
@@ -378,7 +370,7 @@ def q_symbol(state: KGState, spec: NonlinearitySpec) -> Symbol:
     for j in range(g.d):
         for l in range(g.d):
             xpart = qd[j][l] + dealiased_product(q0[j], q0[l])
-            sym = Symbol.separable(xpart, _zeta_pair_over_lam2(j, l), 0.0, f"q{j}{l}")
+            sym = Symbol.separable(xpart, _zeta_pair_over_lam2(j, l), 0.0)
             terms = sym if terms is None else terms + sym
     return terms
 
@@ -404,7 +396,7 @@ def q_sup_bound(q: Symbol) -> float:
 def _q0_zeta_symbol(q0: list, g: Grid) -> Symbol:
     out = None
     for j in range(g.d):
-        sym = Symbol.separable(q0[j], _zeta_component(j), 0.0, f"Q0{j}z")
+        sym = Symbol.separable(q0[j], _zeta_component(j), 0.0)
         out = sym if out is None else out + sym
     return out
 
@@ -501,9 +493,9 @@ def _f_q_symbols(state: KGState, spec: NonlinearitySpec):
     for j in range(g.d):
         for l in range(g.d):
             zf = _zeta_pair_over_lam2(j, l)
-            lin = Symbol.separable(g1[j][l] * 0.5, zf, 0.0, f"F1q{j}{l}")
+            lin = Symbol.separable(g1[j][l] * 0.5, zf, 0.0)
             cross = dealiased_product(dq0_full[j], q0[l]) + dealiased_product(q0[j], dq0_full[l])
-            rest = Symbol.separable((g2[j][l] + cross) * 0.5, zf, 0.0, f"F2q{j}{l}")
+            rest = Symbol.separable((g2[j][l] + cross) * 0.5, zf, 0.0)
             f1q = lin if f1q is None else f1q + lin
             f2q = rest if f2q is None else f2q + rest
     return f1q, f2q, f1_0, f2_0
@@ -526,8 +518,8 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
     w_sym, wm1, wm1mq2, vtm1 = _w_parts(q)
     f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, spec)
 
-    lam_mult = Symbol.multiplier(g, _lam, 1.0, "L")
-    inv_lam_mult = Symbol.multiplier(g, _inv_lam, 1.0, "Li")
+    lam_mult = Symbol.multiplier(g, lam, 1.0)
+    inv_lam_mult = Symbol.multiplier(g, _inv_lam, 1.0)
 
     dw = [derivative(w, j) for j in range(g.d)]
     ddu = [[derivative(derivative(u, j), l) for l in range(g.d)] for j in range(g.d)]
@@ -549,26 +541,26 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
             quad = quad + weyl_apply(Symbol.x_only(ddu[j][l]), qd[j][l])
     f1_sym = None
     for j in range(g.d):
-        s = Symbol.separable(f1_0[j], _zeta_over_lam(j), 0.0, f"F1_0{j}")
+        s = Symbol.separable(f1_0[j], _zeta_over_lam(j), 0.0)
         f1_sym = s if f1_sym is None else f1_sym + s
     quad = quad - weyl_apply(f1_sym, lam_u) * 1j
     quad = quad + weyl_apply(f1q, lam_u) * 1j
     for j in range(g.d):
-        quad = quad + error_op([Symbol.x_only(q0[j]), Symbol.multiplier(g, _zeta_component(j), 0.0, "z")], w) * 2j
+        quad = quad + error_op([Symbol.x_only(q0[j]), Symbol.multiplier(g, _zeta_component(j), 0.0)], w) * 2j
     for j in range(g.d):
         for l in range(g.d):
             quad = quad - error_op(
-                [Symbol.x_only(qd[j][l]), Symbol.multiplier(g, _zeta_pair_over_lam(j, l), 0.0, "zzLi")],
+                [Symbol.x_only(qd[j][l]), Symbol.multiplier(g, _zeta_pair_over_lam(j, l), 0.0)],
                 lam_u,
             )
     for j in range(g.d):
         quad = quad - error_op(
-            [Symbol.separable(f1_0[j], _zeta_component(j), 0.0, "F1z"), inv_lam_mult], lam_u
+            [Symbol.separable(f1_0[j], _zeta_component(j), 0.0), inv_lam_mult], lam_u
         ) * 1j
     quad = quad + error_op([q * 0.5, lam_mult], w) * 1j
     for j in range(g.d):
         quad = quad - error_op(
-            [lam_mult, Symbol.separable(q0[j], _zeta_component(j), 0.0, "Q0z"), inv_lam_mult],
+            [lam_mult, Symbol.separable(q0[j], _zeta_component(j), 0.0), inv_lam_mult],
             lam_u,
         )
     quad = quad + error_op([lam_mult, q * 0.5], lam_u)
@@ -579,28 +571,28 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
         for l in range(g.d):
             cub = cub - error_op(
                 [
-                    Symbol.separable(q0[j], _zeta_component(j), 0.0, "Q0z"),
-                    Symbol.separable(q0[l], _zeta_component(l), 0.0, "Q0z"),
+                    Symbol.separable(q0[j], _zeta_component(j), 0.0),
+                    Symbol.separable(q0[l], _zeta_component(l), 0.0),
                     inv_lam_mult,
                 ],
                 lam_u,
             )
     cub = cub + error_op([wm1mq2, lam_mult], w) * 1j
-    wm1_lam = wm1.scale_zeta(_lam, 1.0, "L")
+    wm1_lam = wm1.scale_zeta(lam, 1.0)
     for j in range(g.d):
-        q0z = Symbol.separable(q0[j], _zeta_component(j), 0.0, "Q0z")
+        q0z = Symbol.separable(q0[j], _zeta_component(j), 0.0)
         cub = cub + error_op([q0z, wm1], lam_u)
         cub = cub - error_op([wm1_lam, q0z, inv_lam_mult], lam_u)
     cub = cub + error_op([wm1_lam, wm1], lam_u)
     cub = cub + error_op([lam_mult, wm1mq2], lam_u)
     f2_sym = None
     for j in range(g.d):
-        s = Symbol.separable(f2_0[j], _zeta_over_lam(j), 0.0, f"F2_0{j}")
+        s = Symbol.separable(f2_0[j], _zeta_over_lam(j), 0.0)
         f2_sym = s if f2_sym is None else f2_sym + s
     cub = cub - weyl_apply(f2_sym, lam_u) * 1j
     for j in range(g.d):
         cub = cub - error_op(
-            [Symbol.separable(f2_0[j], _zeta_component(j), 0.0, "F2z"), inv_lam_mult], lam_u
+            [Symbol.separable(f2_0[j], _zeta_component(j), 0.0), inv_lam_mult], lam_u
         ) * 1j
     vt_f = vtm1 * f1q + f2q + vtm1 * f2q
     cub = cub + weyl_apply(vt_f, lam_u) * 1j
@@ -610,7 +602,7 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
         q2 = q.power(2)
         q4 = q2 * q2
         tail_sym = q4 * (5.0 / 64.0) + q4 * q * (-1.0 / 64.0) + q4 * q2 * (1.0 / 256.0)
-        out["tail"] = weyl_apply(tail_sym.scale_zeta(_lam, 1.0, "L"), lam_u)
+        out["tail"] = weyl_apply(tail_sym.scale_zeta(lam, 1.0), lam_u)
     else:
         out["tail"] = Field.zero(g)
     out["total"] = out["semilinear"] + out["quadratic"] + out["cubic_plus"] + out["tail"]
@@ -622,7 +614,7 @@ def transport_symbol(state: KGState, spec: NonlinearitySpec) -> Symbol:
     q0, _ = coefficient_fields(state, spec)
     q = q_symbol(state, spec)
     w_sym = _w_parts(q)[0]
-    return _q0_zeta_symbol(q0, state.grid) + w_sym.scale_zeta(_lam, 1.0, "L")
+    return _q0_zeta_symbol(q0, state.grid) + w_sym.scale_zeta(lam, 1.0)
 
 
 def reduced_equation_residual(

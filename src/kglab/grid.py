@@ -134,10 +134,6 @@ class Grid:
         mesh = np.meshgrid(*self.mode_axes, indexing="ij")
         return [self.dxi * m.astype(float) for m in mesh]
 
-    def x_components(self) -> list:
-        mesh = np.meshgrid(*self.x_axes, indexing="ij")
-        return [xm.copy() for xm in mesh]
-
     def mode_tuples(self) -> np.ndarray:
         """Integer mode vectors, shape (npoints, d), row-major over the lattice."""
         mesh = np.meshgrid(*self.mode_axes, indexing="ij")

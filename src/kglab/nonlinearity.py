@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NonlinearitySpec", "default_spec", "zero_spec"]
+__all__ = ["NonlinearitySpec", "default_spec"]
 
 
 def _as_array(x, shape):
@@ -70,9 +70,3 @@ def default_spec(d: int, alpha: float = 1.0, beta: float = 1.0,
     s[1, 1] = gamma_t
     return NonlinearitySpec(d=d, q0=q0, qjl=qjl, s=s)
 
-
-def zero_spec(d: int) -> NonlinearitySpec:
-    """Linear Klein-Gordon (F = 0)."""
-    nz = d + 2
-    return NonlinearitySpec(d=d, q0=np.zeros((d, nz)), qjl=np.zeros((d, d, nz)),
-                            s=np.zeros((nz, nz)))

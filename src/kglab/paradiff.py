@@ -64,7 +64,6 @@ class SymbolTerm:
     xpart: Field
     zeta_fn: Callable[[np.ndarray], np.ndarray]
     zeta0: complex | None
-    label: str = ""
 
     def eval_zeta(self, zpts: np.ndarray) -> np.ndarray:
         """Evaluate g on frequency vectors, patching the origin by declaration."""
@@ -91,19 +90,19 @@ class Symbol:
 
     @classmethod
     def one(cls, grid: Grid) -> "Symbol":
-        return cls(grid, [SymbolTerm(Field.one(grid), lambda z: np.ones(z.shape[:-1]), 1.0, "1")])
+        return cls(grid, [SymbolTerm(Field.one(grid), lambda z: np.ones(z.shape[:-1]), 1.0)])
 
     @classmethod
-    def x_only(cls, f: Field, label: str = "") -> "Symbol":
-        return cls(f.grid, [SymbolTerm(f, lambda z: np.ones(z.shape[:-1]), 1.0, label)])
+    def x_only(cls, f: Field) -> "Symbol":
+        return cls(f.grid, [SymbolTerm(f, lambda z: np.ones(z.shape[:-1]), 1.0)])
 
     @classmethod
-    def multiplier(cls, grid: Grid, fn: Callable, zeta0: complex | None, label: str = "") -> "Symbol":
-        return cls(grid, [SymbolTerm(Field.one(grid), fn, zeta0, label)])
+    def multiplier(cls, grid: Grid, fn: Callable, zeta0: complex | None) -> "Symbol":
+        return cls(grid, [SymbolTerm(Field.one(grid), fn, zeta0)])
 
     @classmethod
-    def separable(cls, f: Field, fn: Callable, zeta0: complex | None, label: str = "") -> "Symbol":
-        return cls(f.grid, [SymbolTerm(f, fn, zeta0, label)])
+    def separable(cls, f: Field, fn: Callable, zeta0: complex | None) -> "Symbol":
+        return cls(f.grid, [SymbolTerm(f, fn, zeta0)])
 
     # -- algebra -----------------------------------------------------------
 
@@ -117,11 +116,8 @@ class Symbol:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return Symbol(
-                self.grid,
-                [SymbolTerm(t.xpart * other, t.zeta_fn, None if t.zeta0 is None else t.zeta0, t.label)
-                 for t in self.terms],
-            )
+            return Symbol(self.grid, [SymbolTerm(t.xpart * other, t.zeta_fn, t.zeta0)
+                                      for t in self.terms])
         if not self.grid.compatible(other.grid):
             raise ValueError("symbols live on different grids")
         out = []
@@ -129,21 +125,17 @@ class Symbol:
             for t in other.terms:
                 fn = _product_fn(s.zeta_fn, t.zeta_fn)
                 z0 = None if (s.zeta0 is None or t.zeta0 is None) else s.zeta0 * t.zeta0
-                out.append(
-                    SymbolTerm(dealiased_product(s.xpart, t.xpart), fn, z0,
-                               f"({s.label})({t.label})" if s.label or t.label else "")
-                )
+                out.append(SymbolTerm(dealiased_product(s.xpart, t.xpart), fn, z0))
         return Symbol(self.grid, out)
 
     __rmul__ = __mul__
 
-    def scale_zeta(self, fn: Callable, zeta0: complex | None, label: str = "") -> "Symbol":
+    def scale_zeta(self, fn: Callable, zeta0: complex | None) -> "Symbol":
         """Multiply every term's frequency factor by a common fn(zeta)."""
         out = []
         for t in self.terms:
             z0 = None if (t.zeta0 is None or zeta0 is None) else t.zeta0 * zeta0
-            out.append(SymbolTerm(t.xpart, _product_fn(t.zeta_fn, fn), z0,
-                                  f"{t.label}{label}"))
+            out.append(SymbolTerm(t.xpart, _product_fn(t.zeta_fn, fn), z0))
         return Symbol(self.grid, out)
 
     def power(self, k: int) -> "Symbol":

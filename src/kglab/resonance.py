@@ -20,10 +20,10 @@ pieces in dynamics) build it once on the whole box;
 :func:`bilinear_apply` and :func:`trilinear_apply` are its one-shot
 forms on the inputs' nonzero supports.
 
-Derived kernel families (the energy-functional multipliers, the
-quadratic interaction kernels of a given nonlinearity, and the cubic
-profile kernel built from them) are provided as symbol objects carrying
-a tag, so measured operator constants can be reported per family.
+The kernel families (the energy-functional multipliers, the quadratic
+interaction kernels of a given nonlinearity, and the cubic profile
+kernel built from them) are plain callables of the frequency arguments,
+wrapped in :class:`BilinearSymbol` or :class:`TrilinearSymbol`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "BilinearSymbol", "TrilinearSymbol",
     "a_kernel", "semilinear_symbol", "quasilinear_symbol", "resonant_kernel",
     "b_kernel", "Pseudoproduct", "bilinear_apply", "trilinear_apply",
-    "multiplier_bound_measure", "BOUND_FAMILIES",
 ]
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -311,9 +310,8 @@ def _grad_scan(mu, nu, grad_pts, eta_pts, delta, floor) -> float:
 
 @dataclass(frozen=True)
 class BilinearSymbol:
-    """Kernel m(z1, z2) with a family tag for reporting."""
+    """Kernel m(z1, z2)."""
     fn: Callable
-    tag: str
 
     def __call__(self, z1, z2):
         return self.fn(z1, z2)
@@ -321,9 +319,8 @@ class BilinearSymbol:
 
 @dataclass(frozen=True)
 class TrilinearSymbol:
-    """Kernel b(z1, z2, z3) with a family tag for reporting."""
+    """Kernel b(z1, z2, z3)."""
     fn: Callable
-    tag: str
 
     def __call__(self, z1, z2, z3):
         return self.fn(z1, z2, z3)
@@ -382,7 +379,7 @@ def a_kernel(spec: NonlinearitySpec, mu: int, nu: int) -> BilinearSymbol:
         out = out + np.einsum("c...,cd,d...->...", w1, spec.s, w2)
         return out
 
-    return BilinearSymbol(fn, tag=f"a[{mu:+d}{nu:+d}](derived)")
+    return BilinearSymbol(fn)
 
 
 def semilinear_symbol(mu: int, nu: int) -> BilinearSymbol:
@@ -404,7 +401,7 @@ def semilinear_symbol(mu: int, nu: int) -> BilinearSymbol:
         bracket = 1.0 - psi_le(-10, r1) - psi_le(-10, r2)
         return -1j * phi_inv(mu, nu, z1, z2) * bracket
 
-    return BilinearSymbol(fn, tag=f"m_S[{mu:+d}{nu:+d}]")
+    return BilinearSymbol(fn)
 
 
 # scale below which the high-pass factor of the quasilinear kernel
@@ -434,7 +431,7 @@ def quasilinear_symbol(N: int) -> BilinearSymbol:
         main = lam(z1 + z2) ** N * lam(z2) ** (N + 1) - lam(mid) ** N * lam(mid) ** (N + 1)
         return cut * highpass(z2) * highpass(z1 + z2) * main
 
-    return BilinearSymbol(fn, tag=f"m_Q[N={N}]")
+    return BilinearSymbol(fn)
 
 
 def resonant_kernel(base: BilinearSymbol, mu: int, nu: int) -> BilinearSymbol:
@@ -445,7 +442,7 @@ def resonant_kernel(base: BilinearSymbol, mu: int, nu: int) -> BilinearSymbol:
         return phi_inv(mu, nu, np.asarray(z1, float),
                        np.asarray(z2, float)) * base(z1, z2)
 
-    return BilinearSymbol(fn, tag=f"phi_inv[{mu:+d}{nu:+d}]*{base.tag}")
+    return BilinearSymbol(fn)
 
 
 def b_kernel(spec: NonlinearitySpec, mu: int, sigma: int, iota: int) -> TrilinearSymbol:
@@ -466,7 +463,7 @@ def b_kernel(spec: NonlinearitySpec, mu: int, sigma: int, iota: int) -> Trilinea
             acc = acc + phi_inv(nu, mu, eta, z1) * a_out[(nu, mu)](eta, z1)
         return a_in(z2, z3) * acc
 
-    return TrilinearSymbol(fn, tag=f"b[{mu:+d}{sigma:+d}{iota:+d}](derived)")
+    return TrilinearSymbol(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -567,84 +564,3 @@ def trilinear_apply(b, f: Field, g: Field, h: Field) -> Field:
     reproduces the right-associated dealiased product f*(g*h)."""
     return Pseudoproduct(b, _shared_grid(f, g, h), f.coeffs != 0, g.coeffs != 0,
                          h.coeffs != 0).apply(f, g, h)
-
-
-# ---------------------------------------------------------------------------
-# multiplier bound measurement
-
-# family -> exponent of the dyadic right-hand scale, as a function of
-# (d, k1, k2[, k3], N)
-BOUND_FAMILIES = {
-    "semilinear_energy": lambda d, k1, k2, N: (2 * d + 3) * min(k1, k2),
-    "interaction_kernel": lambda d, k1, k2, N: k2,
-    "quasilinear_energy": lambda d, k1, k2, N: (2 * d + 4) * k1 + 2 * N * k2,
-    "quasilinear_energy_low_high": lambda d, k1, k2, N: k1 + (2 * N - 1) * k2,
-    "resonant_kernel": lambda d, k1, k2, N: (2 * d + 3) * min(k1, k2) + k2,
-}
-TRILINEAR_FAMILY = "cubic_profile"
-# Holder exponents 1/p = 1/q + 1/r (+ 1/q3) of the measured bounds
-_BILINEAR_EXPONENTS = (2.0, 2.0, float("inf"))
-_TRILINEAR_EXPONENTS = (2.0, 6.0, 6.0, 6.0)
-_BOUND_TRIALS = 6
-
-
-def _lp_norm(field: Field, p: float) -> float:
-    v = np.abs(field.values)
-    if np.isinf(p):
-        return float(np.max(v))
-    return float((np.sum(v ** p) * field.grid.quad_weight) ** (1.0 / p))
-
-
-def multiplier_bound_measure(family: str, symbol, grid: Grid, k1: int, k2: int,
-                             k3: int | None = None, *, N: int = 0, rng=None) -> dict:
-    """Measure the operator constant of a kernel family on dyadic bands.
-
-    Randomized band-localized inputs; returns the max over six trials
-    of the output L^p norm divided by the family's dyadic right-hand
-    scale times the input L^q, L^r (and L^q3) norms, with the Holder
-    exponents fixed per family: (p, q, r) = (2, 2, inf) for the
-    bilinear families, (p, q, r, q3) = (2, 6, 6, 6) for the trilinear
-    one.  Precondition: k1 <= k2 - 6 for the low-high quasilinear family.
-    """
-    from .data import make_rng, random_band_field
-    from .spectral import lp_project
-
-    if rng is None:
-        rng = make_rng(0)
-    trilinear = family == TRILINEAR_FAMILY
-    if trilinear:
-        if k3 is None:
-            raise ValueError("trilinear family needs k3")
-        p, q, r, q3 = _TRILINEAR_EXPONENTS
-        scale = 2.0 ** (3 * max(k1, k2, k3) + 2 * (k1 + k2 + k3))
-    else:
-        if family not in BOUND_FAMILIES:
-            raise ValueError(f"unknown bound family {family!r}")
-        p, q, r = _BILINEAR_EXPONENTS
-        if family == "quasilinear_energy_low_high" and k1 > k2 - 6:
-            raise ValueError("low-high family requires k1 <= k2 - 6")
-        scale = 2.0 ** BOUND_FAMILIES[family](grid.d, k1, k2, N)
-
-    ratios = []
-    for _ in range(_BOUND_TRIALS):
-        f1 = lp_project(random_band_field(grid, rng, real=False), k1)
-        f2 = lp_project(random_band_field(grid, rng, real=False), k2)
-        if trilinear:
-            f3 = lp_project(random_band_field(grid, rng, real=False), k3)
-            outf = trilinear_apply(symbol, f1, f2, f3)
-            denom = (scale * _lp_norm(f1, q) * _lp_norm(f2, r)
-                     * _lp_norm(f3, q3))
-        else:
-            outf = bilinear_apply(symbol, f1, f2)
-            denom = scale * _lp_norm(f1, q) * _lp_norm(f2, r)
-        if denom == 0:
-            continue
-        ratios.append(_lp_norm(outf, p) / denom)
-
-    return {
-        "family": family, "tag": getattr(symbol, "tag", "?"),
-        "d": grid.d, "k1": k1, "k2": k2, "k3": k3, "N": N,
-        "trials": len(ratios), "rhs_scale": scale,
-        "constant": max(ratios) if ratios else 0.0,
-        "ratios": ratios,
-    }

@@ -40,11 +40,11 @@ def test_complex_band_field_draws_differ_from_real():
 
 def test_gaussian_bump_shape():
     g = make_grid(1, 128, 8.0)
-    f = gaussian_bump(g, 1.0, amplitude=3.0)
+    f = gaussian_bump(g, 1.0)
     assert f.is_real()
     center = float(f.values.real[np.argmin(g.x_mags)])
-    assert center == pytest.approx(3.0, rel=1e-10)
-    assert f.sup() == pytest.approx(3.0, rel=1e-10)
+    assert center == pytest.approx(1.0, rel=1e-10)
+    assert f.sup() == pytest.approx(1.0, rel=1e-10)
 
 
 def test_envelope_field_spreads_mass_with_decay():

@@ -24,7 +24,7 @@ from kglab.dynamics import (
     step_limit,
 )
 from kglab.grid import Field, make_grid
-from kglab.nonlinearity import default_spec, zero_spec
+from kglab.nonlinearity import default_spec
 from kglab.oracles import fd_gradient_oracle
 from kglab.resonance import SIGN_PAIRS, a_kernel, bilinear_apply, resonant_kernel
 from kglab.spectral import derivative, semigroup
@@ -62,13 +62,15 @@ def test_half_wave_round_trip():
 
 # the lifespan spec S = 2u^2 is semilinear; the default spec is not
 LIFESPAN_SPEC = default_spec(1, 0.0, 0.0, 2.0, 0.0)
+# linear Klein-Gordon: F = 0
+LINEAR_SPEC = default_spec(1, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_step_rejects_super_cfl_dt():
     g = make_grid(1, 64, np.pi)
     st = _small_state(g, 0.1)
-    assert step_limit(g, zero_spec(1)) == pytest.approx(4.0 * step_limit(g, default_spec(1)))
-    for spec in (zero_spec(1), LIFESPAN_SPEC, default_spec(1)):
+    assert step_limit(g, LINEAR_SPEC) == pytest.approx(4.0 * step_limit(g, default_spec(1)))
+    for spec in (LINEAR_SPEC, LIFESPAN_SPEC, default_spec(1)):
         step(st, spec, step_limit(g, spec))
         with pytest.raises(ValueError, match="step limit"):
             step(st, spec, 2.0 * step_limit(g, spec))
@@ -92,7 +94,7 @@ def test_lawson_linear_flow_is_the_semigroup():
     # method moves exactly, even at the step limit
     g = make_grid(1, 64, np.pi)
     st = _small_state(g, 0.5)
-    spec = zero_spec(1)
+    spec = LINEAR_SPEC
     T = 0.5
     exact = semigroup(st.half_wave(), T, +1)
     n_sub = int(math.ceil(T / step_limit(g, spec)))
@@ -153,7 +155,7 @@ def test_lawson_step_makes_two_transforms_per_stage(fft_calls):
 def test_run_to_time_guards_and_rows():
     g = make_grid(1, 64, 2 * np.pi)
     st = _small_state(g, 0.05, t=1.0)
-    spec = zero_spec(1)
+    spec = LINEAR_SPEC
     with pytest.raises(ValueError):
         run_to_time(st, spec, 0.5)
     with pytest.raises(ValueError):
@@ -176,7 +178,7 @@ def test_run_to_time_blow_up_verdict():
     # exercises the early-stop path without needing actual blow-up
     g = make_grid(1, 64, 2 * np.pi)
     st = _small_state(g, 0.05, t=1.0)
-    out = run_to_time(st, zero_spec(1), 4.0, checkpoints=9, blow_up_factor=0.99)
+    out = run_to_time(st, LINEAR_SPEC, 4.0, checkpoints=9, blow_up_factor=0.99)
     assert out.verdict.startswith("blew-up-at-")
     assert out.blowup_time is not None
     assert out.rows[-1]["flag"] == "blow-up"
@@ -186,7 +188,7 @@ def test_run_to_time_blow_up_verdict():
 def test_good_unknown_is_half_wave_for_linear_equation():
     g = make_grid(1, 64, 2 * np.pi)
     st = _small_state(g, 0.4)
-    ucal, q_bound = good_unknown_field(st, zero_spec(1))
+    ucal, q_bound = good_unknown_field(st, LINEAR_SPEC)
     assert q_bound == 0.0
     assert (ucal - st.half_wave()).l2() < 1e-14
 
@@ -203,7 +205,7 @@ def test_good_unknown_difference_is_quadratic_in_amplitude():
 
 def test_good_unknown_guard_on_large_data():
     g = make_grid(1, 64, 4 * np.pi)
-    big = KGState(g, 0.0, gaussian_bump(g, 1.0, amplitude=5.0), Field.zero(g))
+    big = KGState(g, 0.0, gaussian_bump(g, 1.0) * 5.0, Field.zero(g))
     spec = default_spec(1)
     with pytest.raises(ValueError, match="sup bound"):
         good_unknown_field(big, spec)

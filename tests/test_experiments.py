@@ -1,22 +1,38 @@
-"""Experiment plumbing at unit scale: dispatch, pinned configs, worker
-mapping, and one cheap end-to-end driver run."""
+"""Experiment plumbing at unit scale: dispatch, pinned configs and the
+benchmark's hashes of them, worker mapping, the multiplier-bound
+measurement, and one cheap end-to-end driver run."""
 
 import ast
 import dataclasses
-import importlib
+import importlib.util
+import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kglab
 from kglab.config import EXPERIMENT_IDS, ExperimentConfig
-from kglab.resonance import Pseudoproduct
+from kglab.data import make_rng, random_band_field
+from kglab.grid import make_grid
+from kglab.nonlinearity import default_spec
+from kglab.resonance import (
+    Pseudoproduct,
+    b_kernel,
+    bilinear_apply,
+    semilinear_symbol,
+    trilinear_apply,
+)
+from kglab.spectral import lp_project
 from kglab.experiments import (
     CRITERIA,
     EXPERIMENT_DRIVERS,
+    _bound_constant,
     acceptance_battery,
     pinned_config,
     run_experiment,
@@ -209,3 +225,65 @@ def test_oracles_share_no_code_with_the_fast_paths():
     with open(os.path.join(os.path.dirname(kglab.__file__), "oracles.py"),
               encoding="utf-8") as handle:
         assert _fast_path_borrowings(handle.read()) == []
+
+
+def _literal_lp_norm(field, p):
+    v = np.abs(field.values)
+    if p == math.inf:
+        return float(np.max(v))
+    return float((np.sum(v ** p) * field.grid.quad_weight) ** (1.0 / p))
+
+
+def _literal_constant(apply, grid, bands, log2_scale, exponents, seed):
+    """max over six trials of ||P(f_i)||_p / (2^s prod ||f_i||_{q_i}), with
+    the band inputs drawn operand by operand, trial by trial."""
+    rng = make_rng(seed)
+    p, *qs = exponents
+    ratios = []
+    for _ in range(6):
+        fs = [lp_project(random_band_field(grid, rng, real=False), k) for k in bands]
+        denom = 2.0 ** log2_scale
+        for f, q in zip(fs, qs):
+            denom = denom * _literal_lp_norm(f, q)
+        ratios.append(_literal_lp_norm(apply(*fs), p) / denom)
+    return max(ratios)
+
+
+def test_bound_constant_is_the_literal_holder_ratio():
+    g = make_grid(1, 256, 2 * np.pi)
+    m = semilinear_symbol(1, 1)
+    want = _literal_constant(lambda f, h: bilinear_apply(m, f, h), g, (1, 1), 5,
+                             (2.0, 2.0, math.inf), seed=42)
+    assert want > 0
+    assert _bound_constant(m, g, (1, 1), 5, make_rng(42)) == want
+
+    g = make_grid(1, 32, np.pi)
+    b = b_kernel(default_spec(1), 1, 1, -1)
+    want = _literal_constant(lambda f, h, w: trilinear_apply(b, f, h, w), g, (1, 1, 1),
+                             9, (2.0, 6.0, 6.0, 6.0), seed=43)
+    assert want > 0
+    assert _bound_constant(b, g, (1, 1, 1), 9, make_rng(43)) == want
+
+
+def _load_benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, path.with_name("reference.json")
+
+
+def test_pinned_configs_keep_the_benchmark_reference_hashes():
+    # the benchmark gate refuses a part whose pinned config hash differs
+    # from the one its reference pins, so a config change must be caught
+    # here, before the benchmark runs
+    workloads, reference_path = _load_benchmark_workloads()
+    with open(reference_path, encoding="utf-8") as handle:
+        reference = json.load(handle)["workloads"]
+    seen = {}
+    for part, (experiment, dim) in workloads.PARTS.items():
+        for seed in range(len(workloads.SIGN_PAIRS)):
+            cfg = dataclasses.replace(pinned_config(experiment, dim),
+                                      **workloads.overrides(part, seed))
+            seen[workloads.reference_key(part, cfg.signs)] = cfg.content_hash()
+    assert seen == {key: entry["config_hash"] for key, entry in reference.items()}

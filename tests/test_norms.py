@@ -21,7 +21,7 @@ from kglab.spectral import lp_project, q_shell
 
 
 def _cosine(g, m, amp=1.0):
-    x = g.x_components()[0]
+    x = g.x_axes[0]
     return Field.from_values(g, amp * np.cos(m * g.dxi * x))
 
 
@@ -48,7 +48,7 @@ def test_holder_sup_cosine_derivatives():
 
 def test_weighted_l2_against_scipy_quadrature():
     g = make_grid(1, 256, 12.0)
-    f = gaussian_bump(g, 1.0, amplitude=2.0)
+    f = gaussian_bump(g, 1.0) * 2.0
     alpha = 0.8
     want2, err = quad(lambda x: (1.0 + x * x) ** alpha * 4.0 * np.exp(-x * x), -12.0, 12.0)
     assert err < 1e-7 * want2

@@ -21,7 +21,7 @@ def _inv_lam2(z):
 
 def _symbol(grid, rng):
     f = random_band_field(grid, rng, k_lo=-1, k_hi=1)
-    return Symbol.separable(f, _zeta_over_lam, 0.0, "test")
+    return Symbol.separable(f, _zeta_over_lam, 0.0)
 
 
 def test_weyl_matches_oracle_1d():
@@ -57,7 +57,7 @@ def test_pure_multiplier_is_exact():
     # diagonal offset passes and the quantization is the multiplier
     g = make_grid(1, 64, 4 * np.pi)
     f = random_band_field(g, make_rng(14), real=False)
-    lam = Symbol.multiplier(g, lambda z: np.sqrt(1.0 + np.sum(z * z, axis=-1)), 1.0, "L")
+    lam = Symbol.multiplier(g, lambda z: np.sqrt(1.0 + np.sum(z * z, axis=-1)), 1.0)
     out = weyl_apply(lam, f)
     want = lambda_power(f, 1.0)
     assert (out - want).l2() <= 1e-13 * want.l2()
@@ -70,7 +70,7 @@ def test_weyl_matches_matrix_on_live_off_diagonal_couplings():
     # mask and the Nyquist row act
     g = make_grid(1, 4096, 8 * np.pi)
     rng = make_rng(22)
-    a = Symbol.separable(random_band_field(g, rng), _zeta_over_lam, 0.0, "all-band")
+    a = Symbol.separable(random_band_field(g, rng), _zeta_over_lam, 0.0)
     M = weyl_matrix(a)
     live_off_diagonal = np.count_nonzero(M) - np.count_nonzero(np.diag(M))
     assert live_off_diagonal >= 20_000
@@ -87,7 +87,7 @@ def test_real_even_symbol_is_hermitian():
     # self-adjoint up to roundoff (the midpoint rule is what buys this)
     g = make_grid(1, 32, 2 * np.pi)
     f = random_band_field(g, make_rng(16), k_lo=-1, k_hi=1, real=True)
-    a = Symbol.separable(f, _inv_lam2, 1.0, "real-even")
+    a = Symbol.separable(f, _inv_lam2, 1.0)
     M = weyl_matrix(a)
     assert np.max(np.abs(M - M.conj().T)) < 1e-12
 
@@ -95,8 +95,8 @@ def test_real_even_symbol_is_hermitian():
 def test_zeta0_exclusion_zeroes_origin_pairing():
     g = make_grid(1, 32, np.pi)
     f = Field.one(g)  # only the zero mode
-    a_excluded = Symbol.multiplier(g, _zeta_over_lam, None, "no-origin")
-    a_declared = Symbol.multiplier(g, _zeta_over_lam, 0.7, "patched")
+    a_excluded = Symbol.multiplier(g, _zeta_over_lam, None)
+    a_declared = Symbol.multiplier(g, _zeta_over_lam, 0.7)
     out_excluded = weyl_apply(a_excluded, f)
     out_declared = weyl_apply(a_declared, f)
     assert out_excluded.l2() == 0.0
@@ -149,7 +149,7 @@ def test_error_op_matches_matrix_composition():
     g = make_grid(1, 16, np.pi)
     rng = make_rng(20)
     a = _symbol(g, rng)
-    b = Symbol.separable(random_band_field(g, rng, k_lo=-1, k_hi=0), _inv_lam2, 1.0, "b")
+    b = Symbol.separable(random_band_field(g, rng, k_lo=-1, k_hi=0), _inv_lam2, 1.0)
     f = random_band_field(g, rng, real=False)
     direct = error_op([a, b], f)
     Ma, Mb, Mab = weyl_matrix(a), weyl_matrix(b), weyl_matrix(a * b)
@@ -167,7 +167,7 @@ def test_symbol_algebra_distributes_through_quantization():
     g = make_grid(1, 32, 2 * np.pi)
     rng = make_rng(21)
     a = _symbol(g, rng)
-    b = Symbol.separable(random_band_field(g, rng, k_lo=-1, k_hi=0), _inv_lam2, 1.0, "b")
+    b = Symbol.separable(random_band_field(g, rng, k_lo=-1, k_hi=0), _inv_lam2, 1.0)
     f = random_band_field(g, rng, real=False)
     lhs = weyl_apply(a + b * 2.0, f)
     rhs = weyl_apply(a, f) + weyl_apply(b, f) * 2.0

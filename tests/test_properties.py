@@ -41,7 +41,7 @@ def test_parseval(case):
     assert math.isclose(phys, freq, rel_tol=1e-12, abs_tol=1e-300)
 
 
-UNIT = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]), tag="1")
+UNIT = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,6 @@
 """The quadratic resonance phase, its lattice lower bounds against the
-full-lattice oracle, the kernel families and their bound measurements,
-and the exact pseudoproduct machinery against literal-sum oracles."""
+full-lattice oracle, the kernel families, and the exact pseudoproduct
+machinery against literal-sum oracles."""
 
 import warnings
 
@@ -20,7 +20,6 @@ from kglab.resonance import (
     b_kernel,
     bilinear_apply,
     lam,
-    multiplier_bound_measure,
     phase,
     phase_bound_scan,
     phi_inv,
@@ -202,7 +201,7 @@ def test_unit_kernel_reproduces_product():
     rng = make_rng(37)
     f = random_band_field(g, rng)
     h = random_band_field(g, rng)
-    one = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]), tag="1")
+    one = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]))
     out = bilinear_apply(one, f, h)
     assert (out - dealiased_product(f, h)).l2() < 1e-13 * f.l2() * h.l2()
 
@@ -247,7 +246,7 @@ def test_full_box_bilinear_pseudoproduct_matches_oracle(d, n):
 def test_pseudoproduct_takes_two_or_three_operands():
     g = make_grid(1, 16, np.pi)
     f = random_band_field(g, make_rng(45), real=False)
-    one = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]), tag="1")
+    one = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]))
     with pytest.raises(ValueError, match="2 or 3 operands"):
         Pseudoproduct(one, g, None)
     with pytest.raises(ValueError, match="2 or 3 operands"):
@@ -286,43 +285,9 @@ def test_trilinear_unit_kernel_is_triple_product():
     # full-box inputs, so the inner (h, w) truncation is live and only
     # the right-associated product f*(h*w) matches
     rng = make_rng(41)
-    one = TrilinearSymbol(lambda z1, z2, z3: np.ones(z1.shape[:-1]), tag="1")
+    one = TrilinearSymbol(lambda z1, z2, z3: np.ones(z1.shape[:-1]))
     for g in (make_grid(1, 64, np.pi), make_grid(2, 16, np.pi)):
         f, h, w = (random_band_field(g, rng, real=False) for _ in range(3))
         out = trilinear_apply(one, f, h, w)
         want = dealiased_product(f, dealiased_product(h, w))
         assert (out - want).l2() < 1e-12 * want.l2()
-
-
-# ---------------------------------------------------------------------------
-# measurement preconditions
-
-
-def test_bound_measure_rejects_unknown_family():
-    g = make_grid(1, 32, np.pi)
-    with pytest.raises(ValueError, match="unknown bound family"):
-        multiplier_bound_measure("nonsense", semilinear_symbol(1, 1), g, 0, 0)
-
-
-def test_bound_measure_low_high_needs_band_gap():
-    g = make_grid(1, 64, np.pi)
-    m = resonant_kernel(quasilinear_symbol(4), 1, -1)
-    with pytest.raises(ValueError, match="k1 <= k2 - 6"):
-        multiplier_bound_measure("quasilinear_energy_low_high", m, g, 0, 3, N=4)
-
-
-def test_bound_measure_trilinear_needs_third_band():
-    g = make_grid(1, 32, np.pi)
-    spec = default_spec(1)
-    b = b_kernel(spec, 1, 1, 1)
-    with pytest.raises(ValueError, match="k3"):
-        multiplier_bound_measure("cubic_profile", b, g, 0, 0)
-
-
-def test_bound_measure_reports_finite_constant():
-    g = make_grid(1, 256, 2 * np.pi)
-    out = multiplier_bound_measure("semilinear_energy", semilinear_symbol(1, 1),
-                                   g, 1, 1, rng=make_rng(42))
-    assert out["trials"] == 6
-    assert np.isfinite(out["constant"]) and out["constant"] > 0
-    assert out["rhs_scale"] == 2.0 ** (5 * 1)

@@ -52,6 +52,7 @@ from .spectral import (
     lambda_mag,
     lambda_power,
     semigroup,
+    shared_operands,
 )
 
 __all__ = [
@@ -126,24 +127,25 @@ def _linear_combo(coeffs: np.ndarray, zs: list, grid: Grid) -> Field:
     for c, z in zip(coeffs, zs):
         if c == 0.0:
             continue
-        out = z * c if out is None else out + z * c
+        # a unit coefficient passes z itself: z * 1.0 is bitwise z
+        term = z if c == 1.0 else z * c
+        out = term if out is None else out + term
     return Field.zero(grid) if out is None else out
 
 
-def coefficient_fields(state: KGState, spec: NonlinearitySpec):
-    """Q^{0j} and Q^{jl} evaluated on the state, as (list, list-of-lists)."""
-    zs = z_fields(state)
-    g = state.grid
+def coefficient_fields(zs: list, spec: NonlinearitySpec):
+    """Q^{0j} and Q^{jl} on the argument list ``zs = z_fields(state)``,
+    as (list, list-of-lists); a unit coefficient row is its Z slot."""
+    g = zs[0].grid
     q0 = [_linear_combo(spec.q0[j], zs, g) for j in range(g.d)]
     qd = [[_linear_combo(spec.qjl[j, l], zs, g) for l in range(g.d)] for j in range(g.d)]
     return q0, qd
 
 
-def source_value(state: KGState, spec: NonlinearitySpec) -> Field:
-    """The constant-coefficient quadratic form S(u, du)."""
-    zs = z_fields(state)
-    g = state.grid
-    out = Field.zero(g)
+def source_value(zs: list, spec: NonlinearitySpec) -> Field:
+    """The constant-coefficient quadratic form S(u, du) on the argument
+    list ``zs = z_fields(state)``."""
+    out = Field.zero(zs[0].grid)
     nz = spec.nz
     for c in range(nz):
         for cp in range(c, nz):
@@ -155,15 +157,24 @@ def source_value(state: KGState, spec: NonlinearitySpec) -> Field:
 
 
 def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
-    """F = 2 Q^{0j} d_j w + Q^{jl} d^2_{jl} u + S, all products dealiased."""
+    """F = 2 Q^{0j} d_j w + Q^{jl} d^2_{jl} u + S, all products dealiased.
+
+    One evaluation builds the Z list once and takes d_jl u from d_j u.
+    A Z slot enters several products (in S, and as every unit
+    coefficient row), so the products share the Z list: each slot is
+    inverse-transformed once per evaluation.
+    """
     g = state.grid
-    q0, qd = coefficient_fields(state, spec)
-    out = source_value(state, spec)
-    for j in range(g.d):
-        out = out + dealiased_product(q0[j], derivative(state.w, j)) * 2.0
-    for j in range(g.d):
-        for l in range(g.d):
-            out = out + dealiased_product(qd[j][l], derivative(derivative(state.u, j), l))
+    zs = z_fields(state)
+    w, du = zs[1], zs[2:]
+    q0, qd = coefficient_fields(zs, spec)
+    with shared_operands(zs):
+        out = source_value(zs, spec)
+        for j in range(g.d):
+            out = out + dealiased_product(q0[j], derivative(w, j)) * 2.0
+        for j in range(g.d):
+            for l in range(g.d):
+                out = out + dealiased_product(qd[j][l], derivative(du[j], l))
     return out
 
 
@@ -365,7 +376,7 @@ def _inv_lam(z):
 def q_symbol(state: KGState, spec: NonlinearitySpec) -> Symbol:
     """q(x, zeta) = (Q^{jl} + Q^{0j} Q^{0l}) zeta_j zeta_l / (1 + |zeta|^2)."""
     g = state.grid
-    q0, qd = coefficient_fields(state, spec)
+    q0, qd = coefficient_fields(z_fields(state), spec)
     terms = None
     for j in range(g.d):
         for l in range(g.d):
@@ -420,7 +431,7 @@ def _w_parts(q: Symbol):
 def good_unknown_field(state: KGState, spec: NonlinearitySpec, *, q_guard: bool = True):
     """The good unknown and its q diagnostic, without the report wrapper."""
     g = state.grid
-    q0, _ = coefficient_fields(state, spec)
+    q0, _ = coefficient_fields(z_fields(state), spec)
     q = q_symbol(state, spec)
     q_bound = q_sup_bound(q)
     if q_guard and q_bound > 0.5:
@@ -471,7 +482,6 @@ def _coefficient_time_derivatives(state: KGState, spec: NonlinearitySpec):
     slots.
     """
     g = state.grid
-    zs = z_fields(state)
     lin_dz = [state.w, laplacian(state.u) - state.u] + [
         derivative(state.w, axis) for axis in range(g.d)
     ]
@@ -486,7 +496,7 @@ def _coefficient_time_derivatives(state: KGState, spec: NonlinearitySpec):
 def _f_q_symbols(state: KGState, spec: NonlinearitySpec):
     """Split d(q/2)/dt into its linear part and the rest, as symbols."""
     g = state.grid
-    q0, _ = coefficient_fields(state, spec)
+    q0, _ = coefficient_fields(z_fields(state), spec)
     f1_0, f2_0, g1, g2, _ = _coefficient_time_derivatives(state, spec)
     dq0_full = [f1_0[j] + f2_0[j] for j in range(g.d)]
     f1q, f2q = None, None
@@ -513,7 +523,8 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
     g = state.grid
     u, w = state.u, state.w
     lam_u = lambda_power(u, 1.0)
-    q0, qd = coefficient_fields(state, spec)
+    zs = z_fields(state)
+    q0, qd = coefficient_fields(zs, spec)
     q = q_symbol(state, spec)
     w_sym, wm1, wm1mq2, vtm1 = _w_parts(q)
     f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, spec)
@@ -525,7 +536,7 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
     ddu = [[derivative(derivative(u, j), l) for l in range(g.d)] for j in range(g.d)]
 
     # semilinear block: the source plus both coefficient remainders
-    sem = source_value(state, spec)
+    sem = source_value(zs, spec)
     for j in range(g.d):
         sem = sem + remainder(q0[j], dw[j]) * 2.0
     for j in range(g.d):
@@ -611,7 +622,7 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
 
 def transport_symbol(state: KGState, spec: NonlinearitySpec) -> Symbol:
     """A = Q^{0j} zeta_j + W(q) Lambda(zeta), the paradifferential drift."""
-    q0, _ = coefficient_fields(state, spec)
+    q0, _ = coefficient_fields(z_fields(state), spec)
     q = q_symbol(state, spec)
     w_sym = _w_parts(q)[0]
     return _q0_zeta_symbol(q0, state.grid) + w_sym.scale_zeta(lam, 1.0)

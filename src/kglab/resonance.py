@@ -92,10 +92,16 @@ def phi_inv(mu: int, nu: int, z1, z2, floor: float = PHASE_FLOOR):
 # ---------------------------------------------------------------------------
 # phase bound scan
 
-# the gradient pass differences at most about this many pairs; the main
-# scan runs in blocks of _SCAN_CHUNK rows, which bounds its memory only
+# the gradient pass differences at most about this many pairs; both
+# passes run in row blocks of at most _BLOCK_PAIRS pairs (512 KiB per
+# float64 buffer), which bounds their working set and changes no result
 _GRAD_PAIR_BUDGET = 4_000_000
-_SCAN_CHUNK = 512
+_BLOCK_PAIRS = 1 << 16
+
+
+def _block_rows(n_cols: int) -> int:
+    """Rows per scan block: as many as fit in _BLOCK_PAIRS, at least one."""
+    return max(1, _BLOCK_PAIRS // n_cols)
 
 
 def _ball_lattice(d: int, radius: float, step: float,
@@ -214,11 +220,12 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
     c_phi_arg = (None, None)
     n_floor = 0
 
-    # each step below overwrites one of two chunk-sized buffers in place,
+    # each step below overwrites one of two block-sized buffers in place,
     # in the operation order of oracles.phase_scan_oracle, so the two
-    # agree bitwise
-    for i0 in range(0, nx, _SCAN_CHUNK):
-        i1 = min(i0 + _SCAN_CHUNK, nx)
+    # agree bitwise; the strict < across blocks keeps the first argmin
+    rows = _block_rows(ne)
+    for i0 in range(0, nx, rows):
+        i1 = min(i0 + rows, nx)
         xi2 = xi2_all[i0:i1]
         # |xi - eta|^2 via the inner-product expansion
         dots = xi_pts[i0:i1] @ eta_pts.T
@@ -268,8 +275,7 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
 
 def _grad_scan(mu, nu, grad_pts, eta_pts, delta, floor) -> float:
     """max |grad Phi| / min{1, |Phi|} over grad_pts x eta_pts by central
-    differences, in blocks of 16 rows so that the peak memory stays with
-    the main scan."""
+    differences, in row blocks of the main scan's pair budget."""
     d = eta_pts.shape[1]
     eta2 = np.sum(eta_pts * eta_pts, axis=1)
     lam_eta = np.sqrt(1.0 + eta2)
@@ -279,8 +285,9 @@ def _grad_scan(mu, nu, grad_pts, eta_pts, delta, floor) -> float:
         lam_eta_m = np.sqrt(1.0 + eta2 - 2.0 * delta * eta_pts[:, c] + delta**2)
         eta_terms.append(nu * (lam_eta_p - lam_eta_m)[None, :])
     c_grad = 0.0
-    for i0 in range(0, grad_pts.shape[0], 16):
-        Xs = grad_pts[i0:i0 + 16]
+    rows = _block_rows(eta_pts.shape[0])
+    for i0 in range(0, grad_pts.shape[0], rows):
+        Xs = grad_pts[i0:i0 + rows]
         xi2s = np.sum(Xs * Xs, axis=1)
         d2s = xi2s[:, None] + eta2[None, :] - 2.0 * (Xs @ eta_pts.T)
         np.maximum(d2s, 0.0, out=d2s)

@@ -11,13 +11,18 @@ Conventions:
 * Every pointwise product in the package goes through
   :func:`dealiased_product` (2/3 rule, Orszag 1971).  It spends no
   transform on a zero operand and one inverse transform on a square,
-  and it returns its result in coefficient space.  Multipliers, sums
-  and ``Field.zero`` keep fields in coefficient space too, so in
-  ``dynamics.rhs`` the live products make the only transforms.
+  and it returns its result in coefficient space.  Inside
+  :func:`shared_operands` a listed field is inverse-transformed once
+  however many products it enters.  Multipliers, sums and
+  ``Field.zero`` keep fields in coefficient space too, so in
+  ``dynamics.rhs`` the only transforms are one inverse per distinct
+  live operand and one forward per live product.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +42,7 @@ __all__ = [
     "laplacian",
     "dealias",
     "dealiased_product",
+    "shared_operands",
 ]
 
 
@@ -133,12 +139,42 @@ def dealiased_product(f: Field, g: Field) -> Field:
 
     A zero operand gives a zero product, with no transform, whatever
     the other operand holds (even NaN).  A square (``g is f``) makes
-    one inverse transform for both factors.
+    one inverse transform for both factors, and so does a field listed
+    by an enclosing :func:`shared_operands` for all its products.
     """
     if not f.grid.compatible(g.grid):
         raise ValueError("fields live on different grids")
     if f.is_zero() or g.is_zero():
         return Field.zero(f.grid)
-    fv = dealias(f).values
-    gv = fv if g is f else dealias(g).values
+    fv = _dealiased_values(f)
+    gv = fv if g is f else _dealiased_values(g)
     return dealias(Field.from_values(f.grid, fv * gv))
+
+
+# id -> [field, its dealiased values or None] for the fields of the open
+# shared_operands block (blocks do not nest), no attribute outside one;
+# per thread, as experiment entries may run F on several threads at once
+_shared = threading.local()
+
+
+@contextmanager
+def shared_operands(fields):
+    """Inside the block, :func:`dealiased_product` inverse-transforms each
+    of ``fields`` at most once, however many products it enters (one
+    F evaluation, say).  The copies are dropped when the block ends, so
+    they never outlive it on the caller's fields."""
+    _shared.memo = {id(f): [f, None] for f in fields}
+    try:
+        yield
+    finally:
+        del _shared.memo
+
+
+def _dealiased_values(f: Field) -> np.ndarray:
+    """dealias(f).values, computed once per shared operand."""
+    entry = getattr(_shared, "memo", {}).get(id(f))
+    if entry is None:
+        return dealias(f).values
+    if entry[1] is None:
+        entry[1] = dealias(f).values
+    return entry[1]

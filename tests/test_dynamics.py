@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kglab.data import gaussian_bump, make_rng, random_band_field
+from kglab import dynamics
 from kglab.dynamics import (
     KGState,
     default_norm_order,
@@ -15,6 +16,7 @@ from kglab.dynamics import (
     good_unknown_field,
     make_boundary_kernels,
     make_cubic_kernels,
+    nonlinearity_value,
     normal_form_boundary,
     reduced_equation_residual,
     rhs,
@@ -27,7 +29,7 @@ from kglab.grid import Field, make_grid
 from kglab.nonlinearity import default_spec
 from kglab.oracles import fd_gradient_oracle
 from kglab.resonance import SIGN_PAIRS, a_kernel, bilinear_apply, resonant_kernel
-from kglab.spectral import derivative, semigroup
+from kglab.spectral import dealiased_product, derivative, semigroup
 
 
 def _small_state(g, eps, seed=60, t=0.0):
@@ -150,6 +152,44 @@ def test_lawson_step_makes_two_transforms_per_stage(fft_calls):
     nxt = step(st, LIFESPAN_SPEC, step_limit(g, LIFESPAN_SPEC))
     assert fft_calls == {"fftn": 4, "ifftn": 4}
     assert nxt.u._values is None and nxt.w._values is None
+
+
+def test_2d_rhs_transforms_each_operand_once(fft_calls, monkeypatch):
+    # Q^{0j} = Q^{jj} = u and S = u^2 + w^2: 8 products, 6 of them live,
+    # on the distinct operands u, w, d_j w and d_jj u; u enters 5 of them
+    # but, like every operand, is inverse-transformed once, and each live
+    # product is forward-transformed once
+    g = make_grid(2, 32, 8 * np.pi)
+    st = _small_state(g, 0.1)
+    st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
+    pairs = []
+    product = dynamics.dealiased_product
+
+    def counted(f, h):
+        pairs.append(not (f.is_zero() or h.is_zero()))
+        return product(f, h)
+
+    monkeypatch.setattr(dynamics, "dealiased_product", counted)
+    fft_calls.update(fftn=0, ifftn=0)
+    rhs(st, default_spec(2))
+    assert fft_calls == {"fftn": 6, "ifftn": 6}
+    assert len(pairs) == 8 and sum(pairs) == 6
+
+
+@pytest.mark.parametrize("spec", [default_spec(2), default_spec(2, 0.0, 0.0, 2.0, 0.0)],
+                         ids=["quasilinear", "semilinear"])
+def test_product_memo_ends_with_the_evaluation(fft_calls, spec):
+    # F shares the transforms of its Z list only while it runs: afterwards
+    # the caller's u and w hold no dealiased copy, and outside F every
+    # product transforms both of its operands again
+    g = make_grid(2, 16, 4 * np.pi)
+    st = _small_state(g, 0.1, t=1.0)
+    step(st, spec, step_limit(g, spec))
+    nonlinearity_value(st, spec)
+    fft_calls.update(fftn=0, ifftn=0)
+    dealiased_product(st.u, st.w)
+    dealiased_product(st.u, st.w)
+    assert fft_calls == {"fftn": 2, "ifftn": 4}
 
 
 def test_run_to_time_guards_and_rows():

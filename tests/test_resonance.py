@@ -2,11 +2,13 @@
 full-lattice oracle, the kernel families, and the exact pseudoproduct
 machinery against literal-sum oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from kglab import resonance
 from kglab.data import make_rng, random_band_field
 from kglab.dynamics import make_cubic_kernels
 from kglab.grid import make_grid
@@ -145,6 +147,32 @@ def test_wedge_scan_matches_full_lattice_oracle(signs, d, step, floor):
         assert full["floor_violations"] > 0
     assert fast["n_pairs_covered"] == full["n_pairs"]
     assert fast["n_pairs"] < full["n_pairs"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_scan_blocking_changes_no_bit(monkeypatch, d):
+    # one row per block, several rows with a ragged last block, one block;
+    # the (-+) denominator ties across rows, so its argmin pins the first
+    reports = []
+    for budget in (1, 5000, 1 << 40):
+        monkeypatch.setattr(resonance, "_BLOCK_PAIRS", budget)
+        reports.append(phase_bound_scan(d, -1, 1, radius=8.0, step=0.5))
+    first = reports[0]
+    for out in reports[1:]:
+        assert out.keys() == first.keys()
+        for key, value in first.items():
+            assert np.asarray(out[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
+def test_refined_2d_scan_working_set_is_bounded():
+    # the pinned refinement: about 21M pairs in blocks of 2^16 (8 MiB measured)
+    tracemalloc.start()
+    try:
+        phase_bound_scan(2, 1, -1, radius=8.0, step=0.125)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_phase_scan_rejects_bad_lattice():

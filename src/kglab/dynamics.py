@@ -1,14 +1,15 @@
 """Quasilinear Klein-Gordon evolution and the good-unknown reduction.
 
-The first-order system in (u, w = du/dt), its fourth-order
-pseudospectral integrators, and the analysis-side derived objects: the
-half-wave variables U = w + i Lambda u, the profile V = e^{-it Lambda} U,
-the good unknown built from the square-root paradifferential symbol, the
-reduced-equation residual, and the normal-form pieces of the profile
-identity (quadratic boundary term, cubic time integral).  Those pieces
-apply resonance.Pseudoproduct kernels built once per grid and spec on
-the whole 2/3 box (make_boundary_kernels, make_cubic_kernels), so an
-audit of many states, or of many amplitudes, evaluates each kernel once.
+The first-order system in the real unknowns (u, w = du/dt), its
+fourth-order pseudospectral integrators, and the analysis-side derived
+objects: the half-wave variables U = w + i Lambda u, the profile
+V = e^{-it Lambda} U, the good unknown built from the square-root
+paradifferential symbol, the reduced-equation residual, and the
+normal-form pieces of the profile identity (quadratic boundary term,
+cubic time integral).  Those pieces apply resonance.Pseudoproduct
+kernels built once per grid and spec on the whole 2/3 box
+(make_boundary_kernels, make_cubic_kernels), so an audit of many
+states, or of many amplitudes, evaluates each kernel once.
 
 The square root sqrt(1+q) is carried as its cubic Taylor polynomial
 W(q) = 1 + q/2 - q^2/8 + q^3/16 throughout; the neglected tail is
@@ -23,6 +24,12 @@ Klein-Gordon flow is moved exactly, mode by mode, and only F is
 sampled at the stages, so the step is bounded by accuracy rather than
 stability.  Every other spec steps with classical RK4 within the CFL
 limit; see :func:`step_limit`.
+
+u and w are real-valued, and :class:`KGState` declares them real
+(``grid.Field.real``).  Realness propagates from there through both
+steppers, every F evaluation and the good-unknown products, so their
+transforms are the half-cost real ones; the half-wave variable U and
+the profile V are complex.
 """
 
 from __future__ import annotations
@@ -86,7 +93,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KGState:
-    """One time slice of the first-order system: u and w = du/dt."""
+    """One time slice of the first-order system: u and w = du/dt.
+
+    u and w are real-valued, and the state declares them so: it holds
+    real views of the fields it is given (:meth:`Field.as_real`, no copy
+    and no transform), so F and both steppers run on real transforms.
+    """
 
     grid: Grid
     t: float
@@ -96,6 +108,8 @@ class KGState:
     def __post_init__(self):
         if not (self.grid.compatible(self.u.grid) and self.grid.compatible(self.w.grid)):
             raise ValueError("state fields live on a different grid")
+        object.__setattr__(self, "u", self.u.as_real())
+        object.__setattr__(self, "w", self.w.as_real())
 
     def half_wave(self) -> Field:
         """U = w + i Lambda u."""
@@ -104,7 +118,9 @@ class KGState:
 
     @classmethod
     def from_half_wave(cls, grid: Grid, t: float, U: Field) -> "KGState":
-        """Invert U = w + i Lambda u assuming u, w real-valued."""
+        """Invert U = w + i Lambda u: u and w are real by the state's
+        declaration, so w is the real part of U and Lambda u the
+        imaginary part."""
         w = Field.from_values(grid, U.values.real)
         lam_u = Field.from_values(grid, U.values.imag)
         return cls(grid, t, lambda_power(lam_u, -1.0), w)

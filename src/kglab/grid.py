@@ -8,10 +8,20 @@ the Fourier series convention
 
     f(x_j) = sum_m  c_m  exp(2 pi i j m / n),
 
-i.e. ``coeffs = fftn(values) / n**d``.  With this convention a
-frequency multiplier is a plain pointwise scale of ``coeffs`` and the
+i.e. ``coeffs = fftn(values, norm="forward")``, which puts the whole
+1/n**d on the forward transform inside pocketfft.  With this convention
+a frequency multiplier is a plain pointwise scale of ``coeffs`` and the
 coefficient convolution theorem has no stray measure factors, which
 fixes every operator normalization downstream.
+
+A field declared real (``Field.real``) holds float64 ``values`` and the
+full Hermitian ``coeffs`` array, c_{-m} = conj(c_m), so multipliers act
+on it exactly as on a complex field.  Its transforms are the real ones:
+``values = irfftn(coeffs[..., :n//2+1])`` and ``coeffs`` is
+``rfftn(values)`` with the mirror half filled in by conjugation, about
+half the cost of the complex pair.  Multipliers with real symbols, real
+combinations and dealiased products of real fields stay real; see
+:class:`Field`.
 
 Quadrature: physical integrals carry the weight (2L/n)^d, so the
 squared L2 norm is also (2L)^d * sum |c_m|^2 (Parseval).
@@ -19,7 +29,9 @@ squared L2 norm is also (2L)^d * sum |c_m|^2 (Parseval).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,23 +165,76 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# -m mod n along one axis, as (destination, source) slices: index 0 is
+# its own mirror, and 1..n-1 mirror n-1..1
+_NEGATE = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+
+
+@lru_cache(maxsize=None)
+def _mirror_blocks(d: int, n: int) -> tuple:
+    """(destination, source) index pairs that fill the last axis' modes
+    n/2+1..n-1 from their mirrors n/2-1..1, negating every other axis."""
+    h = n // 2 + 1
+    return tuple((tuple(p[0] for p in picks) + (slice(h, None),),
+                  tuple(p[1] for p in picks) + (slice(h - 2, 0, -1),))
+                 for picks in itertools.product(_NEGATE, repeat=d - 1))
+
+
+def _hermitian_coeffs(half: np.ndarray, n: int) -> np.ndarray:
+    """The full coefficient array of a real field from its rfftn half.
+
+    The last axis' modes n/2+1..n-1 are the conjugates of the mirrored
+    modes, c_{-m} = conj(c_m).  The planes at last-axis mode 0 and n/2
+    are their own mirrors; they are symmetrized, so the whole array is
+    exactly Hermitian.
+    """
+    h = n // 2 + 1
+    full = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    full[..., :h] = half
+    for dst, src in _mirror_blocks(half.ndim, n):
+        np.conjugate(half[src], out=full[dst])
+    if half.ndim > 1:
+        # average the self-mirror planes with their conjugate mirrors;
+        # fl(a + conj b) and fl(b + conj a) are exact conjugates
+        ends = full[..., ::h - 1]
+        mirror, negated = ends, -np.arange(n) % n
+        for axis in range(half.ndim - 1):
+            mirror = np.take(mirror, negated, axis=axis)
+        ends += np.conj(mirror)
+        ends *= 0.5
+    return full
+
+
 class Field:
-    """A complex field on a Grid with lazily cached FFT representation.
+    """A field on a Grid with lazily cached FFT representation.
+
+    A field is complex unless it is declared real (``real=True``): a
+    real field holds float64 ``values``, and its ``coeffs`` are the full
+    Hermitian array, so every multiplier is a pointwise scale of
+    ``coeffs`` either way.  Realness propagates: sums and differences of
+    two real fields, real scalar multiples, ``conj``, real multipliers
+    (``spectral.derivative``, ``laplacian``, ``lambda_power``, the band
+    projectors, ``dealias``) and dealiased products of two real fields
+    are real; a complex scalar, ``spectral.semigroup`` or a complex
+    operand makes a complex field.  ``zero`` and ``one`` are real.
 
     Instances are immutable: arithmetic returns new fields, and every
     cached array is read-only, so writing into ``values`` or ``coeffs``
     raises ``ValueError``.  A Field takes ownership of the array it is
-    given: a complex array is stored as is, not copied, and becomes
-    read-only.  Construct with :meth:`from_values` or :meth:`from_coeffs`.
+    given: an array of its dtype (complex; float64 values of a real
+    field) is stored as is, not copied, and becomes read-only.
+    Construct with :meth:`from_values` or :meth:`from_coeffs`.
     """
 
-    __slots__ = ("grid", "_values", "_coeffs")
+    __slots__ = ("grid", "_values", "_coeffs", "real")
 
-    def __init__(self, grid: Grid, values=None, coeffs=None):
+    def __init__(self, grid: Grid, values=None, coeffs=None, real: bool = False):
         if values is None and coeffs is None:
             raise ValueError("need physical values or frequency coefficients")
         self.grid = grid
-        self._values = None if values is None else _frozen(np.asarray(values, dtype=complex))
+        self.real = real
+        self._values = None if values is None else _frozen(
+            np.asarray(values, dtype=float if real else complex))
         self._coeffs = None if coeffs is None else _frozen(np.asarray(coeffs, dtype=complex))
         ref = self._values if self._values is not None else self._coeffs
         if ref.shape != grid.shape:
@@ -178,37 +243,59 @@ class Field:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_values(cls, grid: Grid, values) -> "Field":
-        return cls(grid, values=values)
+    def from_values(cls, grid: Grid, values, real: bool = False) -> "Field":
+        return cls(grid, values, None, real)
 
     @classmethod
-    def from_coeffs(cls, grid: Grid, coeffs) -> "Field":
-        return cls(grid, coeffs=coeffs)
+    def from_coeffs(cls, grid: Grid, coeffs, real: bool = False) -> "Field":
+        return cls(grid, None, coeffs, real)
 
     @classmethod
     def zero(cls, grid: Grid) -> "Field":
-        """The zero field, held in coefficient space.
+        """The zero field, real and held in coefficient space.
 
         Sums with spectral fields then stay spectral, with no transform.
         """
-        return cls(grid, coeffs=np.zeros(grid.shape, dtype=complex))
+        return cls(grid, None, np.zeros(grid.shape, dtype=complex), True)
 
     @classmethod
     def one(cls, grid: Grid) -> "Field":
-        return cls(grid, values=np.ones(grid.shape, dtype=complex))
+        return cls(grid, values=np.ones(grid.shape), real=True)
+
+    def as_real(self) -> "Field":
+        """This field declared real: a view on its cached arrays (the real
+        part of cached values), with no copy and no transform."""
+        if self.real:
+            return self
+        out = Field.__new__(Field)  # both arrays are already read-only and checked
+        out.grid, out._coeffs, out.real = self.grid, self._coeffs, True
+        out._values = None if self._values is None else self._values.real
+        return out
 
     # -- representations ---------------------------------------------------
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = _frozen(np.fft.ifftn(self._coeffs) * self.grid.npoints)
+            grid = self.grid
+            if self.real:
+                axes = tuple(range(grid.d))
+                vals = np.fft.irfftn(self._coeffs[..., :grid.n // 2 + 1], s=grid.shape,
+                                     axes=axes, norm="forward")
+            else:
+                vals = np.fft.ifftn(self._coeffs, norm="forward")
+            self._values = _frozen(vals)
         return self._values
 
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            self._coeffs = _frozen(np.fft.fftn(self._values) / self.grid.npoints)
+            if self.real:
+                half = np.fft.rfftn(self._values, norm="forward")
+                coeffs = _hermitian_coeffs(half, self.grid.n)
+            else:
+                coeffs = np.fft.fftn(self._values, norm="forward")
+            self._coeffs = _frozen(coeffs)
         return self._coeffs
 
     def is_zero(self) -> bool:
@@ -221,6 +308,10 @@ class Field:
         return not np.any(arr)
 
     def is_real(self, tol: float = 1e-12) -> bool:
+        """True for a field declared real, with no transform; otherwise
+        whether the imaginary part of ``values`` is within tol of zero."""
+        if self.real:
+            return True
         v = self.values
         scale = np.max(np.abs(v)) or 1.0
         return float(np.max(np.abs(v.imag))) <= tol * scale
@@ -233,25 +324,28 @@ class Field:
 
     def __add__(self, other: "Field") -> "Field":
         self._check(other)
+        real = self.real and other.real
         if self._coeffs is not None and other._coeffs is not None:
-            return Field.from_coeffs(self.grid, self._coeffs + other._coeffs)
-        return Field.from_values(self.grid, self.values + other.values)
+            return Field.from_coeffs(self.grid, self._coeffs + other._coeffs, real)
+        return Field.from_values(self.grid, self.values + other.values, real)
 
     def __sub__(self, other: "Field") -> "Field":
         self._check(other)
+        real = self.real and other.real
         if self._coeffs is not None and other._coeffs is not None:
-            return Field.from_coeffs(self.grid, self._coeffs - other._coeffs)
-        return Field.from_values(self.grid, self.values - other.values)
+            return Field.from_coeffs(self.grid, self._coeffs - other._coeffs, real)
+        return Field.from_values(self.grid, self.values - other.values, real)
 
     def __mul__(self, scalar) -> "Field":
         if isinstance(scalar, Field):
             raise TypeError("use dealiased_product for field products")
+        real = self.real and not isinstance(scalar, (complex, np.complexfloating))
         if self._coeffs is not None:
-            out = Field(self.grid, coeffs=self._coeffs * scalar)
+            out = Field(self.grid, None, self._coeffs * scalar, real)
             if self._values is not None:
                 out._values = _frozen(self._values * scalar)
             return out
-        return Field.from_values(self.grid, self.values * scalar)
+        return Field.from_values(self.grid, self.values * scalar, real)
 
     __rmul__ = __mul__
 
@@ -259,12 +353,12 @@ class Field:
         return self * (-1.0)
 
     def conj(self) -> "Field":
-        return Field.from_values(self.grid, np.conj(self.values))
+        return Field.from_values(self.grid, np.conj(self.values), self.real)
 
     def copy(self) -> "Field":
-        out = Field(self.grid, values=None if self._values is None else self._values.copy(),
-                    coeffs=None if self._coeffs is None else self._coeffs.copy())
-        return out
+        return Field(self.grid, values=None if self._values is None else self._values.copy(),
+                     coeffs=None if self._coeffs is None else self._coeffs.copy(),
+                     real=self.real)
 
     def l2(self) -> float:
         """Quadrature L2 norm, computed from whichever representation exists."""

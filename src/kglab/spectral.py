@@ -17,6 +17,12 @@ Conventions:
   ``Field.zero`` keep fields in coefficient space too, so in
   ``dynamics.rhs`` the only transforms are one inverse per distinct
   live operand and one forward per live product.
+* Real symbols keep a real field real (``grid.Field.real``), and the
+  product of two real fields is real.  The Klein-Gordon unknowns are
+  declared real (``dynamics.KGState``), so every operand and product of
+  F is real, and each of those transforms is a real one (``irfftn`` in,
+  ``rfftn`` out): about half the cost of a complex transform.
+  ``semigroup`` and a complex operand make complex fields.
 """
 
 from __future__ import annotations
@@ -55,19 +61,19 @@ def _band_multiplier(grid: Grid, weights: np.ndarray) -> np.ndarray:
 def lp_project(f: Field, k: int) -> Field:
     """Littlewood-Paley piece P_k f (band index k >= -1)."""
     w = _band_multiplier(f.grid, psi_band(k, f.grid.xi_mags))
-    return Field.from_coeffs(f.grid, f.coeffs * w)
+    return Field.from_coeffs(f.grid, f.coeffs * w, f.real)
 
 
 def lp_low(f: Field, k: int) -> Field:
     """Low-frequency cut P_{<=k} f."""
     w = _band_multiplier(f.grid, psi_le(k, f.grid.xi_mags))
-    return Field.from_coeffs(f.grid, f.coeffs * w)
+    return Field.from_coeffs(f.grid, f.coeffs * w, f.real)
 
 
 def lp_interval(f: Field, k_lo: int, k_hi: int) -> Field:
     """P_I f for the integer band interval I = [k_lo, k_hi]."""
     w = _band_multiplier(f.grid, psi_range(k_lo, k_hi, f.grid.xi_mags))
-    return Field.from_coeffs(f.grid, f.coeffs * w)
+    return Field.from_coeffs(f.grid, f.coeffs * w, f.real)
 
 
 def q_shell(f: Field, j: int) -> Field:
@@ -76,7 +82,7 @@ def q_shell(f: Field, j: int) -> Field:
     A smooth multiplication, not a projector: Q_j Q_j != Q_j.
     """
     w = psi_band(j, f.grid.x_mags)
-    return Field.from_values(f.grid, f.values * w)
+    return Field.from_values(f.grid, f.values * w, f.real)
 
 
 def lambda_mag(grid: Grid) -> np.ndarray:
@@ -86,7 +92,7 @@ def lambda_mag(grid: Grid) -> np.ndarray:
 
 def lambda_power(f: Field, s: float) -> Field:
     """(1 - Laplacian)^(s/2) as the <xi>^s multiplier (even, keeps Nyquist)."""
-    return Field.from_coeffs(f.grid, f.coeffs * lambda_mag(f.grid) ** s)
+    return Field.from_coeffs(f.grid, f.coeffs * lambda_mag(f.grid) ** s, f.real)
 
 
 def semigroup(f: Field, t: float, sign: int = +1) -> Field:
@@ -117,16 +123,16 @@ def derivative(f: Field, axis: int, order: int = 1) -> Field:
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
     sym = _derivative_symbol(grid.d, grid.n, grid.dxi, axis, order)
-    return Field.from_coeffs(grid, f.coeffs * sym)
+    return Field.from_coeffs(grid, f.coeffs * sym, f.real)
 
 
 def laplacian(f: Field) -> Field:
-    return Field.from_coeffs(f.grid, f.coeffs * (-(f.grid.xi_mags**2)))
+    return Field.from_coeffs(f.grid, f.coeffs * (-(f.grid.xi_mags**2)), f.real)
 
 
 def dealias(f: Field) -> Field:
     """Truncate to the 2/3 box (also removes Nyquist rows)."""
-    return Field.from_coeffs(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
+    return Field.from_coeffs(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0), f.real)
 
 
 def dealiased_product(f: Field, g: Field) -> Field:
@@ -135,7 +141,7 @@ def dealiased_product(f: Field, g: Field) -> Field:
     Inputs are truncated to the 2/3 box, multiplied in physical space,
     and the result is truncated again, so quadratic aliasing images
     never land on retained modes.  The result is held in coefficient
-    space.
+    space, and is real when both operands are.
 
     A zero operand gives a zero product, with no transform, whatever
     the other operand holds (even NaN).  A square (``g is f``) makes
@@ -148,7 +154,7 @@ def dealiased_product(f: Field, g: Field) -> Field:
         return Field.zero(f.grid)
     fv = _dealiased_values(f)
     gv = fv if g is f else _dealiased_values(g)
-    return dealias(Field.from_values(f.grid, fv * gv))
+    return dealias(Field.from_values(f.grid, fv * gv, f.real and g.real))
 
 
 # id -> [field, its dealiased values or None] for the fields of the open

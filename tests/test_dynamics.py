@@ -129,7 +129,41 @@ def test_nonlinear_step_preserves_reality():
         cur = st
         for _ in range(5):
             cur = step(cur, spec, 0.8 * step_limit(g, spec))
-        assert cur.u.is_real() and cur.w.is_real()
+        # the state declares u and w real; the complex route on the same
+        # coefficients must agree, i.e. the step keeps them Hermitian
+        for f in (cur.u, cur.w):
+            assert f.real and Field.from_coeffs(g, f.coeffs).is_real()
+
+
+def test_building_a_state_makes_no_transform_and_shares_arrays(fft_calls):
+    g = make_grid(2, 16, 4 * np.pi)
+    rng = make_rng(61)
+    u = random_band_field(g, rng)  # complex dtype, both caches filled
+    _ = u.values
+    w = Field.from_coeffs(g, random_band_field(g, rng).coeffs)
+    fft_calls.update(fftn=0, ifftn=0)
+    st = KGState(g, 0.0, u, w)
+    assert st.u.real and st.w.real
+    assert st.u._coeffs is u._coeffs and np.shares_memory(st.u._values, u._values)
+    assert np.array_equal(st.u._values, u._values.real)
+    assert st.w._coeffs is w._coeffs and st.w._values is None
+    assert KGState(g, 0.0, st.u, st.w).u is st.u
+    assert fft_calls == {"fftn": 0, "ifftn": 0}
+
+
+def test_real_nonlinearity_matches_complex_products(monkeypatch):
+    # F on the real state against the same products on complex copies:
+    # with the declaration switched off the state keeps complex fields
+    g = make_grid(2, 32, 8 * np.pi)
+    st = _small_state(g, 0.1, t=1.0)
+    spec = default_spec(2)
+    real = nonlinearity_value(st, spec)
+    assert real.real
+    monkeypatch.setattr(Field, "as_real", lambda f: f)
+    cplx_state = KGState(g, st.t, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
+    cplx = nonlinearity_value(cplx_state, spec)
+    assert not cplx.real
+    assert np.max(np.abs(real.coeffs - cplx.coeffs)) <= 1e-13 * np.max(np.abs(cplx.coeffs))
 
 
 def test_lifespan_rhs_makes_two_transforms(fft_calls):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from kglab.data import make_rng, random_band_field
+from kglab.dynamics import KGState
 from kglab.grid import Field, make_grid
+from kglab.spectral import (dealias, dealiased_product, derivative, lambda_power, laplacian,
+                            lp_interval, lp_low, lp_project, q_shell, semigroup)
 
 
 def test_grid_validation():
@@ -154,3 +157,88 @@ def test_band_indices_cover_lattice():
     ximax = float(g.xi_mags.max())
     assert ximax <= 1.25 * 2.0**g.k_top + 1e-12
     assert g.k_max <= g.k_top
+
+
+def _negated(c):
+    """c at the negated modes, c[-m] for every lattice index m."""
+    return c[np.ix_(*[(-np.arange(k)) % k for k in c.shape])]
+
+
+@pytest.mark.parametrize("d,n", [(1, 256), (2, 128), (3, 32)])
+def test_complex_transforms_fold_the_scale_into_pocketfft_bitwise(d, n):
+    # norm="forward" scales by 1/n per axis inside pocketfft; n is a power
+    # of two, so that is bitwise the old explicit * npoints and / npoints
+    g = make_grid(d, n, 1.0)
+    rng = make_rng(7)
+    c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    assert np.array_equal(Field.from_coeffs(g, c).values, np.fft.ifftn(c) * g.npoints)
+    assert np.array_equal(Field.from_values(g, v).coeffs, np.fft.fftn(v) / g.npoints)
+
+
+@pytest.mark.parametrize("d,n", [(1, 256), (2, 64), (2, 128), (3, 16), (3, 32)])
+def test_real_field_is_exactly_hermitian_and_matches_the_complex_route(d, n):
+    g = make_grid(d, n, 1.0)
+    v = make_rng(8).standard_normal(g.shape)
+    real, cplx = Field(g, values=v, real=True), Field.from_values(g, v)
+    c = real.coeffs
+    assert np.array_equal(c, np.conj(_negated(c)))
+    assert np.max(np.abs(c - cplx.coeffs)) <= 1e-14 * np.max(np.abs(c))
+    back = Field.from_coeffs(g, cplx.coeffs, real=True).values
+    assert back.dtype == np.float64
+    assert np.max(np.abs(back - Field.from_coeffs(g, cplx.coeffs).values)) <= 1e-14 * np.max(np.abs(v))
+
+
+def test_realness_propagates_as_documented():
+    g = make_grid(2, 16, 4.0)
+    rng = make_rng(9)
+    f = Field.from_coeffs(g, random_band_field(g, rng).coeffs, real=True)
+    h = Field.from_values(g, random_band_field(g, rng).values.real, real=True)
+    z = random_band_field(g, rng, real=False)
+    st = KGState(g, 0.0, f, h)
+    table = [
+        ("real + real", f + h, True),
+        ("real - real", f - h, True),
+        ("real + complex", f + z, False),
+        ("real * float", f * 2.5, True),
+        ("real * int", h * 3, True),
+        ("-real", -h, True),
+        ("real * 1j", f * 1j, False),
+        ("real * complex(1)", h * complex(1.0), False),
+        ("real * np.complex64(1)", h * np.complex64(1.0), False),
+        ("conj", f.conj(), True),
+        ("dealias", dealias(h), True),
+        ("derivative", derivative(f, 1, 3), True),
+        ("laplacian", laplacian(f), True),
+        ("lambda_power", lambda_power(f, -1.5), True),
+        ("lp_project", lp_project(f, 0), True),
+        ("lp_low", lp_low(f, 0), True),
+        ("lp_interval", lp_interval(f, -1, 1), True),
+        ("q_shell", q_shell(h, 0), True),
+        ("product of two real", dealiased_product(f, h), True),
+        ("product with complex", dealiased_product(f, z), False),
+        ("semigroup", semigroup(f, 0.5), False),
+        ("half_wave", st.half_wave(), False),
+        ("zero", Field.zero(g), True),
+        ("one", Field.one(g), True),
+        ("complex derivative", derivative(z, 0), False),
+        ("complex conj", z.conj(), False),
+    ]
+    for name, out, real in table:
+        assert out.real is real, name
+        assert out.values.dtype == (np.float64 if real else np.complex128), name
+
+
+def test_copy_keeps_realness():
+    g = make_grid(1, 16, 1.0)
+    f = Field.from_values(g, np.arange(g.n, dtype=float), real=True)
+    assert f.copy().real and not Field.from_values(g, f.values).copy().real
+
+
+def test_is_real_answers_a_real_field_with_no_transform(fft_calls):
+    g = make_grid(2, 16, 1.0)
+    f = Field.from_coeffs(g, random_band_field(g, make_rng(4)).coeffs, real=True)
+    fft_calls.update(fftn=0, ifftn=0)
+    assert f.is_real()
+    assert f._values is None
+    assert fft_calls == {"fftn": 0, "ifftn": 0}

@@ -25,11 +25,28 @@ combinations and dealiased products of real fields stay real; see
 
 Quadrature: physical integrals carry the weight (2L/n)^d, so the
 squared L2 norm is also (2L)^d * sum |c_m|^2 (Parseval).
+
+Heap: a time-stepping loop frees and reallocates the same grid-sized
+temporaries every step.  glibc's dynamic malloc thresholds settle near
+one grid array, so at the end of each step it hands the freed top of
+the heap back to the kernel, and the next step faults it back in page
+by page.  :func:`_hold_heap`, which ``dynamics.run_to_time`` calls
+before its loop, keeps that memory with the process instead.  With
+A = 16 n^d bytes (one complex grid array) it keeps up to 32A of free
+heap top (``M_TRIM_THRESHOLD``), and it puts the mmap threshold at
+glibc's 32 MiB ceiling (``M_MMAP_THRESHOLD``).  Setting either one
+switches glibc's dynamic adjustment off for the whole process, and the
+ceiling is as high as that adjustment could ever have raised the mmap
+threshold, so no later allocation is mapped and unmapped anew each time
+that glibc would have kept on the heap.  It is glibc-only, it only ever
+raises the values it set, and on a grid with 4A at most glibc's 128 KiB
+default mmap threshold it does nothing.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -165,6 +182,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=None)
+def _zero_coeffs(shape: tuple) -> np.ndarray:
+    """The read-only zero array that every ``Field.zero`` of this shape holds."""
+    return _frozen(np.zeros(shape, dtype=complex))
+
+
 # -m mod n along one axis, as (destination, source) slices: index 0 is
 # its own mirror, and 1..n-1 mirror n-1..1
 _NEGATE = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
@@ -203,6 +226,58 @@ def _hermitian_coeffs(half: np.ndarray, n: int) -> np.ndarray:
         ends += np.conj(mirror)
         ends *= 0.5
     return full
+
+
+# glibc's mallopt parameters (malloc.h), its default mmap threshold and
+# the ceiling of its dynamic one on a 64-bit build (mallopt refuses more),
+# and the largest value a C int argument can carry
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_DEFAULT = 128 << 10
+_MMAP_THRESHOLD_MAX = 32 << 20
+_INT_MAX = (1 << 31) - 1
+
+# mallopt parameter -> the value _hold_heap set in this process
+_held = {}
+
+
+@lru_cache(maxsize=None)
+def _glibc_mallopt():
+    """glibc's ``mallopt(int, int) -> int``, or None off glibc."""
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return None
+    if not version:
+        return None
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _hold_heap(grid: Grid) -> None:
+    """Keep the temporaries a step on this grid frees on the heap.
+
+    With A = 16 n^d bytes, sets glibc's ``M_TRIM_THRESHOLD`` to 32A (at
+    most the largest C int) and ``M_MMAP_THRESHOLD`` to its 32 MiB
+    ceiling; see the module docstring for why.  Only ever raises a value
+    set earlier in the process, because setting either one ends glibc's
+    dynamic adjustment for good.  A no-op off glibc and when 4A is at
+    most glibc's 128 KiB default mmap threshold.
+    """
+    array = 16 * grid.npoints
+    if 4 * array <= _MMAP_THRESHOLD_DEFAULT:
+        return
+    mallopt = _glibc_mallopt()
+    if mallopt is None:
+        return
+    wanted = ((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX),
+              (_M_TRIM_THRESHOLD, min(32 * array, _INT_MAX)))
+    for param, value in wanted:
+        if value > _held.get(param, 0) and mallopt(param, value):
+            _held[param] = value
 
 
 class Field:
@@ -255,8 +330,9 @@ class Field:
         """The zero field, real and held in coefficient space.
 
         Sums with spectral fields then stay spectral, with no transform.
+        Every zero field of one grid shape shares one read-only array.
         """
-        return cls(grid, None, np.zeros(grid.shape, dtype=complex), True)
+        return cls(grid, None, _zero_coeffs(grid.shape), True)
 
     @classmethod
     def one(cls, grid: Grid) -> "Field":

@@ -2,6 +2,10 @@
 the profile identities on small grids."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +261,58 @@ def test_run_to_time_blow_up_verdict():
     assert out.blowup_time is not None
     assert out.rows[-1]["flag"] == "blow-up"
     assert len(out.rows) == 2
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# one-checkpoint warm-up, then minor page faults per step of a 2-D n=128
+# quasilinear run, and per 4 MiB array allocated after it; a fresh
+# process, so no earlier allocation has raised glibc's dynamic malloc
+# thresholds first
+_FAULT_PROBE = """
+import math, resource
+import numpy as np
+from kglab.data import make_rng, random_band_field
+from kglab.dynamics import KGState, run_to_time, step_limit
+from kglab.grid import make_grid
+from kglab.nonlinearity import default_spec
+
+g = make_grid(2, 128, 16 * math.pi)
+rng = make_rng(5)
+u = random_band_field(g, rng, k_lo=-1, k_hi=1)
+w = random_band_field(g, rng, k_lo=-1, k_hi=1)
+st = KGState(g, 1.0, u * (0.05 / u.sup()), w * (0.05 / w.sup()))
+spec = default_spec(2)
+h, steps = step_limit(g, spec), 10
+run_to_time(st, spec, st.t + 2 * h, checkpoints=2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_to_time(st, spec, st.t + steps * h, checkpoints=2)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+np.ones(1 << 19)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(steps):
+    np.ones(1 << 19)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not _glibc(),
+                    reason="the heap is held through glibc's mallopt")
+def test_run_to_time_keeps_its_heap_between_steps():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    per_step, per_array = map(float, proc.stdout.split())
+    assert per_step < 50
+    # the held heap also serves arrays larger than a grid array: a frozen
+    # mmap threshold below them would map and fault each one afresh
+    assert per_array < 50
 
 
 def test_good_unknown_is_half_wave_for_linear_equation():

@@ -1,10 +1,13 @@
 """Grid geometry, the coefficient convention, and Field arithmetic."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from kglab.data import make_rng, random_band_field
 from kglab.dynamics import KGState
+from kglab import grid as grid_module
 from kglab.grid import Field, make_grid
 from kglab.spectral import (dealias, dealiased_product, derivative, lambda_power, laplacian,
                             lp_interval, lp_low, lp_project, q_shell, semigroup)
@@ -127,6 +130,78 @@ def test_zero_is_held_in_coefficient_space(fft_calls):
     total = Field.zero(g) + f
     assert np.array_equal(total.coeffs, f.coeffs)
     assert fft_calls == {"fftn": 0, "ifftn": 0}
+
+
+def test_zero_fields_share_one_read_only_array_per_shape():
+    g = make_grid(2, 16, 1.0)
+    zero = Field.zero(g)
+    assert zero.coeffs is Field.zero(g).coeffs
+    assert zero.coeffs is Field.zero(make_grid(2, 16, 3.0)).coeffs
+    assert zero.coeffs is not Field.zero(make_grid(2, 32, 1.0)).coeffs
+    with pytest.raises(ValueError):
+        zero.coeffs[0, 0] = 1.0
+    f = random_band_field(g, make_rng(3))
+    for out in (zero + f, f + zero, zero - f, zero * 2.0):
+        assert out.coeffs is not zero.coeffs
+    assert np.array_equal((zero + f).coeffs, f.coeffs)
+    assert not np.any(zero.coeffs)
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """Record the mallopt calls of grid._hold_heap, in a process that has
+    set nothing yet."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(grid_module, "_glibc_mallopt", lambda: mallopt)
+    monkeypatch.setattr(grid_module, "_held", {})
+    return calls
+
+
+def test_hold_heap_leaves_small_grids_alone(mallopt_calls):
+    grid_module._hold_heap(make_grid(1, 256, 1.0))
+    grid_module._hold_heap(make_grid(2, 32, 1.0))
+    assert mallopt_calls == []
+
+
+def test_hold_heap_sizes_the_trim_from_the_grid_and_never_lowers(mallopt_calls):
+    mmap, trim = grid_module._M_MMAP_THRESHOLD, grid_module._M_TRIM_THRESHOLD
+    grid_module._hold_heap(make_grid(2, 128, 1.0))  # A = 256 KiB
+    assert mallopt_calls == [(mmap, 32 << 20), (trim, 8 << 20)]
+    grid_module._hold_heap(make_grid(2, 128, 5.0))
+    grid_module._hold_heap(make_grid(2, 64, 1.0))
+    assert len(mallopt_calls) == 2
+    assert grid_module._held == {mmap: 32 << 20, trim: 8 << 20}
+    grid_module._hold_heap(make_grid(3, 64, 1.0))  # A = 4 MiB
+    assert mallopt_calls[2:] == [(trim, 128 << 20)]
+
+
+def test_hold_heap_clamps_to_what_mallopt_takes(mallopt_calls):
+    mmap, trim = grid_module._M_MMAP_THRESHOLD, grid_module._M_TRIM_THRESHOLD
+    # only npoints is read, so no 3-D n=128 or 256 grid is built
+    grid_module._hold_heap(SimpleNamespace(npoints=128**3))  # A = 32 MiB
+    assert mallopt_calls == [(mmap, 32 << 20), (trim, 1 << 30)]
+    grid_module._hold_heap(SimpleNamespace(npoints=256**3))  # 32A overflows a C int
+    assert mallopt_calls[2:] == [(trim, (1 << 31) - 1)]
+
+
+def test_hold_heap_is_a_no_op_off_glibc(monkeypatch):
+    def no_glibc(name):
+        raise ValueError(f"unrecognized configuration name: {name}")
+
+    monkeypatch.setattr(grid_module, "_held", {})
+    monkeypatch.setattr(grid_module.os, "confstr", no_glibc)
+    grid_module._glibc_mallopt.cache_clear()
+    try:
+        assert grid_module._glibc_mallopt() is None
+        grid_module._hold_heap(make_grid(3, 64, 1.0))
+    finally:
+        grid_module._glibc_mallopt.cache_clear()
+    assert grid_module._held == {}
 
 
 def test_field_product_guard():

@@ -13,10 +13,10 @@ states, or of many amplitudes, evaluates each kernel once.
 
 The square root sqrt(1+q) is carried as its cubic Taylor polynomial
 W(q) = 1 + q/2 - q^2/8 + q^3/16 throughout; the neglected tail is
-quartic in q and is the measured floor of the residual check.  Symbol
-powers multiply term counts by d^2 per factor of q, so the good-unknown
-machinery is priced for d = 1 runs; it stays correct, just slow, in
-higher dimension.
+quartic in q and is the measured floor of the residual check.  The
+symbols are keyed (paradiff.Symbol): q^k keeps one x-part per monomial
+zeta^alpha of degree 2k, so in 2-D q has 3 keys, q^3 has 7 and the
+tail's q^6 has 13.
 
 A semilinear spec (no Q^{0j}, no Q^{jl}) steps with Lawson's
 integrating-factor RK4 (Lawson 1967; Cox & Matthews 2002): the linear
@@ -51,14 +51,13 @@ import numpy as np
 from .grid import Field, Grid, _hold_heap
 from .nonlinearity import NonlinearitySpec
 from .norms import holder_sup, sobolev
-from .paradiff import Symbol, error_op, remainder, weyl_apply
+from .paradiff import Symbol, error_op, remainder, weyl_apply, zeta_factor
 from .resonance import (
     SIGN_PAIRS,
     SIGN_TRIPLES,
     Pseudoproduct,
     a_kernel,
     b_kernel,
-    lam,
     resonant_kernel,
 )
 from .spectral import (
@@ -387,41 +386,17 @@ def run_to_time(
 # -- the good unknown ------------------------------------------------------
 
 
-def _zeta_component(j):
-    return lambda z, j=j: z[..., j]
-
-
-def _zeta_over_lam(j):
-    return lambda z, j=j: z[..., j] / lam(z)
-
-
-def _zeta_pair_over_lam2(j, l):
-    return lambda z, j=j, l=l: z[..., j] * z[..., l] / (1.0 + np.sum(z * z, axis=-1))
-
-
-def _zeta_pair_over_lam(j, l):
-    return lambda z, j=j, l=l: z[..., j] * z[..., l] / lam(z)
-
-
-def _inv_lam(z):
-    return 1.0 / lam(z)
-
-
 def q_symbol(state: KGState, spec: NonlinearitySpec) -> Symbol:
     """q(x, zeta) = (Q^{jl} + Q^{0j} Q^{0l}) zeta_j zeta_l / (1 + |zeta|^2)."""
-    g = state.grid
+    d = state.grid.d
     q0, qd = coefficient_fields(z_fields(state), spec)
-    terms = None
-    for j in range(g.d):
-        for l in range(g.d):
-            xpart = qd[j][l] + dealiased_product(q0[j], q0[l])
-            sym = Symbol.separable(xpart, _zeta_pair_over_lam2(j, l), 0.0)
-            terms = sym if terms is None else terms + sym
-    return terms
+    return _pair_sum([[qd[j][l] + dealiased_product(q0[j], q0[l]) for l in range(d)]
+                      for j in range(d)])
 
 
 def q_sup_bound(q: Symbol) -> float:
-    """Triangle-inequality sup bound: sum of sup|xpart| * sup|zeta factor|.
+    """Triangle-inequality sup bound: sum over keys of sup|xpart| times
+    sup|zeta^alpha <zeta>^p|.
 
     The zeta sup is taken over a half-step refinement of the frequency
     lattice, which is where the Weyl quantization actually samples the
@@ -432,18 +407,21 @@ def q_sup_bound(q: Symbol) -> float:
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     total = 0.0
-    for term in q.terms:
-        zmax = float(np.max(np.abs(term.eval_zeta(pts))))
-        total += float(np.max(np.abs(term.xpart.values))) * zmax
+    for (alpha, p), xpart in q.parts.items():
+        zmax = float(np.max(np.abs(zeta_factor(pts, alpha, p))))
+        total += float(np.max(np.abs(xpart.values))) * zmax
     return total
 
 
-def _q0_zeta_symbol(q0: list, g: Grid) -> Symbol:
-    out = None
-    for j in range(g.d):
-        sym = Symbol.separable(q0[j], _zeta_component(j), 0.0)
-        out = sym if out is None else out + sym
-    return out
+def _zeta_sum(fs: list, p: int = 0) -> Symbol:
+    """sum_j fs[j](x) zeta_j <zeta>^p."""
+    return sum((Symbol.term(f, (j,), p) for j, f in enumerate(fs)), Symbol(fs[0].grid, {}))
+
+
+def _pair_sum(fs: list) -> Symbol:
+    """sum_{j,l} fs[j][l](x) zeta_j zeta_l / <zeta>^2."""
+    return sum((Symbol.term(f, (j, l), -2) for j, row in enumerate(fs) for l, f in enumerate(row)),
+               Symbol(fs[0][0].grid, {}))
 
 
 def _w_parts(q: Symbol):
@@ -454,7 +432,7 @@ def _w_parts(q: Symbol):
     the reduced-equation algebra exact up to the quartic tail.
     """
     q2 = q.power(2)
-    q3 = q.power(3)
+    q3 = q2 * q
     wm1mq2 = q2 * (-0.125) + q3 * 0.0625
     wm1 = q * 0.5 + wm1mq2
     w = Symbol.one(q.grid) + wm1
@@ -464,7 +442,6 @@ def _w_parts(q: Symbol):
 
 def good_unknown_field(state: KGState, spec: NonlinearitySpec, *, q_guard: bool = True):
     """The good unknown and its q diagnostic, without the report wrapper."""
-    g = state.grid
     q0, _ = coefficient_fields(z_fields(state), spec)
     q = q_symbol(state, spec)
     q_bound = q_sup_bound(q)
@@ -475,7 +452,7 @@ def good_unknown_field(state: KGState, spec: NonlinearitySpec, *, q_guard: bool 
         )
     w_sym = _w_parts(q)[0]
     lam_u = lambda_power(state.u, 1.0)
-    ucal = state.w - weyl_apply(_q0_zeta_symbol(q0, g), state.u) * 1j + weyl_apply(w_sym, lam_u) * 1j
+    ucal = state.w - weyl_apply(_zeta_sum(q0), state.u) * 1j + weyl_apply(w_sym, lam_u) * 1j
     return ucal, q_bound
 
 
@@ -533,15 +510,10 @@ def _f_q_symbols(state: KGState, spec: NonlinearitySpec):
     q0, _ = coefficient_fields(z_fields(state), spec)
     f1_0, f2_0, g1, g2, _ = _coefficient_time_derivatives(state, spec)
     dq0_full = [f1_0[j] + f2_0[j] for j in range(g.d)]
-    f1q, f2q = None, None
-    for j in range(g.d):
-        for l in range(g.d):
-            zf = _zeta_pair_over_lam2(j, l)
-            lin = Symbol.separable(g1[j][l] * 0.5, zf, 0.0)
-            cross = dealiased_product(dq0_full[j], q0[l]) + dealiased_product(q0[j], dq0_full[l])
-            rest = Symbol.separable((g2[j][l] + cross) * 0.5, zf, 0.0)
-            f1q = lin if f1q is None else f1q + lin
-            f2q = rest if f2q is None else f2q + rest
+    f1q = _pair_sum([[x * 0.5 for x in row] for row in g1])
+    f2q = _pair_sum([[(g2[j][l] + dealiased_product(dq0_full[j], q0[l])
+                       + dealiased_product(q0[j], dq0_full[l])) * 0.5 for l in range(g.d)]
+                     for j in range(g.d)])
     return f1q, f2q, f1_0, f2_0
 
 
@@ -563,8 +535,9 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
     w_sym, wm1, wm1mq2, vtm1 = _w_parts(q)
     f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, spec)
 
-    lam_mult = Symbol.multiplier(g, lam, 1.0)
-    inv_lam_mult = Symbol.multiplier(g, _inv_lam, 1.0)
+    one = Field.one(g)
+    lam_mult = Symbol.term(one, p=1)
+    inv_lam_mult = Symbol.term(one, p=-1)
 
     dw = [derivative(w, j) for j in range(g.d)]
     ddu = [[derivative(derivative(u, j), l) for l in range(g.d)] for j in range(g.d)]
@@ -584,30 +557,18 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
     for j in range(g.d):
         for l in range(g.d):
             quad = quad + weyl_apply(Symbol.x_only(ddu[j][l]), qd[j][l])
-    f1_sym = None
-    for j in range(g.d):
-        s = Symbol.separable(f1_0[j], _zeta_over_lam(j), 0.0)
-        f1_sym = s if f1_sym is None else f1_sym + s
-    quad = quad - weyl_apply(f1_sym, lam_u) * 1j
+    quad = quad - weyl_apply(_zeta_sum(f1_0, -1), lam_u) * 1j
     quad = quad + weyl_apply(f1q, lam_u) * 1j
     for j in range(g.d):
-        quad = quad + error_op([Symbol.x_only(q0[j]), Symbol.multiplier(g, _zeta_component(j), 0.0)], w) * 2j
+        quad = quad + error_op([Symbol.x_only(q0[j]), Symbol.term(one, (j,))], w) * 2j
     for j in range(g.d):
         for l in range(g.d):
-            quad = quad - error_op(
-                [Symbol.x_only(qd[j][l]), Symbol.multiplier(g, _zeta_pair_over_lam(j, l), 0.0)],
-                lam_u,
-            )
+            quad = quad - error_op([Symbol.x_only(qd[j][l]), Symbol.term(one, (j, l), -1)], lam_u)
     for j in range(g.d):
-        quad = quad - error_op(
-            [Symbol.separable(f1_0[j], _zeta_component(j), 0.0), inv_lam_mult], lam_u
-        ) * 1j
+        quad = quad - error_op([Symbol.term(f1_0[j], (j,)), inv_lam_mult], lam_u) * 1j
     quad = quad + error_op([q * 0.5, lam_mult], w) * 1j
     for j in range(g.d):
-        quad = quad - error_op(
-            [lam_mult, Symbol.separable(q0[j], _zeta_component(j), 0.0), inv_lam_mult],
-            lam_u,
-        )
+        quad = quad - error_op([lam_mult, Symbol.term(q0[j], (j,)), inv_lam_mult], lam_u)
     quad = quad + error_op([lam_mult, q * 0.5], lam_u)
 
     # cubic and higher block
@@ -615,30 +576,19 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
     for j in range(g.d):
         for l in range(g.d):
             cub = cub - error_op(
-                [
-                    Symbol.separable(q0[j], _zeta_component(j), 0.0),
-                    Symbol.separable(q0[l], _zeta_component(l), 0.0),
-                    inv_lam_mult,
-                ],
-                lam_u,
+                [Symbol.term(q0[j], (j,)), Symbol.term(q0[l], (l,)), inv_lam_mult], lam_u
             )
     cub = cub + error_op([wm1mq2, lam_mult], w) * 1j
-    wm1_lam = wm1.scale_zeta(lam, 1.0)
+    wm1_lam = wm1.lam_power(1)
     for j in range(g.d):
-        q0z = Symbol.separable(q0[j], _zeta_component(j), 0.0)
+        q0z = Symbol.term(q0[j], (j,))
         cub = cub + error_op([q0z, wm1], lam_u)
         cub = cub - error_op([wm1_lam, q0z, inv_lam_mult], lam_u)
     cub = cub + error_op([wm1_lam, wm1], lam_u)
     cub = cub + error_op([lam_mult, wm1mq2], lam_u)
-    f2_sym = None
+    cub = cub - weyl_apply(_zeta_sum(f2_0, -1), lam_u) * 1j
     for j in range(g.d):
-        s = Symbol.separable(f2_0[j], _zeta_over_lam(j), 0.0)
-        f2_sym = s if f2_sym is None else f2_sym + s
-    cub = cub - weyl_apply(f2_sym, lam_u) * 1j
-    for j in range(g.d):
-        cub = cub - error_op(
-            [Symbol.separable(f2_0[j], _zeta_component(j), 0.0), inv_lam_mult], lam_u
-        ) * 1j
+        cub = cub - error_op([Symbol.term(f2_0[j], (j,)), inv_lam_mult], lam_u) * 1j
     vt_f = vtm1 * f1q + f2q + vtm1 * f2q
     cub = cub + weyl_apply(vt_f, lam_u) * 1j
 
@@ -647,7 +597,7 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
         q2 = q.power(2)
         q4 = q2 * q2
         tail_sym = q4 * (5.0 / 64.0) + q4 * q * (-1.0 / 64.0) + q4 * q2 * (1.0 / 256.0)
-        out["tail"] = weyl_apply(tail_sym.scale_zeta(lam, 1.0), lam_u)
+        out["tail"] = weyl_apply(tail_sym.lam_power(1), lam_u)
     else:
         out["tail"] = Field.zero(g)
     out["total"] = out["semilinear"] + out["quadratic"] + out["cubic_plus"] + out["tail"]
@@ -659,7 +609,7 @@ def transport_symbol(state: KGState, spec: NonlinearitySpec) -> Symbol:
     q0, _ = coefficient_fields(z_fields(state), spec)
     q = q_symbol(state, spec)
     w_sym = _w_parts(q)[0]
-    return _q0_zeta_symbol(q0, state.grid) + w_sym.scale_zeta(lam, 1.0)
+    return _zeta_sum(q0) + w_sym.lam_power(1)
 
 
 def reduced_equation_residual(

@@ -52,7 +52,6 @@ from .resonance import (
     a_kernel,
     b_kernel,
     bilinear_apply,
-    lam,
     phase_bound_scan,
     quasilinear_symbol,
     resonant_kernel,
@@ -134,7 +133,7 @@ def run_paradiff_oracle(cfg: ExperimentConfig) -> RunReport:
     def sym_and_fields(d, n):
         grid = make_grid(d, n, 4 * math.pi)
         af = random_band_field(grid, rng, k_lo=-1, k_hi=1)
-        a = Symbol.separable(af, lambda z: z[..., 0] / lam(z), zeta0=0.0)
+        a = Symbol.term(af, (0,), -1)
         f = random_band_field(grid, rng, real=False)
         g = random_band_field(grid, rng, real=False)
         h = random_band_field(grid, rng, real=False)
@@ -157,10 +156,7 @@ def run_paradiff_oracle(cfg: ExperimentConfig) -> RunReport:
         report.rows.append({"dim": d, "op": "remainder", "n": n_weyl,
                             "rel_err": rel(remainder(fr, gr), prod - para)})
 
-        b = Symbol.separable(
-            random_band_field(grid, rng, k_lo=-1, k_hi=1),
-            lambda z: 1.0 / (1.0 + np.sum(z * z, axis=-1)),
-            zeta0=1.0)
+        b = Symbol.term(random_band_field(grid, rng, k_lo=-1, k_hi=1), p=-2)
         want = weyl_oracle(a, weyl_oracle(b, f)) - weyl_oracle(a * b, f)
         report.rows.append({"dim": d, "op": "error_op", "n": n_weyl,
                             "rel_err": rel(error_op([a, b], f), want)})
@@ -743,8 +739,7 @@ def _crit_operator_identities():
         checks[f"identity-{d}d-n{n}"] = ident == 0.0
 
         af = random_band_field(grid, rng, k_lo=-1, k_hi=1)
-        a = Symbol.separable(af, lambda z: 1.0 / (1.0 + np.sum(z * z, axis=-1)),
-                             zeta0=1.0)
+        a = Symbol.term(af, p=-2)
         mat = weyl_matrix(a)
         live += int(np.count_nonzero(mat) - np.count_nonzero(np.diag(mat)))
         herm = float(np.abs(mat - mat.conj().T).max())

@@ -48,9 +48,11 @@ def weyl_matrix(a: Symbol) -> np.ndarray:
     """Dense mode-space matrix of T_a (rows output xi, columns input eta).
 
     Row by row from the defining sum in kglab.paradiff: cutoff weight
-    times x-part coefficients at xi - eta times each term's zeta_fn at
-    (xi + eta)/2, which at zeta = 0 takes zeta0 (0 when None).  Nyquist
-    rows and columns are zero, so inputs need no Nyquist cleaning.
+    times, for each key (alpha, p), the x-part's coefficient at xi - eta
+    times zeta^alpha (1 + |zeta|^2)^(p/2) at zeta = (xi + eta)/2, written
+    out here as a product over the axes (0^0 = 1, so the key's value at
+    zeta = 0 needs no case of its own).  Nyquist rows and columns are
+    zero, so inputs need no Nyquist cleaning.
     """
     grid = a.grid
     npts = grid.npoints
@@ -60,7 +62,7 @@ def weyl_matrix(a: Symbol) -> np.ndarray:
     modes = grid.mode_tuples()
     nyq = grid.nyquist_mask.ravel()
     dxi = grid.dxi
-    bparts = [t.xpart.coeffs.reshape(-1) for t in a.terms]
+    keys = [(alpha, p, f.coeffs.reshape(-1)) for (alpha, p), f in a.parts.items()]
     M = np.zeros((npts, npts), dtype=complex)
 
     for row in range(npts):
@@ -77,12 +79,13 @@ def weyl_matrix(a: Symbol) -> np.ndarray:
         w[dmag == 0.0] = 1.0
         w[~live] = 0.0
         zmid = 0.5 * dxi * summ.astype(float)
-        at0 = ~summ.any(axis=1)
+        bracket = np.sqrt(1.0 + np.sum(zmid * zmid, axis=1))
         idx = np.ravel_multi_index(tuple((diff % grid.n).T), grid.shape)
         val = np.zeros(npts, dtype=complex)
-        for term, bp in zip(a.terms, bparts):
-            g = np.array(term.zeta_fn(zmid), dtype=complex)
-            g[at0] = 0.0 if term.zeta0 is None else complex(term.zeta0)
+        for alpha, p, bp in keys:
+            g = bracket ** float(p)
+            for axis, k in enumerate(alpha):
+                g = g * zmid[:, axis] ** k
             val += bp[idx] * g
         M[row] = w * val
     return M

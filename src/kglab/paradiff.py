@@ -1,7 +1,10 @@
 """Weyl paradifferential operators on the lattice.
 
-A symbol a(x, zeta) is kept in separable form, a = sum_i f_i(x) g_i(zeta).
-Its quantization acts mode-by-mode:
+A symbol is kept keyed, a(x, zeta) = sum f_{alpha,p}(x) zeta^alpha <zeta>^p
+over keys (alpha, p): every frequency factor in the package is a
+monomial zeta^alpha times a power of <zeta> = sqrt(1 + |zeta|^2), a
+classical symbol of Hoermander type, so its key says all there is to
+say about it.  The quantization acts mode-by-mode:
 
     (T_a f)^(xi) = sum_eta  w(xi, eta) (F_x a)(xi - eta, (xi + eta)/2) f^(eta),
 
@@ -16,9 +19,8 @@ Conventions fixed here and relied on everywhere:
 
 * ratio(xi, eta) := 0 when xi == eta (so pure multipliers are exact),
   := +inf when xi + eta == 0 but xi != eta (cutoff kills the pairing);
-* the xi = eta = 0 pairing evaluates g(0) when the term declares a
-  finite value at zeta = 0 and is zeroed when the term declares
-  zeta = 0 excluded;
+* the xi = eta = 0 pairing takes each key's value at zeta = 0, which is
+  definite: 1 for alpha = 0, else 0 (:func:`zeta_factor`);
 * differences xi - eta leaving the frequency box contribute nothing
   (no wraparound), and Nyquist rows are zeroed on input and output.
 
@@ -28,8 +30,7 @@ the sum above, kglab.oracles.weyl_matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from .spectral import dealiased_product
 
 __all__ = [
     "PARA_CUT_BAND",
-    "SymbolTerm",
     "Symbol",
+    "zeta_factor",
     "weyl_apply",
     "remainder",
     "error_op",
@@ -51,92 +52,75 @@ __all__ = [
 PARA_CUT_BAND = -10
 
 
-@dataclass(frozen=True)
-class SymbolTerm:
-    """One separable term f(x) g(zeta).
+class Symbol:
+    """A classical symbol sum f_{alpha,p}(x) zeta^alpha <zeta>^p.
 
-    ``zeta_fn`` maps an array of frequency vectors, shape (..., d), to
-    complex values, shape (...).  ``zeta0`` is the declared value of g
-    at zeta = 0; None marks the origin as excluded (the xi = eta = 0
-    pairing is then zeroed).
+    ``parts`` maps a key (alpha, p) -- a multi-index alpha, a d-tuple of
+    non-negative ints, and a power p of <zeta> -- to its x-part, one
+    field per key.  Sums merge the x-parts of equal keys in coefficient
+    space, a product forms one dealiased product per pair of keys and
+    adds their multi-indices and powers, and the algebra never looks at
+    a frequency value.
     """
 
-    xpart: Field
-    zeta_fn: Callable[[np.ndarray], np.ndarray]
-    zeta0: complex | None
-
-    def eval_zeta(self, zpts: np.ndarray) -> np.ndarray:
-        """Evaluate g on frequency vectors, patching the origin by declaration."""
-        vals = np.asarray(self.zeta_fn(zpts), dtype=complex)
-        mag2 = np.sum(zpts * zpts, axis=-1)
-        at0 = mag2 == 0.0
-        if np.any(at0):
-            fill = 0.0 if self.zeta0 is None else complex(self.zeta0)
-            vals = np.where(at0, fill, vals)
-        return vals
-
-
-class Symbol:
-    """Separable symbol: sum of :class:`SymbolTerm`, closed under + and *."""
-
-    def __init__(self, grid: Grid, terms: Sequence[SymbolTerm]):
+    def __init__(self, grid: Grid, parts: dict):
         self.grid = grid
-        self.terms = list(terms)
-        for t in self.terms:
-            if not t.xpart.grid.compatible(grid):
+        self.parts = dict(parts)
+        for f in self.parts.values():
+            if not f.grid.compatible(grid):
                 raise ValueError("symbol term lives on a different grid")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def term(cls, f: Field, axes: Sequence[int] = (), p: int = 0) -> "Symbol":
+        """f(x) zeta_{axes[0]} zeta_{axes[1]} ... <zeta>^p."""
+        alpha = [0] * f.grid.d
+        for j in axes:
+            alpha[j] += 1
+        return cls(f.grid, {(tuple(alpha), p): f})
+
+    @classmethod
     def one(cls, grid: Grid) -> "Symbol":
-        return cls(grid, [SymbolTerm(Field.one(grid), lambda z: np.ones(z.shape[:-1]), 1.0)])
+        return cls.term(Field.one(grid))
 
     @classmethod
     def x_only(cls, f: Field) -> "Symbol":
-        return cls(f.grid, [SymbolTerm(f, lambda z: np.ones(z.shape[:-1]), 1.0)])
-
-    @classmethod
-    def multiplier(cls, grid: Grid, fn: Callable, zeta0: complex | None) -> "Symbol":
-        return cls(grid, [SymbolTerm(Field.one(grid), fn, zeta0)])
-
-    @classmethod
-    def separable(cls, f: Field, fn: Callable, zeta0: complex | None) -> "Symbol":
-        return cls(f.grid, [SymbolTerm(f, fn, zeta0)])
+        return cls.term(f)
 
     # -- algebra -----------------------------------------------------------
+
+    def _merged(self, items) -> "Symbol":
+        parts = dict(self.parts)
+        for key, f in items:
+            parts[key] = parts[key] + f if key in parts else f
+        return Symbol(self.grid, parts)
 
     def __add__(self, other: "Symbol") -> "Symbol":
         if not self.grid.compatible(other.grid):
             raise ValueError("symbols live on different grids")
-        return Symbol(self.grid, self.terms + other.terms)
+        return self._merged(other.parts.items())
 
     def __sub__(self, other: "Symbol") -> "Symbol":
         return self + (other * (-1.0))
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return Symbol(self.grid, [SymbolTerm(t.xpart * other, t.zeta_fn, t.zeta0)
-                                      for t in self.terms])
+            return Symbol(self.grid, {k: f * other for k, f in self.parts.items()})
         if not self.grid.compatible(other.grid):
             raise ValueError("symbols live on different grids")
-        out = []
-        for s in self.terms:
-            for t in other.terms:
-                fn = _product_fn(s.zeta_fn, t.zeta_fn)
-                z0 = None if (s.zeta0 is None or t.zeta0 is None) else s.zeta0 * t.zeta0
-                out.append(SymbolTerm(dealiased_product(s.xpart, t.xpart), fn, z0))
-        return Symbol(self.grid, out)
+        products = (
+            ((tuple(i + j for i, j in zip(alpha, beta)), p + q), dealiased_product(f, g))
+            for (alpha, p), f in self.parts.items()
+            for (beta, q), g in other.parts.items()
+        )
+        return Symbol(self.grid, {})._merged(products)
 
     __rmul__ = __mul__
 
-    def scale_zeta(self, fn: Callable, zeta0: complex | None) -> "Symbol":
-        """Multiply every term's frequency factor by a common fn(zeta)."""
-        out = []
-        for t in self.terms:
-            z0 = None if (t.zeta0 is None or zeta0 is None) else t.zeta0 * zeta0
-            out.append(SymbolTerm(t.xpart, _product_fn(t.zeta_fn, fn), z0))
-        return Symbol(self.grid, out)
+    def lam_power(self, p: int) -> "Symbol":
+        """This symbol times <zeta>^p: every key's power shifts by p."""
+        return Symbol(self.grid, {(alpha, q + p): f for (alpha, q), f in self.parts.items()})
 
     def power(self, k: int) -> "Symbol":
         if k < 1:
@@ -147,8 +131,18 @@ class Symbol:
         return out
 
 
-def _product_fn(f, g):
-    return lambda z: np.asarray(f(z)) * np.asarray(g(z))
+def zeta_factor(zpts: np.ndarray, alpha: tuple, p: int) -> np.ndarray:
+    """zeta^alpha <zeta>^p on frequency vectors, shape (..., d) -> (...).
+
+    At zeta = 0 it is 1 when alpha = 0 and 0 otherwise, with no special
+    case: <0> = 1.
+    """
+    lam2 = 1.0 + np.sum(zpts * zpts, axis=-1)
+    lam_p = lam2 ** (abs(p) // 2)
+    if p % 2:
+        lam_p = lam_p * np.sqrt(lam2)
+    mono = np.prod(zpts ** np.asarray(alpha), axis=-1)
+    return mono * lam_p if p >= 0 else mono / lam_p
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,7 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
     """T_a f via the banded sum over passing spatial offsets theta.
 
     Exact (not an approximation): offsets that cannot pass the cutoff
-    contribute zero and are skipped.  Cost O(#theta * #terms * n^d).
+    contribute zero and are skipped.  Cost O(#theta * #keys * n^d).
     """
     grid = f.grid
     if not a.grid.compatible(grid):
@@ -219,12 +213,11 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
         zpts = np.stack(
             [(m - 0.5 * s) * grid.dxi for m, s in zip(modes, mtheta)], axis=-1
         )
-        for term in a.terms:
-            btheta = term.xpart.coeffs[tuple(mtheta % grid.n)]
+        for (alpha, p), xpart in a.parts.items():
+            btheta = xpart.coeffs[tuple(mtheta % grid.n)]
             if btheta == 0.0:
                 continue
-            gvals = term.eval_zeta(zpts)
-            out += btheta * weight * gvals * shifted
+            out += btheta * weight * zeta_factor(zpts, alpha, p) * shifted
 
     out[grid.nyquist_mask] = 0.0
     return Field.from_coeffs(grid, out)

@@ -22,16 +22,20 @@ from kglab.dynamics import (
     make_cubic_kernels,
     nonlinearity_value,
     normal_form_boundary,
+    q_sup_bound,
+    q_symbol,
     reduced_equation_residual,
     rhs,
     run_to_time,
     scattering_limit,
     step,
     step_limit,
+    transport_symbol,
 )
 from kglab.grid import Field, make_grid
 from kglab.nonlinearity import default_spec
-from kglab.oracles import fd_gradient_oracle
+from kglab.oracles import fd_gradient_oracle, weyl_matrix
+from kglab.paradiff import weyl_apply
 from kglab.resonance import SIGN_PAIRS, a_kernel, bilinear_apply, resonant_kernel
 from kglab.spectral import dealiased_product, derivative, semigroup
 
@@ -344,9 +348,59 @@ def test_good_unknown_guard_on_large_data():
     assert np.isfinite(ucal.l2())
 
 
-def test_reduced_residual_halves_like_dt_squared():
-    g = make_grid(1, 64, 8 * np.pi)
-    spec = default_spec(1)
+def test_q_is_keyed_by_monomial_so_its_powers_stay_few():
+    # in 2-D q carries zeta_1^2, zeta_1 zeta_2 and zeta_2^2 over <zeta>^2;
+    # q^k keeps one key per monomial of degree 2k: 2k + 1 of them
+    g = make_grid(2, 8, 4 * np.pi)
+    q = q_symbol(_small_state(g, 0.1), default_spec(2))
+    assert set(q.parts) == {((2, 0), -2), ((1, 1), -2), ((0, 2), -2)}
+    assert [len(q.power(k).parts) for k in (3, 6)] == [7, 13]
+
+
+def _q_on_lattice(q):
+    """max |q(x, zeta)| over the grid points x and the half-step lattice
+    zeta, written out key by key."""
+    g = q.grid
+    axes = [np.arange(-g.n, g.n) * (g.dxi / 2.0)] * g.d
+    zeta = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    bracket2 = 1.0 + np.sum(zeta**2, axis=-1)
+    total = 0.0
+    for (alpha, p), f in q.parts.items():
+        zf = np.prod([zeta[:, j] ** k for j, k in enumerate(alpha)], axis=0) * bracket2 ** (p / 2)
+        total = total + np.outer(f.values.ravel(), zf)
+    return float(np.abs(total).max())
+
+
+def test_q_sup_bound_bounds_q_on_the_sampled_lattice():
+    g2 = make_grid(2, 16, 4 * np.pi)
+    q2 = q_symbol(_small_state(g2, 0.1), default_spec(2))
+    assert q_sup_bound(q2) >= _q_on_lattice(q2) > 0
+    # one key in 1-D: the bound is sup|x-part| times sup zeta^2 / (1 + zeta^2)
+    g1 = make_grid(1, 64, 4 * np.pi)
+    q1 = q_symbol(_small_state(g1, 0.1), default_spec(1))
+    (xpart,) = q1.parts.values()
+    z = np.arange(-g1.n, g1.n) * (g1.dxi / 2.0)
+    want = float(np.max(np.abs(xpart.values))) * float(np.max(np.abs(z * z / (1.0 + z * z))))
+    assert q_sup_bound(q1) == want >= _q_on_lattice(q1)
+
+
+def test_transport_symbol_matches_the_matrix_on_live_couplings():
+    # W(q) <zeta> + Q^{01} zeta: five keys, products of q's x-parts; the
+    # 1-D n = 1024 grid on [-8 pi, 8 pi) has live off-diagonal couplings
+    g = make_grid(1, 1024, 8 * np.pi)
+    a = transport_symbol(_small_state(g, 0.1), default_spec(1))
+    assert len(a.parts) == 5
+    M = weyl_matrix(a)
+    assert np.count_nonzero(M) > np.count_nonzero(np.diag(M))
+    f = random_band_field(g, make_rng(62), real=False)
+    slow = Field.from_coeffs(g, M @ f.coeffs)
+    assert (weyl_apply(a, f) - slow).l2() <= 1e-12 * slow.l2()
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_reduced_residual_halves_like_dt_squared(d, n):
+    g = make_grid(d, n, 8 * np.pi)
+    spec = default_spec(d)
     st = _small_state(g, 0.1, seed=61, t=1.0)
 
     def advance(s, span):

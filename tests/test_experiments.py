@@ -201,7 +201,8 @@ FAST_PATH_MODULES = ("paradiff", "resonance", "spectral", "dynamics")
 
 def _fast_path_borrowings(source: str) -> list:
     """What oracles.py takes from the fast-path modules beyond constants
-    and types: functions, _-prefixed names, whole modules, eval_zeta."""
+    and types: functions, _-prefixed names, whole modules, and the fast
+    key evaluator paradiff.zeta_factor however it is reached."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -216,8 +217,8 @@ def _fast_path_borrowings(source: str) -> list:
         elif isinstance(node, ast.Import):
             found += [(node.lineno, alias.name) for alias in node.names
                       if alias.name.removeprefix("kglab.") in FAST_PATH_MODULES]
-        elif isinstance(node, ast.Attribute) and node.attr == "eval_zeta":
-            found.append((node.lineno, "eval_zeta"))
+        elif isinstance(node, ast.Attribute) and node.attr == "zeta_factor":
+            found.append((node.lineno, "zeta_factor"))
     return found
 
 
@@ -225,6 +226,9 @@ def test_oracles_share_no_code_with_the_fast_paths():
     with open(os.path.join(os.path.dirname(kglab.__file__), "oracles.py"),
               encoding="utf-8") as handle:
         assert _fast_path_borrowings(handle.read()) == []
+    # the guard sees the key evaluator by import and by attribute
+    assert _fast_path_borrowings("from .paradiff import zeta_factor") == [(1, "paradiff.zeta_factor")]
+    assert _fast_path_borrowings("import kglab\nkglab.paradiff.zeta_factor") == [(2, "zeta_factor")]
 
 
 def _literal_lp_norm(field, p):

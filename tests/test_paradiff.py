@@ -11,17 +11,15 @@ from kglab.paradiff import Symbol, error_op, remainder, weyl_apply
 from kglab.spectral import dealiased_product, lambda_power
 
 
-def _zeta_over_lam(z):
-    return z[..., 0] / np.sqrt(1.0 + np.sum(z * z, axis=-1))
-
-
-def _inv_lam2(z):
-    return 1.0 / (1.0 + np.sum(z * z, axis=-1))
-
-
 def _symbol(grid, rng):
+    # f(x) zeta_1 / <zeta>
     f = random_band_field(grid, rng, k_lo=-1, k_hi=1)
-    return Symbol.separable(f, _zeta_over_lam, 0.0)
+    return Symbol.term(f, (0,), -1)
+
+
+def _inv_lam2(f):
+    # f(x) / <zeta>^2
+    return Symbol.term(f, p=-2)
 
 
 def test_weyl_matches_oracle_1d():
@@ -57,7 +55,7 @@ def test_pure_multiplier_is_exact():
     # diagonal offset passes and the quantization is the multiplier
     g = make_grid(1, 64, 4 * np.pi)
     f = random_band_field(g, make_rng(14), real=False)
-    lam = Symbol.multiplier(g, lambda z: np.sqrt(1.0 + np.sum(z * z, axis=-1)), 1.0)
+    lam = Symbol.term(Field.one(g), p=1)
     out = weyl_apply(lam, f)
     want = lambda_power(f, 1.0)
     assert (out - want).l2() <= 1e-13 * want.l2()
@@ -70,7 +68,7 @@ def test_weyl_matches_matrix_on_live_off_diagonal_couplings():
     # mask and the Nyquist row act
     g = make_grid(1, 4096, 8 * np.pi)
     rng = make_rng(22)
-    a = Symbol.separable(random_band_field(g, rng), _zeta_over_lam, 0.0)
+    a = Symbol.term(random_band_field(g, rng), (0,), -1)
     M = weyl_matrix(a)
     live_off_diagonal = np.count_nonzero(M) - np.count_nonzero(np.diag(M))
     assert live_off_diagonal >= 20_000
@@ -87,21 +85,40 @@ def test_real_even_symbol_is_hermitian():
     # self-adjoint up to roundoff (the midpoint rule is what buys this)
     g = make_grid(1, 32, 2 * np.pi)
     f = random_band_field(g, make_rng(16), k_lo=-1, k_hi=1, real=True)
-    a = Symbol.separable(f, _inv_lam2, 1.0)
+    a = _inv_lam2(f)
     M = weyl_matrix(a)
     assert np.max(np.abs(M - M.conj().T)) < 1e-12
 
 
-def test_zeta0_exclusion_zeroes_origin_pairing():
-    g = make_grid(1, 32, np.pi)
+@pytest.mark.parametrize("d", [1, 2])
+def test_keyed_multiplier_on_the_zero_mode_is_its_value_at_the_origin(d):
+    # zeta^alpha <zeta>^p at zeta = 0 is 1 for alpha = 0 and 0 otherwise,
+    # so T_a 1 keeps exactly the alpha = 0 keys, each with weight one
+    g = make_grid(d, 16, np.pi)
     f = Field.one(g)  # only the zero mode
-    a_excluded = Symbol.multiplier(g, _zeta_over_lam, None)
-    a_declared = Symbol.multiplier(g, _zeta_over_lam, 0.7)
-    out_excluded = weyl_apply(a_excluded, f)
-    out_declared = weyl_apply(a_declared, f)
-    assert out_excluded.l2() == 0.0
-    # declared value fills the origin pairing: T_a 1 = zeta0 * 1
-    assert (out_declared - f * 0.7).l2() < 1e-13
+    one = Field.one(g)
+    for axes, p, value in (((), 1, 1.0), ((), -2, 1.0), ((0,), -1, 0.0),
+                           ((0, d - 1), -2, 0.0), ((d - 1,), 0, 0.0)):
+        a = Symbol.term(one * 0.7, axes, p)
+        assert np.array_equal(weyl_apply(a, f).coeffs, (f * (0.7 * value)).coeffs)
+    mixed = Symbol.term(one * 0.7, p=-1) + Symbol.term(one * 0.3, (0,), 1)
+    assert np.array_equal(weyl_apply(mixed, f).coeffs, (f * 0.7).coeffs)
+
+
+def test_product_of_keys_adds_multi_indices_and_powers():
+    g = make_grid(2, 8, np.pi)
+    rng = make_rng(23)
+    f, h = random_band_field(g, rng, k_lo=-1, k_hi=0), random_band_field(g, rng, k_lo=-1, k_hi=0)
+    a = Symbol.term(f, (0,), -1) + Symbol.term(f * 2.0, (1, 1), 0)
+    b = Symbol.term(h, (0, 1), -2)
+    prod = a * b
+    assert set(prod.parts) == {((2, 1), -3), ((1, 3), -2)}
+    assert np.array_equal(prod.parts[((2, 1), -3)].coeffs, dealiased_product(f, h).coeffs)
+    # equal keys merge: one x-part, summed in coefficient space
+    merged = b + Symbol.term(f, (0,)) + Symbol.term(f, (1, 0), -2)
+    assert set(merged.parts) == {((1, 1), -2), ((1, 0), 0)}
+    assert np.array_equal(merged.parts[((1, 1), -2)].coeffs, (h + f).coeffs)
+    assert set(b.lam_power(1).parts) == {((1, 1), -1)}
 
 
 def _mode(g, m, amp):
@@ -149,7 +166,7 @@ def test_error_op_matches_matrix_composition():
     g = make_grid(1, 16, np.pi)
     rng = make_rng(20)
     a = _symbol(g, rng)
-    b = Symbol.separable(random_band_field(g, rng, k_lo=-1, k_hi=0), _inv_lam2, 1.0)
+    b = _inv_lam2(random_band_field(g, rng, k_lo=-1, k_hi=0))
     f = random_band_field(g, rng, real=False)
     direct = error_op([a, b], f)
     Ma, Mb, Mab = weyl_matrix(a), weyl_matrix(b), weyl_matrix(a * b)
@@ -167,7 +184,7 @@ def test_symbol_algebra_distributes_through_quantization():
     g = make_grid(1, 32, 2 * np.pi)
     rng = make_rng(21)
     a = _symbol(g, rng)
-    b = Symbol.separable(random_band_field(g, rng, k_lo=-1, k_hi=0), _inv_lam2, 1.0)
+    b = _inv_lam2(random_band_field(g, rng, k_lo=-1, k_hi=0))
     f = random_band_field(g, rng, real=False)
     lhs = weyl_apply(a + b * 2.0, f)
     rhs = weyl_apply(a, f) + weyl_apply(b, f) * 2.0

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,13 +31,42 @@ def _complex(parts):
     return parts[0] + 1j * parts[1]
 
 
+def _binary_exponent(arr) -> int:
+    """e with max |arr| in [2^(e-1), 2^e), or 0 for an all-zero array."""
+    return int(np.frexp(np.max(np.abs(arr)))[1])
+
+
+def _l2(arr, weight) -> float:
+    """sqrt(weight * sum |arr|^2), squared after an exact power-of-two
+    scaling, so that no |arr|^2 underflows below the normal range."""
+    e = _binary_exponent(arr)
+    scaled = np.ldexp(np.abs(arr), -e)
+    return math.ldexp(math.sqrt(weight * np.sum(scaled * scaled)), e)
+
+
+def _unit_scaled(f: Field) -> Field:
+    """f times the power of two that puts its largest coefficient in
+    [1/2, 1): exact, and it keeps a product of two fields out of the
+    subnormal range, where float64 carries too few bits for any relative
+    bound."""
+    e = _binary_exponent(f.coeffs)
+    half = -e // 2  # two factors, as 2^-e alone can overflow
+    return f * 2.0 ** half * 2.0 ** (-e - half)
+
+
+# a field at 2.2e-162: every |c_m|^2 underflows to 0 unless scaled first
+_TINY = np.zeros((2, 8))
+_TINY[0, 0] = 2.18e-162
+
+
 @settings(max_examples=60, deadline=None)
 @given(field_arrays(1))
+@example((make_grid(1, 8, 3.0), [_TINY]))
 def test_parseval(case):
     grid, (parts,) = case
     f = Field.from_values(grid, _complex(parts))
-    phys = math.sqrt(grid.quad_weight * np.sum(np.abs(f.values) ** 2))
-    freq = math.sqrt(grid.volume * np.sum(np.abs(f.coeffs) ** 2))
+    phys = _l2(f.values, grid.quad_weight)
+    freq = _l2(f.coeffs, grid.volume)
     assert math.isclose(phys, freq, rel_tol=1e-12, abs_tol=1e-300)
 
 
@@ -46,10 +75,13 @@ UNIT = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]))
 
 @settings(max_examples=40, deadline=None)
 @given(field_arrays(2), st.booleans())
+# every coefficient 2.6e-161 (1 + i): each product lands in the subnormal
+# range unless the operands are scaled first
+@example((make_grid(1, 8, 1.0), [np.full((2, 8), 2.61942413e-161)] * 2), True)
 def test_bilinear_apply_with_unit_symbol_is_the_dealiased_product(case, in_coeffs):
     grid, (fp, gp) = case
     build = Field.from_coeffs if in_coeffs else Field.from_values
-    f, g = build(grid, _complex(fp)), build(grid, _complex(gp))
+    f, g = (_unit_scaled(build(grid, _complex(parts))) for parts in (fp, gp))
     want = dealiased_product(f, g).coeffs
     got = bilinear_apply(UNIT, f, g).coeffs
     # each product coefficient is a convolution sum, bounded by the l1 norms

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _hold_heap
+from .grid import Field, Grid, _hold_heap, _zero_coeffs
 from .nonlinearity import NonlinearitySpec
 from .norms import holder_sup, sobolev
 from .paradiff import Symbol, error_op, remainder, weyl_apply, zeta_factor
@@ -61,6 +61,7 @@ from .resonance import (
     resonant_kernel,
 )
 from .spectral import (
+    dealias,
     dealiased_product,
     derivative,
     laplacian,
@@ -166,18 +167,36 @@ def coefficient_fields(zs: list, spec: NonlinearitySpec):
     return q0, qd
 
 
+def _add_product(out, product: Field, coeff: float):
+    """out + coeff * product, with None for the empty sum.
+
+    A product with a zero operand is the shared ``Field.zero`` (it holds
+    ``grid._zero_coeffs``), and is skipped without reading it.
+    """
+    if product._coeffs is _zero_coeffs(product.grid.shape):
+        return out
+    # a unit coefficient passes the product itself: p * 1.0 is bitwise p
+    term = product if coeff == 1.0 else product * coeff
+    return term if out is None else out + term
+
+
 def source_value(zs: list, spec: NonlinearitySpec) -> Field:
     """The constant-coefficient quadratic form S(u, du) on the argument
-    list ``zs = z_fields(state)``."""
-    out = Field.zero(zs[0].grid)
+    list ``zs = z_fields(state)``.
+
+    Inside :func:`spectral.shared_operands` (in :func:`nonlinearity_value`)
+    the products, and so S, are physical-space values not yet truncated
+    to the 2/3 box; elsewhere S is the sum of the dealiased products.
+    """
+    out = None
     nz = spec.nz
     for c in range(nz):
         for cp in range(c, nz):
             coeff = spec.s[c, cp] * (1.0 if c == cp else 2.0)
             if coeff == 0.0:
                 continue
-            out = out + dealiased_product(zs[c], zs[cp]) * coeff
-    return out
+            out = _add_product(out, dealiased_product(zs[c], zs[cp]), coeff)
+    return Field.zero(zs[0].grid) if out is None else out
 
 
 def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
@@ -186,20 +205,24 @@ def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
     One evaluation builds the Z list once and takes d_jl u from d_j u.
     A Z slot enters several products (in S, and as every unit
     coefficient row), so the products share the Z list: each slot is
-    inverse-transformed once per evaluation.
+    inverse-transformed once per evaluation.  Inside the block the
+    products stay in physical space; F adds them up there with their
+    coefficients and truncates the sum to the 2/3 box once, so it makes
+    one forward transform (none when every product is zero) and is
+    returned in coefficient space.
     """
     g = state.grid
     zs = z_fields(state)
     w, du = zs[1], zs[2:]
     q0, qd = coefficient_fields(zs, spec)
     with shared_operands(zs):
-        out = source_value(zs, spec)
+        out = _add_product(None, source_value(zs, spec), 1.0)
         for j in range(g.d):
-            out = out + dealiased_product(q0[j], derivative(w, j)) * 2.0
+            out = _add_product(out, dealiased_product(q0[j], derivative(w, j)), 2.0)
         for j in range(g.d):
             for l in range(g.d):
-                out = out + dealiased_product(qd[j][l], derivative(du[j], l))
-    return out
+                out = _add_product(out, dealiased_product(qd[j][l], derivative(du[j], l)), 1.0)
+    return Field.zero(g) if out is None else dealias(out)
 
 
 def rhs(state: KGState, spec: NonlinearitySpec):

@@ -13,10 +13,15 @@ Conventions:
   transform on a zero operand and one inverse transform on a square,
   and it returns its result in coefficient space.  Inside
   :func:`shared_operands` a listed field is inverse-transformed once
-  however many products it enters.  Multipliers, sums and
-  ``Field.zero`` keep fields in coefficient space too, so in
+  however many products it enters, and each product is left in
+  physical space, untruncated: the 2/3 projector is linear, so the
+  block's caller (``dynamics.nonlinearity_value``) sums the products
+  of one evaluation there and truncates the sum once.  Multipliers,
+  sums and ``Field.zero`` keep fields in coefficient space too, so in
   ``dynamics.rhs`` the only transforms are one inverse per distinct
-  live operand and one forward per live product.
+  live operand and one forward transform, with one Hermitian
+  completion and one mask, for the whole of F (none when no product
+  is live).
 * Real symbols keep a real field real (``grid.Field.real``), and the
   product of two real fields is real.  The Klein-Gordon unknowns are
   declared real (``dynamics.KGState``), so every operand and product of
@@ -143,10 +148,13 @@ def dealiased_product(f: Field, g: Field) -> Field:
     never land on retained modes.  The result is held in coefficient
     space, and is real when both operands are.
 
-    A zero operand gives a zero product, with no transform, whatever
-    the other operand holds (even NaN).  A square (``g is f``) makes
-    one inverse transform for both factors, and so does a field listed
-    by an enclosing :func:`shared_operands` for all its products.
+    A zero operand gives a zero product, the shared ``Field.zero``, with
+    no transform, whatever the other operand holds (even NaN).  A square
+    (``g is f``) makes one inverse transform for both factors, and so
+    does a field listed by an enclosing :func:`shared_operands` for all
+    its products.  Inside that block a live product is returned in
+    physical space without its output truncation, which the block's
+    caller applies once to the sum of its products.
     """
     if not f.grid.compatible(g.grid):
         raise ValueError("fields live on different grids")
@@ -154,21 +162,27 @@ def dealiased_product(f: Field, g: Field) -> Field:
         return Field.zero(f.grid)
     fv = _dealiased_values(f)
     gv = fv if g is f else _dealiased_values(g)
-    return dealias(Field.from_values(f.grid, fv * gv, f.real and g.real))
+    product = Field.from_values(f.grid, fv * gv, f.real and g.real)
+    return product if hasattr(_shared, "memo") else dealias(product)
 
 
 # id -> [field, its dealiased values or None] for the fields of the open
 # shared_operands block (blocks do not nest), no attribute outside one;
-# per thread, as experiment entries may run F on several threads at once
+# while it is set, products are left untruncated in physical space; per
+# thread, as experiment entries may run F on several threads at once
 _shared = threading.local()
 
 
 @contextmanager
 def shared_operands(fields):
-    """Inside the block, :func:`dealiased_product` inverse-transforms each
-    of ``fields`` at most once, however many products it enters (one
-    F evaluation, say).  The copies are dropped when the block ends, so
-    they never outlive it on the caller's fields."""
+    """One F evaluation: inside the block, :func:`dealiased_product`
+    inverse-transforms each of ``fields`` at most once, however many
+    products it enters, and returns each live product in physical space
+    without truncating it.  The caller sums the products and applies
+    :func:`dealias` once; by linearity that is the sum of the truncated
+    products.  The operand copies are dropped, and products are
+    truncated again, when the block ends, even by an exception; the
+    block is per thread, so other threads never see it."""
     _shared.memo = {id(f): [f, None] for f in fields}
     try:
         yield

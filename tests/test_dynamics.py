@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from kglab.dynamics import (
     transport_symbol,
 )
 from kglab.grid import Field, make_grid
-from kglab.nonlinearity import default_spec
+from kglab.nonlinearity import NonlinearitySpec, default_spec
 from kglab.oracles import fd_gradient_oracle, weyl_matrix
 from kglab.paradiff import weyl_apply
 from kglab.resonance import SIGN_PAIRS, a_kernel, bilinear_apply, resonant_kernel
@@ -199,8 +200,8 @@ def test_lawson_step_makes_two_transforms_per_stage(fft_calls):
 def test_2d_rhs_transforms_each_operand_once(fft_calls, monkeypatch):
     # Q^{0j} = Q^{jj} = u and S = u^2 + w^2: 8 products, 6 of them live,
     # on the distinct operands u, w, d_j w and d_jj u; u enters 5 of them
-    # but, like every operand, is inverse-transformed once, and each live
-    # product is forward-transformed once
+    # but, like every operand, is inverse-transformed once, and the live
+    # products are summed in physical space and forward-transformed once
     g = make_grid(2, 32, 8 * np.pi)
     st = _small_state(g, 0.1)
     st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
@@ -214,24 +215,133 @@ def test_2d_rhs_transforms_each_operand_once(fft_calls, monkeypatch):
     monkeypatch.setattr(dynamics, "dealiased_product", counted)
     fft_calls.update(fftn=0, ifftn=0)
     rhs(st, default_spec(2))
-    assert fft_calls == {"fftn": 6, "ifftn": 6}
+    assert fft_calls == {"fftn": 1, "ifftn": 6}
     assert len(pairs) == 8 and sum(pairs) == 6
+
+
+@pytest.mark.parametrize("d, n, spec, forward", [
+    (1, 256, LIFESPAN_SPEC, 1),
+    (2, 32, default_spec(2), 1),
+    (3, 16, default_spec(3), 1),
+    (2, 32, default_spec(2, 0.0, 0.0, 2.0, 0.0), 1),
+    (2, 32, default_spec(2, 0.0, 0.0, 0.0, 0.0), 0),
+], ids=["lifespan-1d", "default-2d", "default-3d", "semilinear-2d", "zero-2d"])
+def test_nonlinearity_makes_one_forward_transform(fft_calls, d, n, spec, forward):
+    # F sums its live products in physical space and forward-transforms
+    # the sum once; with every product zero it transforms nothing
+    g = make_grid(d, n, 4 * np.pi)
+    st = _small_state(g, 0.1)
+    st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
+    fft_calls.update(fftn=0, ifftn=0)
+    F = nonlinearity_value(st, spec)
+    assert fft_calls["fftn"] == forward
+    assert F._values is None
+    assert F.is_zero() == (forward == 0)
+
+
+def _full_spec(d, seed):
+    """Every slot of Q^{0j}, Q^{jl} and S live, with non-unit coefficients."""
+    rng = make_rng(seed)
+    nz = d + 2
+    qjl, s = rng.normal(size=(d, d, nz)), rng.normal(size=(nz, nz))
+    return NonlinearitySpec(d=d, q0=rng.normal(size=(d, nz)),
+                            qjl=qjl + np.swapaxes(qjl, 0, 1), s=s + s.T)
+
+
+def _product_by_product(st, spec):
+    """F as the sum of its products, each dealiased on its own outside
+    any shared_operands block."""
+    g = st.grid
+    zs = dynamics.z_fields(st)
+    q0, qd = dynamics.coefficient_fields(zs, spec)
+    out = dynamics.source_value(zs, spec)
+    for j in range(g.d):
+        out = out + dealiased_product(q0[j], derivative(zs[1], j)) * 2.0
+    for j in range(g.d):
+        for l in range(g.d):
+            out = out + dealiased_product(qd[j][l], derivative(zs[2 + j], l))
+    return out
+
+
+def _mirrored(coeffs):
+    """c_{-m} at every mode m."""
+    axes = tuple(range(coeffs.ndim))
+    return np.roll(np.flip(coeffs, axes), 1, axes)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_nonlinearity_matches_products_dealiased_one_at_a_time(monkeypatch, d, n, real):
+    # the 2/3 projector is linear, so truncating the summed products once
+    # equals summing the truncated products, up to rounding
+    g = make_grid(d, n, 4 * np.pi)
+    st = _small_state(g, 0.1, t=1.0)
+    if not real:
+        monkeypatch.setattr(Field, "as_real", lambda f: f)
+        rng = make_rng(62)
+        u = st.u + random_band_field(g, rng, k_lo=-1, k_hi=1) * 0.05j
+        w = st.w + random_band_field(g, rng, k_lo=-1, k_hi=1) * 0.05j
+        st = KGState(g, st.t, Field.from_coeffs(g, u.coeffs), Field.from_coeffs(g, w.coeffs))
+    for spec in (default_spec(d, 0.7, -1.3, 2.0, 0.5), _full_spec(d, 63)):
+        F = nonlinearity_value(st, spec)
+        old = _product_by_product(st, spec)
+        assert F.real == real and old.real == real
+        assert F._values is None
+        assert np.max(np.abs(F.coeffs - old.coeffs)) <= 1e-14 * np.max(np.abs(old.coeffs))
+        assert not np.any(F.coeffs[~g.dealias_mask])
+        if real:
+            assert np.array_equal(F.coeffs, np.conj(_mirrored(F.coeffs)))
+
+
+def _assert_masked_coefficients(p):
+    assert p._values is None
+    assert not np.any(p.coeffs[~p.grid.dealias_mask])
 
 
 @pytest.mark.parametrize("spec", [default_spec(2), default_spec(2, 0.0, 0.0, 2.0, 0.0)],
                          ids=["quasilinear", "semilinear"])
-def test_product_memo_ends_with_the_evaluation(fft_calls, spec):
-    # F shares the transforms of its Z list only while it runs: afterwards
-    # the caller's u and w hold no dealiased copy, and outside F every
-    # product transforms both of its operands again
+def test_product_memo_ends_with_the_evaluation(fft_calls, monkeypatch, spec):
+    # F shares the transforms of its Z list, and leaves its products in
+    # physical space, only while it runs and only on its own thread:
+    # afterwards, after a product raised inside it, and on another thread
+    # while it runs, every product transforms both of its operands and
+    # comes back truncated, in coefficient space
     g = make_grid(2, 16, 4 * np.pi)
     st = _small_state(g, 0.1, t=1.0)
     step(st, spec, step_limit(g, spec))
     nonlinearity_value(st, spec)
     fft_calls.update(fftn=0, ifftn=0)
-    dealiased_product(st.u, st.w)
-    dealiased_product(st.u, st.w)
+    first, second = dealiased_product(st.u, st.w), dealiased_product(st.u, st.w)
     assert fft_calls == {"fftn": 2, "ifftn": 4}
+    _assert_masked_coefficients(first)
+    _assert_masked_coefficients(second)
+
+    product = dynamics.dealiased_product
+    seen = {}
+
+    def on_another_thread(f, h):
+        inside = product(f, h)
+        if not seen:
+            seen["inside"] = inside
+            worker = threading.Thread(target=lambda: seen.update(other=product(st.u, st.w)))
+            worker.start()
+            worker.join()
+        return inside
+
+    monkeypatch.setattr(dynamics, "dealiased_product", on_another_thread)
+    nonlinearity_value(st, spec)
+    assert seen["inside"]._coeffs is None  # u^2 is live, and left in physical space
+    _assert_masked_coefficients(seen["other"])
+    assert np.array_equal(seen["other"].coeffs, first.coeffs)
+
+    def failing(f, h):
+        product(f, h)
+        raise RuntimeError("product failed")
+
+    monkeypatch.setattr(dynamics, "dealiased_product", failing)
+    with pytest.raises(RuntimeError, match="product failed"):
+        nonlinearity_value(st, spec)
+    _assert_masked_coefficients(dealiased_product(st.u, st.w))
 
 
 def test_run_to_time_guards_and_rows():

@@ -17,17 +17,21 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "PARA_CUT_BAND",
     "PLATEAU",
     "SUPPORT",
     "psi",
     "psi_band",
     "psi_le",
     "psi_range",
-    "smoothed_step",
 ]
 
 PLATEAU = 1.25   # psi == 1 for |r| <= 5/4
 SUPPORT = 1.6    # psi == 0 for |r| >= 8/5
+
+# The paradifferential cut: a symbol's spatial frequency sits 10 dyadic
+# scales below the pair frequency, |xi - eta| / |xi + eta| <= (8/5) 2^-10.
+PARA_CUT_BAND = -10
 
 
 def _bump(s: np.ndarray) -> np.ndarray:

@@ -16,7 +16,9 @@ W(q) = 1 + q/2 - q^2/8 + q^3/16 throughout; the neglected tail is
 quartic in q and is the measured floor of the residual check.  The
 symbols are keyed (paradiff.Symbol): q^k keeps one x-part per monomial
 zeta^alpha of degree 2k, so in 2-D q has 3 keys, q^3 has 7 and the
-tail's q^6 has 13.
+tail's q^6 has 13.  A state's good-unknown objects (Z list, Q^{0j},
+Q^{jl}, q and W(q)) are built once, by :func:`paralinearize`; the good
+unknown, its drift and the reduced right side all read that one build.
 
 A semilinear spec (no Q^{0j}, no Q^{jl}) steps with Lawson's
 integrating-factor RK4 (Lawson 1967; Cox & Matthews 2002): the linear
@@ -45,12 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import Field, Grid, _hold_heap, _zero_coeffs
 from .nonlinearity import NonlinearitySpec
-from .norms import holder_sup, sobolev
+from .norms import holder_sup, loglog_fit, sobolev
 from .paradiff import Symbol, error_op, remainder, weyl_apply, zeta_factor
 from .resonance import (
     SIGN_PAIRS,
@@ -85,16 +88,14 @@ __all__ = [
     "checkpoint_times",
     "run_to_time",
     "default_norm_order",
-    "q_symbol",
+    "paralinearize",
     "q_sup_bound",
     "good_unknown_field",
     "good_unknown",
-    "reduced_rhs",
     "reduced_equation_residual",
     "make_boundary_kernels",
     "normal_form_boundary",
     "make_cubic_kernels",
-    "cubic_profile_term",
     "duhamel_check",
     "scattering_limit",
 ]
@@ -409,12 +410,41 @@ def run_to_time(
 # -- the good unknown ------------------------------------------------------
 
 
-def q_symbol(state: KGState, spec: NonlinearitySpec) -> Symbol:
-    """q(x, zeta) = (Q^{jl} + Q^{0j} Q^{0l}) zeta_j zeta_l / (1 + |zeta|^2)."""
+class Paralinearization(NamedTuple):
+    """The good-unknown objects of one state: the Z list, Q^{0j} and
+    Q^{jl} on it, the symbol q, and W(q) with the parts the reduced
+    equation reads (W - 1, W - 1 - q/2 and Vt - 1)."""
+
+    zs: list
+    q0: list
+    qd: list
+    q: Symbol
+    w: Symbol
+    wm1: Symbol
+    wm1mq2: Symbol
+    vtm1: Symbol
+
+
+def paralinearize(state: KGState, spec: NonlinearitySpec) -> Paralinearization:
+    """Build the good-unknown objects of one state once.
+
+    q(x, zeta) = (Q^{jl} + Q^{0j} Q^{0l}) zeta_j zeta_l / (1 + |zeta|^2),
+    and W is the cubic Taylor polynomial of sqrt(1+q).  Vt = 2 W'
+    replaces (1+q)^{-1/2} wherever the time derivative of W is needed,
+    keeping the reduced-equation algebra exact up to the quartic tail.
+    """
     d = state.grid.d
-    q0, qd = coefficient_fields(z_fields(state), spec)
-    return _pair_sum([[qd[j][l] + dealiased_product(q0[j], q0[l]) for l in range(d)]
-                      for j in range(d)])
+    zs = z_fields(state)
+    q0, qd = coefficient_fields(zs, spec)
+    q = _pair_sum([[qd[j][l] + dealiased_product(q0[j], q0[l]) for l in range(d)]
+                   for j in range(d)])
+    q2 = q.power(2)
+    q3 = q2 * q
+    wm1mq2 = q2 * (-0.125) + q3 * 0.0625
+    wm1 = q * 0.5 + wm1mq2
+    w = Symbol.one(q.grid) + wm1
+    vtm1 = q * (-0.5) + q2 * 0.375
+    return Paralinearization(zs, q0, qd, q, w, wm1, wm1mq2, vtm1)
 
 
 def q_sup_bound(q: Symbol) -> float:
@@ -447,46 +477,24 @@ def _pair_sum(fs: list) -> Symbol:
                Symbol(fs[0][0].grid, {}))
 
 
-def _w_parts(q: Symbol):
-    """W = 1 + q/2 + (W - 1 - q/2); returns (W, W-1, W-1-q/2, Vt-1).
-
-    W is the cubic Taylor polynomial of sqrt(1+q) and Vt = 2 W' replaces
-    (1+q)^{-1/2} wherever the time derivative of W is needed, keeping
-    the reduced-equation algebra exact up to the quartic tail.
-    """
-    q2 = q.power(2)
-    q3 = q2 * q
-    wm1mq2 = q2 * (-0.125) + q3 * 0.0625
-    wm1 = q * 0.5 + wm1mq2
-    w = Symbol.one(q.grid) + wm1
-    vtm1 = q * (-0.5) + q2 * 0.375
-    return w, wm1, wm1mq2, vtm1
-
-
-def good_unknown_field(state: KGState, spec: NonlinearitySpec, *, q_guard: bool = True):
-    """The good unknown and its q diagnostic, without the report wrapper."""
-    q0, _ = coefficient_fields(z_fields(state), spec)
-    q = q_symbol(state, spec)
-    q_bound = q_sup_bound(q)
+def good_unknown_field(para: Paralinearization, *, q_guard: bool = True):
+    """The good unknown of the paralinearized state (u, w) = para.zs[:2]
+    and its q diagnostic, without the report wrapper."""
+    q_bound = q_sup_bound(para.q)
     if q_guard and q_bound > 0.5:
         raise ValueError(
             f"square-root symbol out of range: sup bound {q_bound:.4f} > 1/2; "
             "the data is too large for the good-unknown reduction"
         )
-    w_sym = _w_parts(q)[0]
-    lam_u = lambda_power(state.u, 1.0)
-    ucal = state.w - weyl_apply(_zeta_sum(q0), state.u) * 1j + weyl_apply(w_sym, lam_u) * 1j
+    u, w = para.zs[:2]
+    lam_u = lambda_power(u, 1.0)
+    ucal = w - weyl_apply(_zeta_sum(para.q0), u) * 1j + weyl_apply(para.w, lam_u) * 1j
     return ucal, q_bound
 
 
 @dataclass(frozen=True)
 class GoodUnknownReport:
-    field: Field
-    t: float
-    norm_order: float
     diff_norm: float
-    u_sup_norm: float
-    u_sobolev_norm: float
     quadratic_ratio: float
     q_bound: float
 
@@ -495,25 +503,24 @@ def good_unknown(state: KGState, spec: NonlinearitySpec, N: float = None) -> Goo
     """Assemble the good unknown and the quadratic-closeness diagnostics."""
     if N is None:
         N = default_norm_order(state.grid.d)
-    ucal, q_bound = good_unknown_field(state, spec)
+    ucal, q_bound = good_unknown_field(paralinearize(state, spec))
     U = state.half_wave()
     diff = sobolev(ucal - U, N)
-    sup3 = holder_sup(U, 3)
-    hn = sobolev(U, N)
-    denom = sup3 * hn
+    denom = holder_sup(U, 3) * sobolev(U, N)
     ratio = diff / denom if denom > 0 else 0.0
-    return GoodUnknownReport(ucal, state.t, N, diff, sup3, hn, ratio, q_bound)
+    return GoodUnknownReport(diff, ratio, q_bound)
 
 
 # -- reduced equation ------------------------------------------------------
 
 
-def _coefficient_time_derivatives(state: KGState, spec: NonlinearitySpec):
-    """Linear and quadratic parts of dQ^{0j}/dt and dQ^{jl}/dt.
+def _f_q_symbols(state: KGState, q0: list, spec: NonlinearitySpec):
+    """Split d(q/2)/dt into its linear part and the rest, as symbols,
+    with the linear (f1_0) and quadratic (f2_0) parts of dQ^{0j}/dt;
+    q0 is the state's Q^{0j}.
 
-    The linear part substitutes du/dt = w, dw/dt = Lap u - u; the
-    quadratic remainder carries the nonlinearity F through the same
-    slots.
+    The linear parts substitute du/dt = w, dw/dt = Lap u - u; the
+    quadratic ones carry the nonlinearity F through the same slots.
     """
     g = state.grid
     lin_dz = [state.w, laplacian(state.u) - state.u] + [
@@ -524,14 +531,6 @@ def _coefficient_time_derivatives(state: KGState, spec: NonlinearitySpec):
     f2_0 = [F * spec.q0[j, 1] for j in range(g.d)]
     g1 = [[_linear_combo(spec.qjl[j, l], lin_dz, g) for l in range(g.d)] for j in range(g.d)]
     g2 = [[F * spec.qjl[j, l, 1] for l in range(g.d)] for j in range(g.d)]
-    return f1_0, f2_0, g1, g2, F
-
-
-def _f_q_symbols(state: KGState, spec: NonlinearitySpec):
-    """Split d(q/2)/dt into its linear part and the rest, as symbols."""
-    g = state.grid
-    q0, _ = coefficient_fields(z_fields(state), spec)
-    f1_0, f2_0, g1, g2, _ = _coefficient_time_derivatives(state, spec)
     dq0_full = [f1_0[j] + f2_0[j] for j in range(g.d)]
     f1q = _pair_sum([[x * 0.5 for x in row] for row in g1])
     f2q = _pair_sum([[(g2[j][l] + dealiased_product(dq0_full[j], q0[l])
@@ -540,10 +539,12 @@ def _f_q_symbols(state: KGState, spec: NonlinearitySpec):
     return f1q, f2q, f1_0, f2_0
 
 
-def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_tail: bool = False) -> dict:
-    """Right side of the reduced equation for the good unknown.
+def reduced_rhs(state: KGState, para: Paralinearization, spec: NonlinearitySpec, *,
+                include_truncation_tail: bool = False) -> Field:
+    """Right side of the reduced equation for the good unknown, on the
+    state's paralinearization ``para``.
 
-    Groups the terms by homogeneity: the semilinear block (remainders and
+    Sums the terms by homogeneity: the semilinear block (remainders and
     the source), the quadratic paradifferential block, and the cubic and
     higher block.  With include_truncation_tail the quartic Taylor tail
     of the square root is added too, making the identity exact up to the
@@ -552,11 +553,9 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
     g = state.grid
     u, w = state.u, state.w
     lam_u = lambda_power(u, 1.0)
-    zs = z_fields(state)
-    q0, qd = coefficient_fields(zs, spec)
-    q = q_symbol(state, spec)
-    w_sym, wm1, wm1mq2, vtm1 = _w_parts(q)
-    f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, spec)
+    zs, q0, qd, q = para.zs, para.q0, para.qd, para.q
+    wm1, wm1mq2, vtm1 = para.wm1, para.wm1mq2, para.vtm1
+    f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, q0, spec)
 
     one = Field.one(g)
     lam_mult = Symbol.term(one, p=1)
@@ -615,24 +614,18 @@ def reduced_rhs(state: KGState, spec: NonlinearitySpec, *, include_truncation_ta
     vt_f = vtm1 * f1q + f2q + vtm1 * f2q
     cub = cub + weyl_apply(vt_f, lam_u) * 1j
 
-    out = {"semilinear": sem, "quadratic": quad, "cubic_plus": cub}
+    total = sem + quad + cub
     if include_truncation_tail:
         q2 = q.power(2)
         q4 = q2 * q2
         tail_sym = q4 * (5.0 / 64.0) + q4 * q * (-1.0 / 64.0) + q4 * q2 * (1.0 / 256.0)
-        out["tail"] = weyl_apply(tail_sym.lam_power(1), lam_u)
-    else:
-        out["tail"] = Field.zero(g)
-    out["total"] = out["semilinear"] + out["quadratic"] + out["cubic_plus"] + out["tail"]
-    return out
+        total = total + weyl_apply(tail_sym.lam_power(1), lam_u)
+    return total
 
 
-def transport_symbol(state: KGState, spec: NonlinearitySpec) -> Symbol:
+def transport_symbol(para: Paralinearization) -> Symbol:
     """A = Q^{0j} zeta_j + W(q) Lambda(zeta), the paradifferential drift."""
-    q0, _ = coefficient_fields(z_fields(state), spec)
-    q = q_symbol(state, spec)
-    w_sym = _w_parts(q)[0]
-    return _zeta_sum(q0) + w_sym.lam_power(1)
+    return _zeta_sum(para.q0) + para.w.lam_power(1)
 
 
 def reduced_equation_residual(
@@ -646,9 +639,10 @@ def reduced_equation_residual(
 
     The time derivative is the centered difference of the good unknown
     across the two states; every other object is evaluated on the
-    averaged midpoint state.  Converges like dt^2 down to the quartic
-    Taylor floor of the square root (or to roundoff when the tail is
-    included).
+    averaged midpoint state, whose one paralinearization serves the good
+    unknown, the drift and the right side.  Converges like dt^2 down to
+    the quartic Taylor floor of the square root (or to roundoff when the
+    tail is included).
     """
     if not prev.grid.compatible(nxt.grid):
         raise ValueError("states live on different grids")
@@ -661,13 +655,14 @@ def reduced_equation_residual(
         (prev.u + nxt.u) * 0.5,
         (prev.w + nxt.w) * 0.5,
     )
-    ucal_prev, _ = good_unknown_field(prev, spec)
-    ucal_next, _ = good_unknown_field(nxt, spec)
-    ucal_mid, _ = good_unknown_field(mid, spec)
+    ucal_prev, _ = good_unknown_field(paralinearize(prev, spec))
+    ucal_next, _ = good_unknown_field(paralinearize(nxt, spec))
+    para = paralinearize(mid, spec)
+    ucal_mid, _ = good_unknown_field(para)
     dt_ucal = (ucal_next - ucal_prev) * (1.0 / dt_span)
-    lhs = dt_ucal - weyl_apply(transport_symbol(mid, spec), ucal_mid) * 1j
-    parts = reduced_rhs(mid, spec, include_truncation_tail=include_truncation_tail)
-    return (lhs - parts["total"]).l2()
+    lhs = dt_ucal - weyl_apply(transport_symbol(para), ucal_mid) * 1j
+    total = reduced_rhs(mid, para, spec, include_truncation_tail=include_truncation_tail)
+    return (lhs - total).l2()
 
 
 # -- profile identities ----------------------------------------------------
@@ -798,8 +793,6 @@ def scattering_limit(snapshots: list, *, alpha: float = None, N: float = None) -
     for t, v in snapshots[:-1]:
         diff_ts.append(t)
         diffs.append((v - v_inf).l2())
-    from .norms import loglog_fit
-
     positive = [(t, d) for t, d in zip(diff_ts, diffs) if d > 0]
     fit = None
     if len(positive) >= 2:

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .config import ExperimentConfig, _env_workers
+from .cutoffs import PARA_CUT_BAND
 from .data import envelope_field, gaussian_bump, make_rng, random_band_field
 from .dynamics import (
     KGState,
@@ -207,13 +208,17 @@ def _bound_constant(kernel, grid, bands, log2_scale: int, rng) -> float:
     in operand order, trial by trial), P applies the kernel on the
     operands' supports, and (p; q_i) is (2; 2, inf) for two operands and
     (2; 6, 6, 6) for three.  Trials whose inputs vanish are skipped.
+    The supports are the bands themselves, the same in every trial, so
+    the kernel is tabulated once, on the first trial's.
     """
     p, *qs = _HOLDER[len(bands)]
     scale = 2.0 ** log2_scale
-    ratios = []
+    product, ratios = None, []
     for _ in range(_BOUND_TRIALS):
         fs = [lp_project(random_band_field(grid, rng, real=False), k) for k in bands]
-        out = Pseudoproduct(kernel, grid, *(f.coeffs != 0 for f in fs)).apply(*fs)
+        if product is None:
+            product = Pseudoproduct(kernel, grid, *(f.coeffs != 0 for f in fs))
+        out = product.apply(*fs)
         denom = scale
         for f, q in zip(fs, qs):
             denom *= _lp_norm(f, q)
@@ -240,10 +245,11 @@ def run_multiplier_bounds(cfg: ExperimentConfig) -> RunReport:
     N = cfg.norm_order or default_norm_order(d)
 
     diag = [k for k in range(6) if k <= grid.k_max]
-    # the commutator kernel carries a band-(-10) low cutoff on the
-    # frequency ratio, so pairs closer than ten bands are identically
-    # zero; measure on the live separations only
-    gapped = [k for k in (9, 10) if k <= grid.k_max]
+    # the commutator kernel carries the paradifferential cut on the
+    # frequency ratio, so pairs closer than -PARA_CUT_BAND bands are
+    # identically zero; measure on the live separations only
+    gap = -PARA_CUT_BAND
+    gapped = [k for k in (gap - 1, gap) if k <= grid.k_max]
     # (name, kernel, grid, [(operand bands, log2 of the claimed scale)])
     runs = []
     for mu, nu in ((1, 1), (1, -1)):
@@ -260,9 +266,9 @@ def run_multiplier_bounds(cfg: ExperimentConfig) -> RunReport:
     # low-high variant gains a band from the second sign being minus
     runs += [
         ("commutator(++)", resonant_kernel(quasilinear_symbol(N), 1, 1), grid,
-         [((k - 10, k), (2 * d + 4) * (k - 10) + 2 * N * k) for k in gapped]),
+         [((k - gap, k), (2 * d + 4) * (k - gap) + 2 * N * k) for k in gapped]),
         ("commutator-lh(+-)", resonant_kernel(quasilinear_symbol(N), 1, -1), grid,
-         [((k - 10, k), (k - 10) + (2 * N - 1) * k) for k in gapped]),
+         [((k - gap, k), (k - gap) + (2 * N - 1) * k) for k in gapped]),
         # the cubic bound's scale is 2^(3 max k_i + 2 sum k_i)
         ("cubic(++-)", b_kernel(spec, 1, 1, -1), small,
          [((k, k, k), 9 * k) for k in (-1, 0, 1)]),

@@ -25,9 +25,9 @@ import itertools
 
 import numpy as np
 
-from .cutoffs import psi_le
+from .cutoffs import PARA_CUT_BAND, psi_le
 from .grid import Field
-from .paradiff import PARA_CUT_BAND, Symbol
+from .paradiff import Symbol
 from .resonance import PHASE_FLOOR
 
 __all__ = [

@@ -8,9 +8,9 @@ say about it.  The quantization acts mode-by-mode:
 
     (T_a f)^(xi) = sum_eta  w(xi, eta) (F_x a)(xi - eta, (xi + eta)/2) f^(eta),
 
-where w is the low-ratio cutoff psi_le(-10, |xi - eta| / |xi + eta|)
-restricting the symbol's spatial frequencies far below the pair
-frequency.  In the Fourier-series coefficient convention of
+where w is the low-ratio cutoff psi_le(PARA_CUT_BAND, |xi - eta| /
+|xi + eta|), with PARA_CUT_BAND = -10 (kglab.cutoffs), restricting the
+symbol's spatial frequencies far below the pair frequency.  In the Fourier-series coefficient convention of
 :mod:`kglab.grid` the normalization constant is exactly 1: T_1 = Id on
 the nose (the diagonal xi = eta carries ratio 0, including the origin
 pairing).
@@ -34,22 +34,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .cutoffs import psi_le
+from .cutoffs import PARA_CUT_BAND, psi_le
 from .grid import Field, Grid
 from .spectral import dealiased_product
 
 __all__ = [
-    "PARA_CUT_BAND",
     "Symbol",
     "zeta_factor",
     "weyl_apply",
     "remainder",
     "error_op",
 ]
-
-# The symbol's spatial frequency must sit 10 dyadic scales below the
-# pair frequency: |xi - eta| / |xi + eta| <= (8/5) 2^-10 on the support.
-PARA_CUT_BAND = -10
 
 
 class Symbol:

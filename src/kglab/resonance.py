@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cutoffs import psi, psi_le
+from .cutoffs import PARA_CUT_BAND, psi, psi_le
 from .grid import Field, Grid
 from .nonlinearity import NonlinearitySpec
 
@@ -393,8 +393,8 @@ def semilinear_symbol(mu: int, nu: int) -> BilinearSymbol:
     """Energy-functional kernel with the near-diagonal cone removed.
 
     -i Phi^{-1} [1 - cut(|z1| / |z1 + 2 z2|) - cut(|z2| / |2 z1 + z2|)]
-    with cut the band-(-10) low cutoff; ratio conventions 0/0 := 0,
-    x/0 := inf.
+    with cut = psi_le(PARA_CUT_BAND, .), the low cutoff of the Weyl
+    quantization; ratio conventions 0/0 := 0, x/0 := inf.
     """
     _check_sign(mu), _check_sign(nu)
 
@@ -405,7 +405,7 @@ def semilinear_symbol(mu: int, nu: int) -> BilinearSymbol:
                          np.linalg.norm(z1 + 2.0 * z2, axis=-1))
         r2 = _safe_ratio(np.linalg.norm(z2, axis=-1),
                          np.linalg.norm(2.0 * z1 + z2, axis=-1))
-        bracket = 1.0 - psi_le(-10, r1) - psi_le(-10, r2)
+        bracket = 1.0 - psi_le(PARA_CUT_BAND, r1) - psi_le(PARA_CUT_BAND, r2)
         return -1j * phi_inv(mu, nu, z1, z2) * bracket
 
     return BilinearSymbol(fn)
@@ -432,8 +432,8 @@ def quasilinear_symbol(N: int) -> BilinearSymbol:
     def fn(z1, z2):
         z1 = np.asarray(z1, dtype=float)
         z2 = np.asarray(z2, dtype=float)
-        cut = psi_le(-10, _safe_ratio(np.linalg.norm(z1, axis=-1),
-                                      np.linalg.norm(z1 + 2.0 * z2, axis=-1)))
+        cut = psi_le(PARA_CUT_BAND, _safe_ratio(np.linalg.norm(z1, axis=-1),
+                                                np.linalg.norm(z1 + 2.0 * z2, axis=-1)))
         mid = 0.5 * (z1 + 2.0 * z2)
         main = lam(z1 + z2) ** N * lam(z2) ** (N + 1) - lam(mid) ** N * lam(mid) ** (N + 1)
         return cut * highpass(z2) * highpass(z1 + z2) * main

@@ -23,8 +23,8 @@ from kglab.dynamics import (
     make_cubic_kernels,
     nonlinearity_value,
     normal_form_boundary,
+    paralinearize,
     q_sup_bound,
-    q_symbol,
     reduced_equation_residual,
     rhs,
     run_to_time,
@@ -432,7 +432,7 @@ def test_run_to_time_keeps_its_heap_between_steps():
 def test_good_unknown_is_half_wave_for_linear_equation():
     g = make_grid(1, 64, 2 * np.pi)
     st = _small_state(g, 0.4)
-    ucal, q_bound = good_unknown_field(st, LINEAR_SPEC)
+    ucal, q_bound = good_unknown_field(paralinearize(st, LINEAR_SPEC))
     assert q_bound == 0.0
     assert (ucal - st.half_wave()).l2() < 1e-14
 
@@ -452,8 +452,8 @@ def test_good_unknown_guard_on_large_data():
     big = KGState(g, 0.0, gaussian_bump(g, 1.0) * 5.0, Field.zero(g))
     spec = default_spec(1)
     with pytest.raises(ValueError, match="sup bound"):
-        good_unknown_field(big, spec)
-    ucal, q_bound = good_unknown_field(big, spec, q_guard=False)
+        good_unknown_field(paralinearize(big, spec))
+    ucal, q_bound = good_unknown_field(paralinearize(big, spec), q_guard=False)
     assert q_bound > 0.5
     assert np.isfinite(ucal.l2())
 
@@ -462,7 +462,7 @@ def test_q_is_keyed_by_monomial_so_its_powers_stay_few():
     # in 2-D q carries zeta_1^2, zeta_1 zeta_2 and zeta_2^2 over <zeta>^2;
     # q^k keeps one key per monomial of degree 2k: 2k + 1 of them
     g = make_grid(2, 8, 4 * np.pi)
-    q = q_symbol(_small_state(g, 0.1), default_spec(2))
+    q = paralinearize(_small_state(g, 0.1), default_spec(2)).q
     assert set(q.parts) == {((2, 0), -2), ((1, 1), -2), ((0, 2), -2)}
     assert [len(q.power(k).parts) for k in (3, 6)] == [7, 13]
 
@@ -483,11 +483,11 @@ def _q_on_lattice(q):
 
 def test_q_sup_bound_bounds_q_on_the_sampled_lattice():
     g2 = make_grid(2, 16, 4 * np.pi)
-    q2 = q_symbol(_small_state(g2, 0.1), default_spec(2))
+    q2 = paralinearize(_small_state(g2, 0.1), default_spec(2)).q
     assert q_sup_bound(q2) >= _q_on_lattice(q2) > 0
     # one key in 1-D: the bound is sup|x-part| times sup zeta^2 / (1 + zeta^2)
     g1 = make_grid(1, 64, 4 * np.pi)
-    q1 = q_symbol(_small_state(g1, 0.1), default_spec(1))
+    q1 = paralinearize(_small_state(g1, 0.1), default_spec(1)).q
     (xpart,) = q1.parts.values()
     z = np.arange(-g1.n, g1.n) * (g1.dxi / 2.0)
     want = float(np.max(np.abs(xpart.values))) * float(np.max(np.abs(z * z / (1.0 + z * z))))
@@ -498,7 +498,7 @@ def test_transport_symbol_matches_the_matrix_on_live_couplings():
     # W(q) <zeta> + Q^{01} zeta: five keys, products of q's x-parts; the
     # 1-D n = 1024 grid on [-8 pi, 8 pi) has live off-diagonal couplings
     g = make_grid(1, 1024, 8 * np.pi)
-    a = transport_symbol(_small_state(g, 0.1), default_spec(1))
+    a = transport_symbol(paralinearize(_small_state(g, 0.1), default_spec(1)))
     assert len(a.parts) == 5
     M = weyl_matrix(a)
     assert np.count_nonzero(M) > np.count_nonzero(np.diag(M))
@@ -524,6 +524,32 @@ def test_reduced_residual_halves_like_dt_squared(d, n):
     for span in (0.16, 0.08):
         res.append(reduced_equation_residual(st, advance(st, span), spec))
     assert res[0] / res[1] == pytest.approx(4.0, rel=0.25)
+
+
+def test_reduced_residual_paralinearizes_each_state_once(monkeypatch):
+    # prev, nxt and the midpoint are each paralinearized once, and the
+    # midpoint's build serves the good unknown, the drift and the right
+    # side; the fourth coefficient build is the one inside the midpoint's F
+    g = make_grid(2, 32, 8 * np.pi)
+    spec = default_spec(2)
+    prev = _small_state(g, 0.1, seed=61, t=1.0)
+    nxt = step(prev, spec, 0.5 * step_limit(g, spec))
+    built, coeff_calls = [], []
+    paralinearize_, coefficient_fields_ = dynamics.paralinearize, dynamics.coefficient_fields
+
+    def counting_paralinearize(state, spec):
+        built.append(state.t)
+        return paralinearize_(state, spec)
+
+    def counting_coefficient_fields(zs, spec):
+        coeff_calls.append(1)
+        return coefficient_fields_(zs, spec)
+
+    monkeypatch.setattr(dynamics, "paralinearize", counting_paralinearize)
+    monkeypatch.setattr(dynamics, "coefficient_fields", counting_coefficient_fields)
+    assert reduced_equation_residual(prev, nxt, spec) > 0
+    assert sorted(built) == [prev.t, 0.5 * (prev.t + nxt.t), nxt.t]
+    assert len(coeff_calls) == 4
 
 
 def test_reduced_residual_guards():

@@ -269,6 +269,23 @@ def test_bound_constant_is_the_literal_holder_ratio():
     assert _bound_constant(b, g, (1, 1, 1), 9, make_rng(43)) == want
 
 
+def test_bound_constant_tabulates_one_pseudoproduct_per_call(monkeypatch):
+    built = []
+
+    class CountingPseudoproduct(Pseudoproduct):
+        def __init__(self, *args):
+            built.append(len(args) - 2)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kglab.experiments, "Pseudoproduct", CountingPseudoproduct)
+    _bound_constant(semilinear_symbol(1, 1), make_grid(1, 256, 2 * np.pi), (1, 1), 5,
+                    make_rng(42))
+    assert built == [2]
+    _bound_constant(b_kernel(default_spec(1), 1, 1, -1), make_grid(1, 32, np.pi),
+                    (1, 1, 1), 9, make_rng(43))
+    assert built == [2, 3]
+
+
 def _load_benchmark_workloads():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)

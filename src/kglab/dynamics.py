@@ -30,8 +30,13 @@ limit; see :func:`step_limit`.
 u and w are real-valued, and :class:`KGState` declares them real
 (``grid.Field.real``).  Realness propagates from there through both
 steppers, every F evaluation and the good-unknown products, so their
-transforms are the half-cost real ones; the half-wave variable U and
-the profile V are complex.
+transforms are the half-cost real ones, and their coefficients are the
+rfftn halves, n^(d-1) (n/2+1) of them: the multipliers and the 2/3
+masks of F, the classical RK4 combinations and Lawson's linear turn
+all act on the half, and none of them completes it to the full
+Hermitian array.  Only the reductions (norms, residuals) and the
+complex objects complete it: the half-wave variable U and the profile
+V are complex.
 
 Each step frees and reallocates the same grid-sized temporaries, so
 :func:`run_to_time` first sets glibc's malloc thresholds for the grid
@@ -174,7 +179,7 @@ def _add_product(out, product: Field, coeff: float):
     A product with a zero operand is the shared ``Field.zero`` (it holds
     ``grid._zero_coeffs``), and is skipped without reading it.
     """
-    if product._coeffs is _zero_coeffs(product.grid.shape):
+    if product._coeffs is _zero_coeffs(product.grid.half_shape):
         return out
     # a unit coefficient passes the product itself: p * 1.0 is bitwise p
     term = product if coeff == 1.0 else product * coeff
@@ -212,10 +217,14 @@ def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
     one forward transform (none when every product is zero) and is
     returned in coefficient space.
     """
-    g = state.grid
     zs = z_fields(state)
+    return _nonlinearity(zs, *coefficient_fields(zs, spec), spec)
+
+
+def _nonlinearity(zs: list, q0: list, qd: list, spec: NonlinearitySpec) -> Field:
+    """F on the Z list of a state and the coefficient fields on it."""
+    g = zs[0].grid
     w, du = zs[1], zs[2:]
-    q0, qd = coefficient_fields(zs, spec)
     with shared_operands(zs):
         out = _add_product(None, source_value(zs, spec), 1.0)
         for j in range(g.d):
@@ -260,19 +269,22 @@ def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
     """
     g, t = state.grid, state.t
     # the exact linear flow over dt/2 per mode: (u, w) -> (cos u + sin/lam w,
-    # -lam sin u + cos w), at the angle lam dt/2
-    lam_g = lambda_mag(g)
+    # -lam sin u + cos w), at the angle lam dt/2, on the rfftn halves that
+    # the state's real fields store
+    lam_g = g.half(lambda_mag(g))
     angle = lam_g * (dt / 2)
     cos, sin = np.cos(angle), np.sin(angle)
     sin_over_lam, lam_sin = sin / lam_g, lam_g * sin
-    u, w = state.u.coeffs, state.w.coeffs
+    u, w = state.u.spectrum(), state.w.spectrum()
 
     def turn(a, b):
         return cos * a + sin_over_lam * b, cos * b - lam_sin * a
 
+    def real(half):
+        return Field.from_spectrum(g, half, True)
+
     def F(tt, a, b):
-        st = KGState(g, tt, Field.from_coeffs(g, a), Field.from_coeffs(g, b))
-        return nonlinearity_value(st, spec).coeffs
+        return nonlinearity_value(KGState(g, tt, real(a), real(b)), spec).spectrum()
 
     eu, ew = turn(u, w)
     f1 = F(t, u, w)
@@ -281,7 +293,7 @@ def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
     f4 = F(t + dt, *turn(eu, ew + f3 * dt))
     au, aw = turn(u, w + f1 * (dt / 6))
     nu, nw = turn(au, aw + (f2 + f3) * (dt / 3))
-    return KGState(g, t + dt, Field.from_coeffs(g, nu), Field.from_coeffs(g, nw + f4 * (dt / 6)))
+    return KGState(g, t + dt, real(nu), real(nw + f4 * (dt / 6)))
 
 
 def step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
@@ -514,19 +526,21 @@ def good_unknown(state: KGState, spec: NonlinearitySpec, N: float = None) -> Goo
 # -- reduced equation ------------------------------------------------------
 
 
-def _f_q_symbols(state: KGState, q0: list, spec: NonlinearitySpec):
+def _f_q_symbols(state: KGState, para: Paralinearization, spec: NonlinearitySpec):
     """Split d(q/2)/dt into its linear part and the rest, as symbols,
     with the linear (f1_0) and quadratic (f2_0) parts of dQ^{0j}/dt;
-    q0 is the state's Q^{0j}.
+    para is the state's paralinearization.
 
     The linear parts substitute du/dt = w, dw/dt = Lap u - u; the
-    quadratic ones carry the nonlinearity F through the same slots.
+    quadratic ones carry the nonlinearity F through the same slots, and
+    F is evaluated on para's Z list and coefficient fields.
     """
     g = state.grid
+    q0 = para.q0
     lin_dz = [state.w, laplacian(state.u) - state.u] + [
         derivative(state.w, axis) for axis in range(g.d)
     ]
-    F = nonlinearity_value(state, spec)
+    F = _nonlinearity(para.zs, q0, para.qd, spec)
     f1_0 = [_linear_combo(spec.q0[j], lin_dz, g) for j in range(g.d)]
     f2_0 = [F * spec.q0[j, 1] for j in range(g.d)]
     g1 = [[_linear_combo(spec.qjl[j, l], lin_dz, g) for l in range(g.d)] for j in range(g.d)]
@@ -555,7 +569,7 @@ def reduced_rhs(state: KGState, para: Paralinearization, spec: NonlinearitySpec,
     lam_u = lambda_power(u, 1.0)
     zs, q0, qd, q = para.zs, para.q0, para.qd, para.q
     wm1, wm1mq2, vtm1 = para.wm1, para.wm1mq2, para.vtm1
-    f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, q0, spec)
+    f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, para, spec)
 
     one = Field.one(g)
     lam_mult = Symbol.term(one, p=1)

@@ -14,14 +14,19 @@ a frequency multiplier is a plain pointwise scale of ``coeffs`` and the
 coefficient convolution theorem has no stray measure factors, which
 fixes every operator normalization downstream.
 
-A field declared real (``Field.real``) holds float64 ``values`` and the
-full Hermitian ``coeffs`` array, c_{-m} = conj(c_m), so multipliers act
-on it exactly as on a complex field.  Its transforms are the real ones:
-``values = irfftn(coeffs[..., :n//2+1])`` and ``coeffs`` is
-``rfftn(values)`` with the mirror half filled in by conjugation, about
-half the cost of the complex pair.  Multipliers with real symbols, real
-combinations and dealiased products of real fields stay real; see
-:class:`Field`.
+A field declared real (``Field.real``) holds float64 ``values`` and
+stores only the ``rfftn`` half of its coefficients: last-axis modes
+0..n/2, shape n^(d-1) x (n/2+1), which fix the rest through
+c_{-m} = conj(c_m).  Its transforms are the real ones,
+``values = irfftn(half)`` and ``half = rfftn(values)``, about half the
+cost of the complex pair, and a real multiplier, mask or combination
+acts on the half alone (``Field.spectrum``).  The two last-axis planes
+at modes 0 and n/2 are their own mirrors; a forward transform
+symmetrizes them, so the half is exactly Hermitian.  ``Field.coeffs``
+still gives the full array: it completes the half by conjugation on
+each call, for the reductions and mixed real-complex arithmetic that
+read it.  Multipliers with real symbols, real combinations and
+dealiased products of real fields stay real; see :class:`Field`.
 
 Quadrature: physical integrals carry the weight (2L/n)^d, so the
 squared L2 norm is also (2L)^d * sum |c_m|^2 (Parseval).
@@ -67,6 +72,7 @@ class Grid:
     n: int
     L: float
     # Derived, precomputed in __post_init__.
+    half_shape: tuple = field(init=False, repr=False)
     dx: float = field(init=False, repr=False)
     dxi: float = field(init=False, repr=False)
     x_axes: tuple = field(init=False, repr=False)
@@ -85,6 +91,8 @@ class Grid:
         if not self.L > 0:
             raise ValueError(f"box half-length must be positive, got {self.L}")
 
+        # the rfftn half a real field stores: n^(d-1) x (n/2+1)
+        object.__setattr__(self, "half_shape", (n,) * (self.d - 1) + (n // 2 + 1,))
         object.__setattr__(self, "dx", 2.0 * self.L / n)
         object.__setattr__(self, "dxi", np.pi / self.L)
 
@@ -118,6 +126,11 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return (self.n,) * self.d
+
+    def half(self, table: np.ndarray) -> np.ndarray:
+        """The part of a full-lattice array that lines up with the rfftn
+        half: its last-axis modes 0..n/2, as a view."""
+        return table[..., :self.n // 2 + 1]
 
     @property
     def npoints(self) -> int:
@@ -184,7 +197,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _zero_coeffs(shape: tuple) -> np.ndarray:
-    """The read-only zero array that every ``Field.zero`` of this shape holds."""
+    """The read-only zero array of this shape that every ``Field.zero``
+    shares: its rfftn half, and the full array its ``coeffs`` gives."""
     return _frozen(np.zeros(shape, dtype=complex))
 
 
@@ -203,28 +217,35 @@ def _mirror_blocks(d: int, n: int) -> tuple:
                  for picks in itertools.product(_NEGATE, repeat=d - 1))
 
 
+def _symmetrize_ends(coeffs: np.ndarray, n: int) -> None:
+    """Make the planes at last-axis mode 0 and n/2, which are their own
+    mirrors, exactly Hermitian, in place, on a full array or its rfftn
+    half: each entry becomes the mean of itself and its conjugate mirror.
+    fl(a + conj b) and fl(b + conj a) are exact conjugates, and an
+    exactly Hermitian plane is left bitwise as it is."""
+    if coeffs.ndim == 1:
+        return  # a 1-D plane is one entry, which rfft makes exactly real
+    ends = coeffs[..., ::n // 2]
+    mirror, negated = ends, -np.arange(n) % n
+    for axis in range(coeffs.ndim - 1):
+        mirror = np.take(mirror, negated, axis=axis)
+    ends += np.conj(mirror)
+    ends *= 0.5
+
+
 def _hermitian_coeffs(half: np.ndarray, n: int) -> np.ndarray:
     """The full coefficient array of a real field from its rfftn half.
 
     The last axis' modes n/2+1..n-1 are the conjugates of the mirrored
-    modes, c_{-m} = conj(c_m).  The planes at last-axis mode 0 and n/2
-    are their own mirrors; they are symmetrized, so the whole array is
-    exactly Hermitian.
+    modes, c_{-m} = conj(c_m), and the self-mirror planes are
+    symmetrized, so the whole array is exactly Hermitian.
     """
     h = n // 2 + 1
     full = np.empty(half.shape[:-1] + (n,), dtype=complex)
     full[..., :h] = half
     for dst, src in _mirror_blocks(half.ndim, n):
         np.conjugate(half[src], out=full[dst])
-    if half.ndim > 1:
-        # average the self-mirror planes with their conjugate mirrors;
-        # fl(a + conj b) and fl(b + conj a) are exact conjugates
-        ends = full[..., ::h - 1]
-        mirror, negated = ends, -np.arange(n) % n
-        for axis in range(half.ndim - 1):
-            mirror = np.take(mirror, negated, axis=axis)
-        ends += np.conj(mirror)
-        ends *= 0.5
+    _symmetrize_ends(full, n)
     return full
 
 
@@ -283,22 +304,30 @@ def _hold_heap(grid: Grid) -> None:
 class Field:
     """A field on a Grid with lazily cached FFT representation.
 
-    A field is complex unless it is declared real (``real=True``): a
-    real field holds float64 ``values``, and its ``coeffs`` are the full
-    Hermitian array, so every multiplier is a pointwise scale of
-    ``coeffs`` either way.  Realness propagates: sums and differences of
-    two real fields, real scalar multiples, ``conj``, real multipliers
-    (``spectral.derivative``, ``laplacian``, ``lambda_power``, the band
-    projectors, ``dealias``) and dealiased products of two real fields
-    are real; a complex scalar, ``spectral.semigroup`` or a complex
-    operand makes a complex field.  ``zero`` and ``one`` are real.
+    A field is complex unless it is declared real (``real=True``).  A
+    real field holds float64 ``values`` and stores the rfftn half of its
+    coefficients, which :meth:`spectrum` returns; ``coeffs`` is the full
+    Hermitian array, completed from the half on each call and not kept,
+    so a real field holds half the coefficient memory of a complex one
+    and code that reads ``coeffs`` sees a full array for either kind.
+    :meth:`from_coeffs` takes a full array for either kind too; a real
+    field keeps (a view of) its half, which should be Hermitian.
+
+    Realness propagates: sums and differences of two real fields, real
+    scalar multiples, ``conj``, real multipliers (``spectral.derivative``,
+    ``laplacian``, ``lambda_power``, the band projectors, ``dealias``)
+    and dealiased products of two real fields are real, and all but
+    ``conj`` and the products act on the half alone.  A complex scalar,
+    ``spectral.semigroup`` or a complex operand makes a complex field
+    from the full array.  ``zero`` and ``one`` are real.
 
     Instances are immutable: arithmetic returns new fields, and every
     cached array is read-only, so writing into ``values`` or ``coeffs``
     raises ``ValueError``.  A Field takes ownership of the array it is
     given: an array of its dtype (complex; float64 values of a real
     field) is stored as is, not copied, and becomes read-only.
-    Construct with :meth:`from_values` or :meth:`from_coeffs`.
+    Construct with :meth:`from_values`, :meth:`from_coeffs` or
+    :meth:`from_spectrum`.
     """
 
     __slots__ = ("grid", "_values", "_coeffs", "real")
@@ -314,6 +343,8 @@ class Field:
         ref = self._values if self._values is not None else self._coeffs
         if ref.shape != grid.shape:
             raise ValueError(f"shape {ref.shape} does not match grid {grid.shape}")
+        if real and self._coeffs is not None:
+            self._coeffs = grid.half(self._coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -323,28 +354,44 @@ class Field:
 
     @classmethod
     def from_coeffs(cls, grid: Grid, coeffs, real: bool = False) -> "Field":
+        """A field from its full coefficient array (Hermitian if real)."""
         return cls(grid, None, coeffs, real)
+
+    @classmethod
+    def from_spectrum(cls, grid: Grid, spectrum, real: bool = False) -> "Field":
+        """A field from coefficients in the layout it stores them: the
+        rfftn half of a real field, the full array of a complex one."""
+        spectrum = _frozen(np.asarray(spectrum, dtype=complex))
+        if spectrum.shape != (grid.half_shape if real else grid.shape):
+            raise ValueError(f"spectrum shape {spectrum.shape} does not match grid {grid.shape}"
+                             f" for a {'real' if real else 'complex'} field")
+        out = cls.__new__(cls)
+        out.grid, out.real, out._values, out._coeffs = grid, real, None, spectrum
+        return out
 
     @classmethod
     def zero(cls, grid: Grid) -> "Field":
         """The zero field, real and held in coefficient space.
 
         Sums with spectral fields then stay spectral, with no transform.
-        Every zero field of one grid shape shares one read-only array.
+        Every zero field of one grid shape shares one read-only half, and
+        its ``coeffs`` are one shared read-only full array.
         """
-        return cls(grid, None, _zero_coeffs(grid.shape), True)
+        return cls.from_spectrum(grid, _zero_coeffs(grid.half_shape), True)
 
     @classmethod
     def one(cls, grid: Grid) -> "Field":
         return cls(grid, values=np.ones(grid.shape), real=True)
 
     def as_real(self) -> "Field":
-        """This field declared real: a view on its cached arrays (the real
-        part of cached values), with no copy and no transform."""
+        """This field declared real: a view on its cached arrays (the half
+        of cached coefficients, the real part of cached values), with no
+        copy and no transform."""
         if self.real:
             return self
         out = Field.__new__(Field)  # both arrays are already read-only and checked
-        out.grid, out._coeffs, out.real = self.grid, self._coeffs, True
+        out.grid, out.real = self.grid, True
+        out._coeffs = None if self._coeffs is None else self.grid.half(self._coeffs)
         out._values = None if self._values is None else self._values.real
         return out
 
@@ -355,9 +402,8 @@ class Field:
         if self._values is None:
             grid = self.grid
             if self.real:
-                axes = tuple(range(grid.d))
-                vals = np.fft.irfftn(self._coeffs[..., :grid.n // 2 + 1], s=grid.shape,
-                                     axes=axes, norm="forward")
+                vals = np.fft.irfftn(self._coeffs, s=grid.shape, axes=tuple(range(grid.d)),
+                                     norm="forward")
             else:
                 vals = np.fft.ifftn(self._coeffs, norm="forward")
             self._values = _frozen(vals)
@@ -365,10 +411,23 @@ class Field:
 
     @property
     def coeffs(self) -> np.ndarray:
+        """The full coefficient array: a real field completes its half,
+        read-only and new on each call (a zero field excepted)."""
+        stored = self.spectrum()
+        if not self.real:
+            return stored
+        if stored is _zero_coeffs(self.grid.half_shape):
+            return _zero_coeffs(self.grid.shape)
+        return _frozen(_hermitian_coeffs(stored, self.grid.n))
+
+    def spectrum(self) -> np.ndarray:
+        """The coefficients as stored: the rfftn half of a real field,
+        the full array of a complex one.  Transforms once if needed, and
+        never completes a half."""
         if self._coeffs is None:
             if self.real:
-                half = np.fft.rfftn(self._values, norm="forward")
-                coeffs = _hermitian_coeffs(half, self.grid.n)
+                coeffs = np.fft.rfftn(self._values, norm="forward")
+                _symmetrize_ends(coeffs, self.grid.n)
             else:
                 coeffs = np.fft.fftn(self._values, norm="forward")
             self._coeffs = _frozen(coeffs)
@@ -377,10 +436,15 @@ class Field:
     def is_zero(self) -> bool:
         """True when the field is identically zero; makes no transform.
 
-        Reads whichever representation is cached.  A NaN entry is not
+        The shared zero array of ``zero`` answers at once; otherwise it
+        reads whichever representation is cached.  A NaN entry is not
         zero, so a field holding one is not zero either.
         """
-        arr = self._coeffs if self._coeffs is not None else self._values
+        arr = self._coeffs
+        if arr is None:
+            arr = self._values
+        elif arr is _zero_coeffs(self.grid.half_shape):
+            return True
         return not np.any(arr)
 
     def is_real(self, tol: float = 1e-12) -> bool:
@@ -398,26 +462,31 @@ class Field:
         if not self.grid.compatible(other.grid):
             raise ValueError("fields live on different grids")
 
-    def __add__(self, other: "Field") -> "Field":
+    def _combine(self, other: "Field", op) -> "Field":
+        """op of the two fields, on the halves when both are real, on the
+        full arrays otherwise, in whichever space both have cached."""
         self._check(other)
         real = self.real and other.real
         if self._coeffs is not None and other._coeffs is not None:
-            return Field.from_coeffs(self.grid, self._coeffs + other._coeffs, real)
-        return Field.from_values(self.grid, self.values + other.values, real)
+            if real:
+                return Field.from_spectrum(self.grid, op(self._coeffs, other._coeffs), True)
+            return Field.from_coeffs(self.grid, op(self.coeffs, other.coeffs))
+        return Field.from_values(self.grid, op(self.values, other.values), real)
+
+    def __add__(self, other: "Field") -> "Field":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "Field") -> "Field":
-        self._check(other)
-        real = self.real and other.real
-        if self._coeffs is not None and other._coeffs is not None:
-            return Field.from_coeffs(self.grid, self._coeffs - other._coeffs, real)
-        return Field.from_values(self.grid, self.values - other.values, real)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "Field":
         if isinstance(scalar, Field):
             raise TypeError("use dealiased_product for field products")
         real = self.real and not isinstance(scalar, (complex, np.complexfloating))
         if self._coeffs is not None:
-            out = Field(self.grid, None, self._coeffs * scalar, real)
+            # a complex scalar on a real field scales the full array
+            coeffs = self._coeffs if real == self.real else self.coeffs
+            out = Field.from_spectrum(self.grid, coeffs * scalar, real)
             if self._values is not None:
                 out._values = _frozen(self._values * scalar)
             return out
@@ -432,14 +501,17 @@ class Field:
         return Field.from_values(self.grid, np.conj(self.values), self.real)
 
     def copy(self) -> "Field":
-        return Field(self.grid, values=None if self._values is None else self._values.copy(),
-                     coeffs=None if self._coeffs is None else self._coeffs.copy(),
-                     real=self.real)
+        out = Field.__new__(Field)
+        out.grid, out.real = self.grid, self.real
+        out._values = None if self._values is None else _frozen(self._values.copy())
+        out._coeffs = None if self._coeffs is None else _frozen(self._coeffs.copy())
+        return out
 
     def l2(self) -> float:
-        """Quadrature L2 norm, computed from whichever representation exists."""
+        """Quadrature L2 norm, computed from whichever representation exists
+        (the full coefficient array, for a real field)."""
         if self._coeffs is not None:
-            return float(np.sqrt(self.grid.volume * np.sum(np.abs(self._coeffs) ** 2)))
+            return float(np.sqrt(self.grid.volume * np.sum(np.abs(self.coeffs) ** 2)))
         return float(np.sqrt(self.grid.quad_weight * np.sum(np.abs(self._values) ** 2)))
 
     def sup(self) -> float:

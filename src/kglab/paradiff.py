@@ -180,6 +180,7 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
     bf[grid.nyquist_mask] = 0.0
     modes = np.meshgrid(*grid.mode_axes, indexing="ij")
     out = np.zeros(grid.shape, dtype=complex)
+    xcoeffs = {key: xpart.coeffs for key, xpart in a.parts.items()}
 
     for mtheta in _theta_candidates(grid):
         diag = not mtheta.any()
@@ -208,8 +209,8 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
         zpts = np.stack(
             [(m - 0.5 * s) * grid.dxi for m, s in zip(modes, mtheta)], axis=-1
         )
-        for (alpha, p), xpart in a.parts.items():
-            btheta = xpart.coeffs[tuple(mtheta % grid.n)]
+        for (alpha, p), xc in xcoeffs.items():
+            btheta = xc[tuple(mtheta % grid.n)]
             if btheta == 0.0:
                 continue
             out += btheta * weight * zeta_factor(zpts, alpha, p) * shifted

@@ -19,15 +19,20 @@ Conventions:
   of one evaluation there and truncates the sum once.  Multipliers,
   sums and ``Field.zero`` keep fields in coefficient space too, so in
   ``dynamics.rhs`` the only transforms are one inverse per distinct
-  live operand and one forward transform, with one Hermitian
-  completion and one mask, for the whole of F (none when no product
-  is live).
+  live operand and one forward transform, with no Hermitian
+  completion and one mask on the rfftn half, for the whole of F (none
+  when no product is live).
 * Real symbols keep a real field real (``grid.Field.real``), and the
-  product of two real fields is real.  The Klein-Gordon unknowns are
+  product of two real fields is real.  A real field stores only the
+  rfftn half of its coefficients (``Field.spectrum``), and every real
+  multiplier and mask here acts on that half, with its table cut to the
+  half (``Grid.half``): entry for entry the same arithmetic as on the
+  full array, on half the entries.  The Klein-Gordon unknowns are
   declared real (``dynamics.KGState``), so every operand and product of
   F is real, and each of those transforms is a real one (``irfftn`` in,
   ``rfftn`` out): about half the cost of a complex transform.
-  ``semigroup`` and a complex operand make complex fields.
+  ``semigroup`` and a complex operand make complex fields from the full
+  array.
 """
 
 from __future__ import annotations
@@ -57,28 +62,38 @@ __all__ = [
 ]
 
 
-def _band_multiplier(grid: Grid, weights: np.ndarray) -> np.ndarray:
+def _stored(f: Field, table: np.ndarray) -> np.ndarray:
+    """The part of a full-lattice table that lines up with the
+    coefficients ``f`` stores: the rfftn half for a real field."""
+    return f.grid.half(table) if f.real else table
+
+
+def _scaled(f: Field, multiplier: np.ndarray) -> Field:
+    """f times a multiplier table given on the coefficients it stores; the
+    symbol keeps a real field real (it is real and even, or odd and
+    imaginary)."""
+    return Field.from_spectrum(f.grid, f.spectrum() * multiplier, f.real)
+
+
+def _band_multiplier(f: Field, weights: np.ndarray) -> np.ndarray:
     out = np.array(weights, dtype=float)
-    out[grid.nyquist_mask] = 0.0
+    out[_stored(f, f.grid.nyquist_mask)] = 0.0
     return out
 
 
 def lp_project(f: Field, k: int) -> Field:
     """Littlewood-Paley piece P_k f (band index k >= -1)."""
-    w = _band_multiplier(f.grid, psi_band(k, f.grid.xi_mags))
-    return Field.from_coeffs(f.grid, f.coeffs * w, f.real)
+    return _scaled(f, _band_multiplier(f, psi_band(k, _stored(f, f.grid.xi_mags))))
 
 
 def lp_low(f: Field, k: int) -> Field:
     """Low-frequency cut P_{<=k} f."""
-    w = _band_multiplier(f.grid, psi_le(k, f.grid.xi_mags))
-    return Field.from_coeffs(f.grid, f.coeffs * w, f.real)
+    return _scaled(f, _band_multiplier(f, psi_le(k, _stored(f, f.grid.xi_mags))))
 
 
 def lp_interval(f: Field, k_lo: int, k_hi: int) -> Field:
     """P_I f for the integer band interval I = [k_lo, k_hi]."""
-    w = _band_multiplier(f.grid, psi_range(k_lo, k_hi, f.grid.xi_mags))
-    return Field.from_coeffs(f.grid, f.coeffs * w, f.real)
+    return _scaled(f, _band_multiplier(f, psi_range(k_lo, k_hi, _stored(f, f.grid.xi_mags))))
 
 
 def q_shell(f: Field, j: int) -> Field:
@@ -97,7 +112,7 @@ def lambda_mag(grid: Grid) -> np.ndarray:
 
 def lambda_power(f: Field, s: float) -> Field:
     """(1 - Laplacian)^(s/2) as the <xi>^s multiplier (even, keeps Nyquist)."""
-    return Field.from_coeffs(f.grid, f.coeffs * lambda_mag(f.grid) ** s, f.real)
+    return _scaled(f, _stored(f, lambda_mag(f.grid)) ** s)
 
 
 def semigroup(f: Field, t: float, sign: int = +1) -> Field:
@@ -127,17 +142,17 @@ def derivative(f: Field, axis: int, order: int = 1) -> Field:
     grid = f.grid
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
-    sym = _derivative_symbol(grid.d, grid.n, grid.dxi, axis, order)
-    return Field.from_coeffs(grid, f.coeffs * sym, f.real)
+    return _scaled(f, _stored(f, _derivative_symbol(grid.d, grid.n, grid.dxi, axis, order)))
 
 
 def laplacian(f: Field) -> Field:
-    return Field.from_coeffs(f.grid, f.coeffs * (-(f.grid.xi_mags**2)), f.real)
+    return _scaled(f, -(_stored(f, f.grid.xi_mags) ** 2))
 
 
 def dealias(f: Field) -> Field:
     """Truncate to the 2/3 box (also removes Nyquist rows)."""
-    return Field.from_coeffs(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0), f.real)
+    kept = np.where(_stored(f, f.grid.dealias_mask), f.spectrum(), 0.0)
+    return Field.from_spectrum(f.grid, kept, f.real)
 
 
 def dealiased_product(f: Field, g: Field) -> Field:
@@ -150,15 +165,15 @@ def dealiased_product(f: Field, g: Field) -> Field:
 
     A zero operand gives a zero product, the shared ``Field.zero``, with
     no transform, whatever the other operand holds (even NaN).  A square
-    (``g is f``) makes one inverse transform for both factors, and so
-    does a field listed by an enclosing :func:`shared_operands` for all
-    its products.  Inside that block a live product is returned in
+    (``g is f``) makes one zero test and one inverse transform for both
+    factors, and a field listed by an enclosing :func:`shared_operands`
+    makes one inverse transform for all its products.  Inside that block a live product is returned in
     physical space without its output truncation, which the block's
     caller applies once to the sum of its products.
     """
     if not f.grid.compatible(g.grid):
         raise ValueError("fields live on different grids")
-    if f.is_zero() or g.is_zero():
+    if f.is_zero() or (g is not f and g.is_zero()):
         return Field.zero(f.grid)
     fv = _dealiased_values(f)
     gv = fv if g is f else _dealiased_values(g)

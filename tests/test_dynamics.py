@@ -13,6 +13,7 @@ import pytest
 
 from kglab.data import gaussian_bump, make_rng, random_band_field
 from kglab import dynamics
+from kglab import grid as grid_module
 from kglab.dynamics import (
     KGState,
     default_norm_order,
@@ -153,9 +154,9 @@ def test_building_a_state_makes_no_transform_and_shares_arrays(fft_calls):
     fft_calls.update(fftn=0, ifftn=0)
     st = KGState(g, 0.0, u, w)
     assert st.u.real and st.w.real
-    assert st.u._coeffs is u._coeffs and np.shares_memory(st.u._values, u._values)
+    assert np.shares_memory(st.u._coeffs, u._coeffs) and np.shares_memory(st.u._values, u._values)
     assert np.array_equal(st.u._values, u._values.real)
-    assert st.w._coeffs is w._coeffs and st.w._values is None
+    assert np.shares_memory(st.w._coeffs, w._coeffs) and st.w._values is None
     assert KGState(g, 0.0, st.u, st.w).u is st.u
     assert fft_calls == {"fftn": 0, "ifftn": 0}
 
@@ -217,6 +218,27 @@ def test_2d_rhs_transforms_each_operand_once(fft_calls, monkeypatch):
     rhs(st, default_spec(2))
     assert fft_calls == {"fftn": 1, "ifftn": 6}
     assert len(pairs) == 8 and sum(pairs) == 6
+
+
+def test_f_and_both_steppers_never_complete_a_half(fft_calls, monkeypatch):
+    # real fields keep their rfftn halves: no 2-D F, classical RK4 step
+    # or Lawson step builds a full Hermitian array, and F still makes 6
+    # inverse transforms and 1 forward one
+    g = make_grid(2, 32, 8 * np.pi)
+    st = _small_state(g, 0.1, t=1.0)
+    completions = []
+    complete = grid_module._hermitian_coeffs
+    monkeypatch.setattr(grid_module, "_hermitian_coeffs",
+                        lambda *args: completions.append(1) or complete(*args))
+    fft_calls.update(fftn=0, ifftn=0)
+    F = nonlinearity_value(st, default_spec(2))
+    assert fft_calls == {"fftn": 1, "ifftn": 6}
+    assert F.real and F._coeffs.shape == g.half_shape
+    semilinear = default_spec(2, 0.0, 0.0, 2.0, 0.0)
+    for spec in (default_spec(2), semilinear):
+        nxt = step(st, spec, step_limit(g, spec))
+        assert nxt.u._coeffs.shape == nxt.w._coeffs.shape == g.half_shape
+    assert completions == []
 
 
 @pytest.mark.parametrize("d, n, spec, forward", [
@@ -529,7 +551,7 @@ def test_reduced_residual_halves_like_dt_squared(d, n):
 def test_reduced_residual_paralinearizes_each_state_once(monkeypatch):
     # prev, nxt and the midpoint are each paralinearized once, and the
     # midpoint's build serves the good unknown, the drift and the right
-    # side; the fourth coefficient build is the one inside the midpoint's F
+    # side, the midpoint's F included: three coefficient builds in all
     g = make_grid(2, 32, 8 * np.pi)
     spec = default_spec(2)
     prev = _small_state(g, 0.1, seed=61, t=1.0)
@@ -549,7 +571,19 @@ def test_reduced_residual_paralinearizes_each_state_once(monkeypatch):
     monkeypatch.setattr(dynamics, "coefficient_fields", counting_coefficient_fields)
     assert reduced_equation_residual(prev, nxt, spec) > 0
     assert sorted(built) == [prev.t, 0.5 * (prev.t + nxt.t), nxt.t]
-    assert len(coeff_calls) == 4
+    assert len(coeff_calls) == 3
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32)])
+def test_f_on_a_paralinearization_is_f_on_its_state(d, n):
+    # the reduced right side evaluates F on the midpoint's build; that is
+    # bitwise the F that nonlinearity_value builds from the state itself
+    g = make_grid(d, n, 8 * np.pi)
+    spec = default_spec(d)
+    st = _small_state(g, 0.1, seed=64, t=1.0)
+    para = paralinearize(st, spec)
+    from_para = dynamics._nonlinearity(para.zs, para.q0, para.qd, spec)
+    assert from_para.coeffs.tobytes() == nonlinearity_value(st, spec).coeffs.tobytes()
 
 
 def test_reduced_residual_guards():

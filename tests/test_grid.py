@@ -317,3 +317,96 @@ def test_is_real_answers_a_real_field_with_no_transform(fft_calls):
     assert f.is_real()
     assert f._values is None
     assert fft_calls == {"fftn": 0, "ifftn": 0}
+
+
+def _full_from_half(half, n):
+    """The full Hermitian array of an rfftn half, entry by entry: the last
+    axis' modes above n/2 are conjugate mirrors, and each entry of the
+    self-mirror planes (last-axis modes 0 and n/2) is averaged with the
+    conjugate of its mirror."""
+    d, h = half.ndim, n // 2 + 1
+    full = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    for m in np.ndindex(full.shape):
+        mirror = tuple(-k % n for k in m)
+        full[m] = half[m] if m[-1] < h else np.conj(half[mirror])
+    if d > 1:
+        ends = full.copy()
+        for m in np.ndindex(full.shape):
+            if m[-1] in (0, n // 2):
+                ends[m] = (full[m] + np.conj(full[tuple(-k % n for k in m)])) * 0.5
+        full = ends
+    return full
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+def test_real_field_stores_its_rfftn_half(d, n):
+    # from values, from a full Hermitian array and as a state's view, a
+    # real field keeps the n^(d-1) x (n/2+1) half, and its coeffs are
+    # bitwise the full array that the half completes to
+    g = make_grid(d, n, 2.0)
+    v = make_rng(20).standard_normal(g.shape)
+    from_values = Field.from_values(g, v, real=True)
+    assert from_values._coeffs is None
+    full = _full_from_half(np.fft.rfftn(v, norm="forward"), n)
+    assert np.array_equal(full, np.conj(_negated(full)))
+    assert from_values.coeffs.tobytes() == full.tobytes()
+    assert from_values._coeffs.shape == g.half_shape
+    assert from_values.spectrum() is from_values._coeffs
+    from_full = Field.from_coeffs(g, full.copy(), real=True)
+    st = KGState(g, 0.0, Field.from_coeffs(g, full), Field.from_coeffs(g, full))
+    assert np.shares_memory(st.u._coeffs, full)
+    for f in (from_full, st.u):
+        assert f._coeffs.shape == g.half_shape
+        assert f._coeffs.tobytes() == g.half(full).tobytes()
+        assert f.coeffs.tobytes() == full.tobytes()
+        assert np.max(np.abs(f.values - v)) <= 1e-14 * np.max(np.abs(v))
+
+
+def _real_multipliers(d):
+    out = [("laplacian", laplacian), ("lambda_power", lambda f: lambda_power(f, -1.5)),
+           ("lp_project", lambda f: lp_project(f, 1)), ("lp_low", lambda f: lp_low(f, 0)),
+           ("lp_interval", lambda f: lp_interval(f, 0, 1)), ("dealias", dealias)]
+    for axis in range(d):
+        for order in (1, 2, 3):
+            out.append((f"derivative-{axis}-{order}",
+                        lambda f, axis=axis, order=order: derivative(f, axis, order)))
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
+def test_real_multipliers_on_the_half_match_the_full_array_bitwise(d, n):
+    g = make_grid(d, n, 3.0)
+    f = Field.from_values(g, make_rng(21).standard_normal(g.shape), real=True)
+    cplx = Field.from_coeffs(g, f.coeffs)  # the same full array, complex route
+    for name, op in _real_multipliers(d):
+        half, full = op(f), op(cplx)
+        assert half.real and half._coeffs.shape == g.half_shape, name
+        assert half._coeffs.tobytes() == g.half(full.coeffs).tobytes(), name
+
+
+def test_real_sums_and_scalings_stay_on_the_half():
+    g = make_grid(2, 16, 1.0)
+    rng = make_rng(22)
+    f, h = (Field.from_values(g, rng.standard_normal(g.shape), real=True) for _ in range(2))
+    f.spectrum(), h.spectrum()
+    for out, want in ((f + h, f.coeffs + h.coeffs), (f - h, f.coeffs - h.coeffs),
+                      (f * 2.5, f.coeffs * 2.5)):
+        assert out.real and out._coeffs.shape == g.half_shape
+        assert out._coeffs.tobytes() == g.half(want).tobytes()
+    mixed = f * 1j
+    assert not mixed.real and mixed._coeffs.shape == g.shape
+    assert np.array_equal(mixed.coeffs, f.coeffs * 1j)
+
+
+def test_a_square_scans_its_operand_once_and_zero_not_at_all(monkeypatch):
+    g = make_grid(2, 16, 1.0)
+    f = Field.from_values(g, make_rng(23).standard_normal(g.shape), real=True)
+    zero = Field.zero(g)
+    scans = []
+    np_any = np.any
+    monkeypatch.setattr(np, "any", lambda a, *args, **kw: scans.append(a) or np_any(a, *args, **kw))
+    assert zero.is_zero() and scans == []
+    dealiased_product(zero, zero)
+    assert scans == []
+    dealiased_product(f, f)
+    assert len(scans) == 1

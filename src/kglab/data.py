@@ -35,21 +35,24 @@ def random_band_field(
 ) -> Field:
     """Gaussian random field band-limited to dyadic bands [k_lo, k_hi].
 
-    Real fields get Hermitian-symmetrized coefficients.
+    The draw is a complex field with independent standard normal real
+    and imaginary coefficient parts.  With ``real`` (the default) the
+    result is the real part of its values, declared real: a real field
+    whose stored rfftn half is exactly Hermitian.
     """
     shape = grid.shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     f = Field.from_coeffs(grid, coeffs)
     if real:
-        f = Field.from_values(grid, f.values.real)
+        f = Field.from_values(grid, f.values.real, real=True)
     k_hi = grid.k_top if k_hi is None else k_hi
     return dealias(lp_interval(f, k_lo, k_hi))
 
 
 def gaussian_bump(grid: Grid, sigma: float) -> Field:
-    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), dealiased."""
+    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), dealiased; a real field."""
     vals = np.exp(-(grid.x_mags**2) / (2.0 * sigma**2))
-    return dealias(Field.from_values(grid, vals))
+    return dealias(Field.from_values(grid, vals, real=True))
 
 
 def envelope_field(
@@ -63,8 +66,9 @@ def envelope_field(
     """Band-limited random field shaped by a <x/core>^(-decay) envelope.
 
     The slow envelope models weakly decaying data: L2 mass spread over
-    every spatial dyadic shell with prescribed power-law weight.
+    every spatial dyadic shell with prescribed power-law weight.  The
+    result is a real field.
     """
-    f = random_band_field(grid, rng, k_lo=k_lo, k_hi=k_hi, real=True)
+    f = random_band_field(grid, rng, k_lo=k_lo, k_hi=k_hi)
     env = (1.0 + (grid.x_mags / core) ** 2) ** (-decay / 2.0)
-    return dealias(Field.from_values(grid, f.values * env))
+    return dealias(Field.from_values(grid, f.values * env, real=True))

@@ -27,16 +27,16 @@ sampled at the stages, so the step is bounded by accuracy rather than
 stability.  Every other spec steps with classical RK4 within the CFL
 limit; see :func:`step_limit`.
 
-u and w are real-valued, and :class:`KGState` declares them real
-(``grid.Field.real``).  Realness propagates from there through both
-steppers, every F evaluation and the good-unknown products, so their
-transforms are the half-cost real ones, and their coefficients are the
-rfftn halves, n^(d-1) (n/2+1) of them: the multipliers and the 2/3
-masks of F, the classical RK4 combinations and Lawson's linear turn
-all act on the half, and none of them completes it to the full
-Hermitian array.  Only the reductions (norms, residuals) and the
-complex objects complete it: the half-wave variable U and the profile
-V are complex.
+u and w are real-valued.  The initial data are built as real fields
+(``grid.Field.real``, ``data``), and :class:`KGState` takes nothing
+else.  Realness propagates from there through both steppers, every F
+evaluation and the good-unknown products, so their transforms are the
+half-cost real ones, and their coefficients are the rfftn halves,
+n^(d-1) (n/2+1) of them: the multipliers and the 2/3 masks of F, the
+classical RK4 combinations and Lawson's linear turn all act on the
+half, and none of them completes it to the full Hermitian array.  Only
+the reductions (norms, residuals) and the complex objects complete it:
+the half-wave variable U and the profile V are complex.
 
 Each step frees and reallocates the same grid-sized temporaries, so
 :func:`run_to_time` first sets glibc's malloc thresholds for the grid
@@ -110,9 +110,10 @@ __all__ = [
 class KGState:
     """One time slice of the first-order system: u and w = du/dt.
 
-    u and w are real-valued, and the state declares them so: it holds
-    real views of the fields it is given (:meth:`Field.as_real`, no copy
-    and no transform), so F and both steppers run on real transforms.
+    u and w are real-valued, and the state holds the real fields it is
+    given (``Field.real``), so F and both steppers run on real
+    transforms.  A complex u or w raises ``ValueError``: the state does
+    not convert it.
     """
 
     grid: Grid
@@ -123,22 +124,15 @@ class KGState:
     def __post_init__(self):
         if not (self.grid.compatible(self.u.grid) and self.grid.compatible(self.w.grid)):
             raise ValueError("state fields live on a different grid")
-        object.__setattr__(self, "u", self.u.as_real())
-        object.__setattr__(self, "w", self.w.as_real())
+        if not (self.u.real and self.w.real):
+            raise ValueError("u and w must be real fields: build them with"
+                             " Field.from_values(grid, values, real=True)"
+                             " or Field.from_spectrum(grid, half, True)")
 
     def half_wave(self) -> Field:
         """U = w + i Lambda u."""
         lam_u = lambda_power(self.u, 1.0)
         return self.w + lam_u * 1j
-
-    @classmethod
-    def from_half_wave(cls, grid: Grid, t: float, U: Field) -> "KGState":
-        """Invert U = w + i Lambda u: u and w are real by the state's
-        declaration, so w is the real part of U and Lambda u the
-        imaginary part."""
-        w = Field.from_values(grid, U.values.real)
-        lam_u = Field.from_values(grid, U.values.imag)
-        return cls(grid, t, lambda_power(lam_u, -1.0), w)
 
     def profile(self) -> Field:
         """V = e^{-it Lambda} U."""

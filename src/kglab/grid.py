@@ -14,19 +14,21 @@ a frequency multiplier is a plain pointwise scale of ``coeffs`` and the
 coefficient convolution theorem has no stray measure factors, which
 fixes every operator normalization downstream.
 
-A field declared real (``Field.real``) holds float64 ``values`` and
-stores only the ``rfftn`` half of its coefficients: last-axis modes
-0..n/2, shape n^(d-1) x (n/2+1), which fix the rest through
-c_{-m} = conj(c_m).  Its transforms are the real ones,
-``values = irfftn(half)`` and ``half = rfftn(values)``, about half the
-cost of the complex pair, and a real multiplier, mask or combination
-acts on the half alone (``Field.spectrum``).  The two last-axis planes
-at modes 0 and n/2 are their own mirrors; a forward transform
-symmetrizes them, so the half is exactly Hermitian.  ``Field.coeffs``
-still gives the full array: it completes the half by conjugation on
-each call, for the reductions and mixed real-complex arithmetic that
-read it.  Multipliers with real symbols, real combinations and
-dealiased products of real fields stay real; see :class:`Field`.
+A field is real (``Field.real``) when it is built so, from float
+values or from its own half, and never becomes real later.  It holds
+float64 ``values`` and stores only the ``rfftn`` half of its
+coefficients: last-axis modes 0..n/2, shape n^(d-1) x (n/2+1), which
+fix the rest through c_{-m} = conj(c_m).  Its transforms are the real
+ones, ``values = irfftn(half)`` and ``half = rfftn(values)``, about half
+the cost of the complex pair, and a real multiplier, mask or
+combination acts on the half alone (``Field.spectrum``).  The two
+last-axis planes at modes 0 and n/2 are their own mirrors; a forward
+transform symmetrizes them, so the half is exactly Hermitian.
+``Field.coeffs`` still gives the full array: it completes the half by
+conjugation on each call, for the reductions and mixed real-complex
+arithmetic that read it.  Multipliers with real symbols, real
+combinations and dealiased products of real fields stay real; see
+:class:`Field`.
 
 Quadrature: physical integrals carry the weight (2L/n)^d, so the
 squared L2 norm is also (2L)^d * sum |c_m|^2 (Parseval).
@@ -171,11 +173,6 @@ class Grid:
         xmax = self.L * np.sqrt(self.d)
         return max(-1, int(np.ceil(np.log2(xmax / 1.25))))
 
-    def xi_components(self) -> list:
-        """Dense frequency component arrays, shape = grid.shape, one per axis."""
-        mesh = np.meshgrid(*self.mode_axes, indexing="ij")
-        return [self.dxi * m.astype(float) for m in mesh]
-
     def mode_tuples(self) -> np.ndarray:
         """Integer mode vectors, shape (npoints, d), row-major over the lattice."""
         mesh = np.meshgrid(*self.mode_axes, indexing="ij")
@@ -304,14 +301,17 @@ def _hold_heap(grid: Grid) -> None:
 class Field:
     """A field on a Grid with lazily cached FFT representation.
 
-    A field is complex unless it is declared real (``real=True``).  A
-    real field holds float64 ``values`` and stores the rfftn half of its
+    A field is complex unless it is declared real where it is built,
+    and nothing converts one kind into the other later.  A real field
+    comes from float values (``from_values(grid, values, real=True)``)
+    or from its own rfftn half (``from_spectrum(grid, half, True)``);
+    :meth:`from_coeffs` takes a full array and builds a complex field,
+    and ``Field(grid, coeffs=..., real=True)`` raises.  A real field
+    holds float64 ``values`` and stores the rfftn half of its
     coefficients, which :meth:`spectrum` returns; ``coeffs`` is the full
     Hermitian array, completed from the half on each call and not kept,
     so a real field holds half the coefficient memory of a complex one
     and code that reads ``coeffs`` sees a full array for either kind.
-    :meth:`from_coeffs` takes a full array for either kind too; a real
-    field keeps (a view of) its half, which should be Hermitian.
 
     Realness propagates: sums and differences of two real fields, real
     scalar multiples, ``conj``, real multipliers (``spectral.derivative``,
@@ -335,6 +335,9 @@ class Field:
     def __init__(self, grid: Grid, values=None, coeffs=None, real: bool = False):
         if values is None and coeffs is None:
             raise ValueError("need physical values or frequency coefficients")
+        if real and coeffs is not None:
+            raise ValueError("a real field is built from its values or from its rfftn half"
+                             " (from_spectrum), not from a full coefficient array")
         self.grid = grid
         self.real = real
         self._values = None if values is None else _frozen(
@@ -343,8 +346,6 @@ class Field:
         ref = self._values if self._values is not None else self._coeffs
         if ref.shape != grid.shape:
             raise ValueError(f"shape {ref.shape} does not match grid {grid.shape}")
-        if real and self._coeffs is not None:
-            self._coeffs = grid.half(self._coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -353,9 +354,9 @@ class Field:
         return cls(grid, values, None, real)
 
     @classmethod
-    def from_coeffs(cls, grid: Grid, coeffs, real: bool = False) -> "Field":
-        """A field from its full coefficient array (Hermitian if real)."""
-        return cls(grid, None, coeffs, real)
+    def from_coeffs(cls, grid: Grid, coeffs) -> "Field":
+        """A complex field from its full coefficient array."""
+        return cls(grid, None, coeffs)
 
     @classmethod
     def from_spectrum(cls, grid: Grid, spectrum, real: bool = False) -> "Field":
@@ -382,18 +383,6 @@ class Field:
     @classmethod
     def one(cls, grid: Grid) -> "Field":
         return cls(grid, values=np.ones(grid.shape), real=True)
-
-    def as_real(self) -> "Field":
-        """This field declared real: a view on its cached arrays (the half
-        of cached coefficients, the real part of cached values), with no
-        copy and no transform."""
-        if self.real:
-            return self
-        out = Field.__new__(Field)  # both arrays are already read-only and checked
-        out.grid, out.real = self.grid, True
-        out._coeffs = None if self._coeffs is None else self.grid.half(self._coeffs)
-        out._values = None if self._values is None else self._values.real
-        return out
 
     # -- representations ---------------------------------------------------
 
@@ -447,15 +436,6 @@ class Field:
             return True
         return not np.any(arr)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        """True for a field declared real, with no transform; otherwise
-        whether the imaginary part of ``values`` is within tol of zero."""
-        if self.real:
-            return True
-        v = self.values
-        scale = np.max(np.abs(v)) or 1.0
-        return float(np.max(np.abs(v.imag))) <= tol * scale
-
     # -- arithmetic (new fields, same grid) ---------------------------------
 
     def _check(self, other: "Field"):
@@ -499,13 +479,6 @@ class Field:
 
     def conj(self) -> "Field":
         return Field.from_values(self.grid, np.conj(self.values), self.real)
-
-    def copy(self) -> "Field":
-        out = Field.__new__(Field)
-        out.grid, out.real = self.grid, self.real
-        out._values = None if self._values is None else _frozen(self._values.copy())
-        out._coeffs = None if self._coeffs is None else _frozen(self._coeffs.copy())
-        return out
 
     def l2(self) -> float:
         """Quadrature L2 norm, computed from whichever representation exists

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field
-from .spectral import lambda_mag, lp_project, q_shell
+from .spectral import derivative, lambda_mag, lp_project, q_shell
 
 __all__ = [
     "sobolev",
@@ -39,19 +39,17 @@ def sobolev(f: Field, s: float) -> float:
 def holder_sup(f: Field, m: int) -> float:
     """max over multi-indices |beta| <= m of sup |d^beta f|.
 
-    Spectral derivatives evaluated at the collocation points; for the
-    band-limited fields the lab works with, the grid sup is the sup.
+    Spectral derivatives (:func:`spectral.derivative`, one axis at a
+    time) evaluated at the collocation points; for the band-limited
+    fields the lab works with, the grid sup is the sup.
     """
-    grid = f.grid
-    xi = grid.xi_components()
     best = 0.0
     for order in range(int(m) + 1):
-        for beta in itertools.combinations_with_replacement(range(grid.d), order):
-            mult = np.ones(grid.shape, dtype=complex)
+        for beta in itertools.combinations_with_replacement(range(f.grid.d), order):
+            d_beta = f
             for axis in beta:
-                mult = mult * (1j * xi[axis])
-            vals = np.fft.ifftn(f.coeffs * mult, norm="forward")
-            best = max(best, float(np.max(np.abs(vals))))
+                d_beta = derivative(d_beta, axis)
+            best = max(best, d_beta.sup())
     return best
 
 

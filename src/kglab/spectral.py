@@ -27,12 +27,12 @@ Conventions:
   rfftn half of its coefficients (``Field.spectrum``), and every real
   multiplier and mask here acts on that half, with its table cut to the
   half (``Grid.half``): entry for entry the same arithmetic as on the
-  full array, on half the entries.  The Klein-Gordon unknowns are
-  declared real (``dynamics.KGState``), so every operand and product of
-  F is real, and each of those transforms is a real one (``irfftn`` in,
-  ``rfftn`` out): about half the cost of a complex transform.
-  ``semigroup`` and a complex operand make complex fields from the full
-  array.
+  full array, on half the entries.  The Klein-Gordon unknowns are real
+  fields from the data on (``dynamics.KGState`` takes no complex one),
+  so every operand and product of F is real, and each of those
+  transforms is a real one (``irfftn`` in, ``rfftn`` out): about half
+  the cost of a complex transform.  ``semigroup`` and a complex operand
+  make complex fields from the full array.
 """
 
 from __future__ import annotations

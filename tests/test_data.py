@@ -24,7 +24,7 @@ def test_rng_is_philox_and_seed_pinned():
 def test_band_field_is_real_and_band_limited():
     g = make_grid(1, 256, 2 * np.pi)
     f = random_band_field(g, make_rng(80), k_lo=1, k_hi=2)
-    assert f.is_real()
+    assert f.real
     mags = g.xi_mags
     live = np.abs(f.coeffs) > 1e-14
     assert np.all(mags[live] >= 1.25 * 2.0**0)  # below band 1's support
@@ -35,14 +35,15 @@ def test_band_field_is_real_and_band_limited():
 def test_complex_band_field_draws_differ_from_real():
     g = make_grid(1, 64, np.pi)
     f = random_band_field(g, make_rng(82), real=False)
-    assert not f.is_real()
+    assert not f.real
+    assert np.max(np.abs(f.values.imag)) > 0.1 * f.sup()
 
 
 def test_gaussian_bump_shape():
     g = make_grid(1, 128, 8.0)
     f = gaussian_bump(g, 1.0)
-    assert f.is_real()
-    center = float(f.values.real[np.argmin(g.x_mags)])
+    assert f.real
+    center = float(f.values[np.argmin(g.x_mags)])
     assert center == pytest.approx(1.0, rel=1e-10)
     assert f.sup() == pytest.approx(1.0, rel=1e-10)
 
@@ -57,3 +58,21 @@ def test_envelope_field_spreads_mass_with_decay():
     slow = envelope_field(g, make_rng(83), decay=0.5, k_lo=0, k_hi=2)
     outer_slow = np.abs(slow.values[g.x_mags > 32.0])
     assert np.mean(outer_slow) > np.mean(outer)
+
+
+def _mirrored(coeffs):
+    """c_{-m} at every mode m."""
+    axes = tuple(range(coeffs.ndim))
+    return np.roll(np.flip(coeffs, axes), 1, axes)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+def test_data_constructors_build_exactly_hermitian_real_fields(d, n):
+    # the real data are real fields from the start: their halves are
+    # exactly Hermitian, so each full array equals its conjugate mirror
+    g = make_grid(d, n, 4.0)
+    for f in (random_band_field(g, make_rng(84), k_lo=-1, k_hi=1),
+              gaussian_bump(g, 0.7),
+              envelope_field(g, make_rng(85), decay=2.0, k_lo=0, k_hi=1)):
+        assert f.real and f.spectrum().shape == g.half_shape
+        assert np.array_equal(f.coeffs, np.conj(_mirrored(f.coeffs)))

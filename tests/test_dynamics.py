@@ -49,6 +49,14 @@ def _small_state(g, eps, seed=60, t=0.0):
     return KGState(g, t, u * (eps / u.sup()), w * (eps / w.sup()))
 
 
+def _spectral_state(st, t):
+    """st at time t, its real fields rebuilt from their halves alone, so
+    no values are cached."""
+    g = st.grid
+    return KGState(g, t, Field.from_spectrum(g, st.u.spectrum(), True),
+                   Field.from_spectrum(g, st.w.spectrum(), True))
+
+
 def test_spectral_derivative_against_finite_differences():
     g = make_grid(1, 128, np.pi)
     f = gaussian_bump(g, 0.4)
@@ -62,14 +70,6 @@ def test_spectral_derivative_against_finite_differences():
     err2 = (derivative(f2, 0) - fd_gradient_oracle(f2, 0)).sup()
     err1 = (spectral - fd).sup()
     assert err2 < err1 / 12.0  # h -> h/2 gains about 2^4
-
-
-def test_half_wave_round_trip():
-    g = make_grid(1, 64, 2 * np.pi)
-    st = _small_state(g, 0.3)
-    back = KGState.from_half_wave(g, st.t, st.half_wave())
-    assert (back.u - st.u).l2() < 1e-13
-    assert (back.w - st.w).l2() < 1e-13
 
 
 # the lifespan spec S = 2u^2 is semilinear; the default spec is not
@@ -139,39 +139,71 @@ def test_nonlinear_step_preserves_reality():
         cur = st
         for _ in range(5):
             cur = step(cur, spec, 0.8 * step_limit(g, spec))
-        # the state declares u and w real; the complex route on the same
-        # coefficients must agree, i.e. the step keeps them Hermitian
+        # the state holds u and w as real fields; the complex route on the
+        # same coefficients must agree, i.e. the step keeps them Hermitian
         for f in (cur.u, cur.w):
-            assert f.real and Field.from_coeffs(g, f.coeffs).is_real()
+            cplx = Field.from_coeffs(g, f.coeffs).values
+            assert f.real and np.max(np.abs(cplx.imag)) <= 1e-12 * np.max(np.abs(cplx))
 
 
 def test_building_a_state_makes_no_transform_and_shares_arrays(fft_calls):
+    # the state holds the real fields it is given, with both caches or
+    # only the half, and makes no copy and no transform
     g = make_grid(2, 16, 4 * np.pi)
     rng = make_rng(61)
-    u = random_band_field(g, rng)  # complex dtype, both caches filled
+    u = random_band_field(g, rng)  # both caches filled
     _ = u.values
-    w = Field.from_coeffs(g, random_band_field(g, rng).coeffs)
+    w = Field.from_spectrum(g, random_band_field(g, rng).spectrum(), True)
     fft_calls.update(fftn=0, ifftn=0)
     st = KGState(g, 0.0, u, w)
-    assert st.u.real and st.w.real
-    assert np.shares_memory(st.u._coeffs, u._coeffs) and np.shares_memory(st.u._values, u._values)
-    assert np.array_equal(st.u._values, u._values.real)
-    assert np.shares_memory(st.w._coeffs, w._coeffs) and st.w._values is None
+    assert st.u is u and st.w is w
+    assert st.w._values is None
     assert KGState(g, 0.0, st.u, st.w).u is st.u
     assert fft_calls == {"fftn": 0, "ifftn": 0}
 
 
-def test_real_nonlinearity_matches_complex_products(monkeypatch):
-    # F on the real state against the same products on complex copies:
-    # with the declaration switched off the state keeps complex fields
+def test_a_state_refuses_complex_fields():
+    g = make_grid(1, 32, 4 * np.pi)
+    rng = make_rng(64)
+    u, w = random_band_field(g, rng), random_band_field(g, rng)
+    cplx_u, cplx_w = Field.from_coeffs(g, u.coeffs), Field.from_values(g, w.values)
+    for pair in ((cplx_u, w), (u, cplx_w)):
+        with pytest.raises(ValueError, match="u and w must be real fields"):
+            KGState(g, 0.0, *pair)
+
+
+def test_band_states_and_their_steps_stay_on_real_transforms(monkeypatch):
+    # the pinned data are real fields from their draws on: building a
+    # state makes one complex transform per field, the draw of its
+    # complex coefficients, and neither stepper makes any
+    from kglab.experiments import _band_state
+
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    for d, n, spec in ((1, 256, LIFESPAN_SPEC), (2, 32, default_spec(2))):
+        g = make_grid(d, n, 8 * np.pi)
+        calls.clear()
+        st = _band_state(g, make_rng(65), 0.1, 1.0)
+        assert calls == ["ifftn", "ifftn"]
+        calls.clear()
+        nxt = step(st, spec, step_limit(g, spec))
+        assert nxt.u.real and nxt.w.real
+        assert calls == []
+
+
+def test_real_nonlinearity_matches_complex_products():
+    # F on the real state against the same products on complex copies
+    # of its Z list, which no state holds
     g = make_grid(2, 32, 8 * np.pi)
     st = _small_state(g, 0.1, t=1.0)
     spec = default_spec(2)
     real = nonlinearity_value(st, spec)
     assert real.real
-    monkeypatch.setattr(Field, "as_real", lambda f: f)
-    cplx_state = KGState(g, st.t, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
-    cplx = nonlinearity_value(cplx_state, spec)
+    cplx_u, cplx_w = Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs)
+    cplx = _f_on(_z_list(cplx_u, cplx_w), spec)
     assert not cplx.real
     assert np.max(np.abs(real.coeffs - cplx.coeffs)) <= 1e-13 * np.max(np.abs(cplx.coeffs))
 
@@ -181,7 +213,7 @@ def test_lifespan_rhs_makes_two_transforms(fft_calls):
     # product, one inverse transform in and one forward transform out
     g = make_grid(1, 256, 8 * np.pi)
     st = _small_state(g, 0.1)
-    st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
+    st = _spectral_state(st, 1.0)
     fft_calls.update(fftn=0, ifftn=0)
     du, dw = rhs(st, LIFESPAN_SPEC)
     assert fft_calls == {"fftn": 1, "ifftn": 1}
@@ -191,7 +223,7 @@ def test_lifespan_rhs_makes_two_transforms(fft_calls):
 def test_lawson_step_makes_two_transforms_per_stage(fft_calls):
     g = make_grid(1, 256, 8 * np.pi)
     st = _small_state(g, 0.1)
-    st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
+    st = _spectral_state(st, 1.0)
     fft_calls.update(fftn=0, ifftn=0)
     nxt = step(st, LIFESPAN_SPEC, step_limit(g, LIFESPAN_SPEC))
     assert fft_calls == {"fftn": 4, "ifftn": 4}
@@ -205,7 +237,7 @@ def test_2d_rhs_transforms_each_operand_once(fft_calls, monkeypatch):
     # products are summed in physical space and forward-transformed once
     g = make_grid(2, 32, 8 * np.pi)
     st = _small_state(g, 0.1)
-    st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
+    st = _spectral_state(st, 1.0)
     pairs = []
     product = dynamics.dealiased_product
 
@@ -253,7 +285,7 @@ def test_nonlinearity_makes_one_forward_transform(fft_calls, d, n, spec, forward
     # the sum once; with every product zero it transforms nothing
     g = make_grid(d, n, 4 * np.pi)
     st = _small_state(g, 0.1)
-    st = KGState(g, 1.0, Field.from_coeffs(g, st.u.coeffs), Field.from_coeffs(g, st.w.coeffs))
+    st = _spectral_state(st, 1.0)
     fft_calls.update(fftn=0, ifftn=0)
     F = nonlinearity_value(st, spec)
     assert fft_calls["fftn"] == forward
@@ -270,11 +302,20 @@ def _full_spec(d, seed):
                             qjl=qjl + np.swapaxes(qjl, 0, 1), s=s + s.T)
 
 
-def _product_by_product(st, spec):
-    """F as the sum of its products, each dealiased on its own outside
-    any shared_operands block."""
-    g = st.grid
-    zs = dynamics.z_fields(st)
+def _z_list(u, w):
+    """The Z list (u, w, d_1 u, ..., d_d u) of u and w, which may be complex."""
+    return [u, w] + [derivative(u, axis) for axis in range(u.grid.d)]
+
+
+def _f_on(zs, spec):
+    """F on a Z list, through the one evaluation that nonlinearity_value makes."""
+    return dynamics._nonlinearity(zs, *dynamics.coefficient_fields(zs, spec), spec)
+
+
+def _product_by_product(zs, spec):
+    """F on a Z list as the sum of its products, each dealiased on its
+    own outside any shared_operands block."""
+    g = zs[0].grid
     q0, qd = dynamics.coefficient_fields(zs, spec)
     out = dynamics.source_value(zs, spec)
     for j in range(g.d):
@@ -293,20 +334,20 @@ def _mirrored(coeffs):
 
 @pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-def test_nonlinearity_matches_products_dealiased_one_at_a_time(monkeypatch, d, n, real):
+def test_nonlinearity_matches_products_dealiased_one_at_a_time(d, n, real):
     # the 2/3 projector is linear, so truncating the summed products once
-    # equals summing the truncated products, up to rounding
+    # equals summing the truncated products, up to rounding; the complex
+    # route runs on complex u and w, which no state holds
     g = make_grid(d, n, 4 * np.pi)
     st = _small_state(g, 0.1, t=1.0)
+    zs = dynamics.z_fields(st)
     if not real:
-        monkeypatch.setattr(Field, "as_real", lambda f: f)
         rng = make_rng(62)
-        u = st.u + random_band_field(g, rng, k_lo=-1, k_hi=1) * 0.05j
-        w = st.w + random_band_field(g, rng, k_lo=-1, k_hi=1) * 0.05j
-        st = KGState(g, st.t, Field.from_coeffs(g, u.coeffs), Field.from_coeffs(g, w.coeffs))
+        zs = _z_list(st.u + random_band_field(g, rng, k_lo=-1, k_hi=1) * 0.05j,
+                     st.w + random_band_field(g, rng, k_lo=-1, k_hi=1) * 0.05j)
     for spec in (default_spec(d, 0.7, -1.3, 2.0, 0.5), _full_spec(d, 63)):
-        F = nonlinearity_value(st, spec)
-        old = _product_by_product(st, spec)
+        F = nonlinearity_value(st, spec) if real else _f_on(zs, spec)
+        old = _product_by_product(zs, spec)
         assert F.real == real and old.real == real
         assert F._values is None
         assert np.max(np.abs(F.coeffs - old.coeffs)) <= 1e-14 * np.max(np.abs(old.coeffs))

@@ -219,11 +219,25 @@ def test_grid_mismatch_guard():
 
 
 def test_is_real():
+    # realness is the declaration a field is built with, read as .real:
+    # a real field comes from float values or from its half, never from
+    # a full coefficient array
     g = make_grid(1, 16, 1.0)
     rng = make_rng(3)
     f = random_band_field(g, rng, real=True)
-    assert f.is_real()
-    assert not (f * 1j + Field.one(g)).is_real()
+    assert f.real
+    assert not (f * 1j + Field.one(g)).real
+    g = make_grid(2, 16, 1.0)
+    v = rng.standard_normal(g.shape)
+    half = np.fft.rfftn(v, norm="forward")
+    assert Field.from_values(g, v, real=True).real
+    assert Field.from_spectrum(g, half, True).real
+    full = Field.from_values(g, v, real=True).coeffs
+    assert not Field.from_coeffs(g, full).real
+    with pytest.raises(ValueError, match="real field"):
+        Field(g, coeffs=full, real=True)
+    with pytest.raises(ValueError, match="spectrum shape"):
+        Field.from_spectrum(g, full, True)
 
 
 def test_band_indices_cover_lattice():
@@ -259,7 +273,7 @@ def test_real_field_is_exactly_hermitian_and_matches_the_complex_route(d, n):
     c = real.coeffs
     assert np.array_equal(c, np.conj(_negated(c)))
     assert np.max(np.abs(c - cplx.coeffs)) <= 1e-14 * np.max(np.abs(c))
-    back = Field.from_coeffs(g, cplx.coeffs, real=True).values
+    back = Field.from_spectrum(g, g.half(cplx.coeffs), True).values
     assert back.dtype == np.float64
     assert np.max(np.abs(back - Field.from_coeffs(g, cplx.coeffs).values)) <= 1e-14 * np.max(np.abs(v))
 
@@ -267,14 +281,15 @@ def test_real_field_is_exactly_hermitian_and_matches_the_complex_route(d, n):
 def test_realness_propagates_as_documented():
     g = make_grid(2, 16, 4.0)
     rng = make_rng(9)
-    f = Field.from_coeffs(g, random_band_field(g, rng).coeffs, real=True)
-    h = Field.from_values(g, random_band_field(g, rng).values.real, real=True)
+    f = random_band_field(g, rng)
+    h = Field.from_values(g, random_band_field(g, rng).values, real=True)
     z = random_band_field(g, rng, real=False)
     st = KGState(g, 0.0, f, h)
     table = [
         ("real + real", f + h, True),
         ("real - real", f - h, True),
         ("real + complex", f + z, False),
+        ("from_coeffs", Field.from_coeffs(g, f.coeffs), False),
         ("real * float", f * 2.5, True),
         ("real * int", h * 3, True),
         ("-real", -h, True),
@@ -304,21 +319,6 @@ def test_realness_propagates_as_documented():
         assert out.values.dtype == (np.float64 if real else np.complex128), name
 
 
-def test_copy_keeps_realness():
-    g = make_grid(1, 16, 1.0)
-    f = Field.from_values(g, np.arange(g.n, dtype=float), real=True)
-    assert f.copy().real and not Field.from_values(g, f.values).copy().real
-
-
-def test_is_real_answers_a_real_field_with_no_transform(fft_calls):
-    g = make_grid(2, 16, 1.0)
-    f = Field.from_coeffs(g, random_band_field(g, make_rng(4)).coeffs, real=True)
-    fft_calls.update(fftn=0, ifftn=0)
-    assert f.is_real()
-    assert f._values is None
-    assert fft_calls == {"fftn": 0, "ifftn": 0}
-
-
 def _full_from_half(half, n):
     """The full Hermitian array of an rfftn half, entry by entry: the last
     axis' modes above n/2 are conjugate mirrors, and each entry of the
@@ -340,9 +340,9 @@ def _full_from_half(half, n):
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
 def test_real_field_stores_its_rfftn_half(d, n):
-    # from values, from a full Hermitian array and as a state's view, a
-    # real field keeps the n^(d-1) x (n/2+1) half, and its coeffs are
-    # bitwise the full array that the half completes to
+    # from values and from its half, a real field keeps the
+    # n^(d-1) x (n/2+1) half, its coeffs are bitwise the full array that
+    # the half completes to, and a state holds the field it is given
     g = make_grid(d, n, 2.0)
     v = make_rng(20).standard_normal(g.shape)
     from_values = Field.from_values(g, v, real=True)
@@ -352,10 +352,10 @@ def test_real_field_stores_its_rfftn_half(d, n):
     assert from_values.coeffs.tobytes() == full.tobytes()
     assert from_values._coeffs.shape == g.half_shape
     assert from_values.spectrum() is from_values._coeffs
-    from_full = Field.from_coeffs(g, full.copy(), real=True)
-    st = KGState(g, 0.0, Field.from_coeffs(g, full), Field.from_coeffs(g, full))
-    assert np.shares_memory(st.u._coeffs, full)
-    for f in (from_full, st.u):
+    from_half = Field.from_spectrum(g, g.half(full).copy(), True)
+    st = KGState(g, 0.0, from_half, from_values)
+    assert st.u is from_half and st.w is from_values
+    for f in (from_half, from_values):
         assert f._coeffs.shape == g.half_shape
         assert f._coeffs.tobytes() == g.half(full).tobytes()
         assert f.coeffs.tobytes() == full.tobytes()

@@ -48,9 +48,11 @@ _SIGN_PAIRS = ("++", "+-", "-+", "--")
 
 
 def _parse_float(raw: str) -> float:
+    """A float, or a multiple of pi: "2.5pi", "pi", "-pi" (a bare sign is +-1)."""
     raw = raw.strip()
     if raw.endswith("pi"):
-        return float(raw[:-2].strip() or "1") * math.pi
+        factor = raw[:-2].strip()
+        return float(factor + "1" if factor in ("", "+", "-") else factor) * math.pi
     return float(raw)
 
 
@@ -202,6 +204,11 @@ class ExperimentConfig:
                 and self.checkpoints % 2 == 0):
             raise ValueError(f"scattering with rule = simpson needs an odd number "
                              f"of checkpoints, got {self.checkpoints}")
+        if self.fit_lo < 0 or self.fit_hi < 0:
+            raise ValueError("fit_lo and fit_hi must be nonnegative (0 = the whole sample range)")
+        if 0 < self.fit_hi <= self.fit_lo:
+            raise ValueError(f"fit_lo must be below fit_hi, got fit_lo = {self.fit_lo:g}"
+                             f" and fit_hi = {self.fit_hi:g}")
         if self.blow_up_factor <= 1:
             raise ValueError("blow_up_factor must exceed 1")
         if self.ladder < 1:

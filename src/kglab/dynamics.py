@@ -39,24 +39,20 @@ the reductions (norms, residuals) and the complex objects complete it:
 the half-wave variable U and the profile V are complex.
 
 Each step frees and reallocates the same grid-sized temporaries, so
-:func:`run_to_time` first sets glibc's malloc thresholds for the grid
-(``grid._hold_heap``: a trim threshold of 32 complex grid arrays, and
-the mmap threshold at its 32 MiB ceiling).  The freed heap then stays
-with the process between steps instead of going back to the kernel
-and being faulted back in at the next step.  This is glibc-only, it
-switches glibc's dynamic threshold adjustment off for the whole
-process, and it changes no arithmetic.
+:func:`run_to_time` first holds the heap for the grid
+(``grid._hold_heap``; the ``grid`` module docstring says how and why).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid, _hold_heap, _zero_coeffs
+from .grid import Field, Grid, _hold_heap
 from .nonlinearity import NonlinearitySpec
 from .norms import holder_sup, loglog_fit, sobolev
 from .paradiff import Symbol, error_op, remainder, weyl_apply, zeta_factor
@@ -69,14 +65,13 @@ from .resonance import (
     resonant_kernel,
 )
 from .spectral import (
-    dealias,
     dealiased_product,
+    dealiased_sum,
     derivative,
     laplacian,
     lambda_mag,
     lambda_power,
     semigroup,
-    shared_operands,
 )
 
 __all__ = [
@@ -167,36 +162,22 @@ def coefficient_fields(zs: list, spec: NonlinearitySpec):
     return q0, qd
 
 
-def _add_product(out, product: Field, coeff: float):
-    """out + coeff * product, with None for the empty sum.
-
-    A product with a zero operand is the shared ``Field.zero`` (it holds
-    ``grid._zero_coeffs``), and is skipped without reading it.
-    """
-    if product._coeffs is _zero_coeffs(product.grid.half_shape):
-        return out
-    # a unit coefficient passes the product itself: p * 1.0 is bitwise p
-    term = product if coeff == 1.0 else product * coeff
-    return term if out is None else out + term
-
-
-def source_value(zs: list, spec: NonlinearitySpec) -> Field:
-    """The constant-coefficient quadratic form S(u, du) on the argument
-    list ``zs = z_fields(state)``.
-
-    Inside :func:`spectral.shared_operands` (in :func:`nonlinearity_value`)
-    the products, and so S, are physical-space values not yet truncated
-    to the 2/3 box; elsewhere S is the sum of the dealiased products.
-    """
-    out = None
+def _source_terms(zs: list, spec: NonlinearitySpec):
+    """The (coefficient, factor, factor) terms of S on the argument list."""
     nz = spec.nz
     for c in range(nz):
         for cp in range(c, nz):
             coeff = spec.s[c, cp] * (1.0 if c == cp else 2.0)
-            if coeff == 0.0:
-                continue
-            out = _add_product(out, dealiased_product(zs[c], zs[cp]), coeff)
-    return Field.zero(zs[0].grid) if out is None else out
+            if coeff != 0.0:
+                yield coeff, zs[c], zs[cp]
+
+
+def source_value(zs: list, spec: NonlinearitySpec) -> Field:
+    """The constant-coefficient quadratic form S(u, du) on the argument
+    list ``zs = z_fields(state)``: one :func:`spectral.dealiased_sum` of
+    its products, sharing the Z list.
+    """
+    return dealiased_sum(zs[0].grid, _source_terms(zs, spec), zs)
 
 
 def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
@@ -204,29 +185,26 @@ def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
 
     One evaluation builds the Z list once and takes d_jl u from d_j u.
     A Z slot enters several products (in S, and as every unit
-    coefficient row), so the products share the Z list: each slot is
-    inverse-transformed once per evaluation.  Inside the block the
-    products stay in physical space; F adds them up there with their
-    coefficients and truncates the sum to the 2/3 box once, so it makes
-    one forward transform (none when every product is zero) and is
-    returned in coefficient space.
+    coefficient row), so F is one :func:`spectral.dealiased_sum` that
+    shares the Z list: each slot is inverse-transformed once per
+    evaluation, and the products are summed in physical space and
+    truncated once.  So F makes one forward transform (none when every
+    product is zero) and is returned in coefficient space.
     """
     zs = z_fields(state)
     return _nonlinearity(zs, *coefficient_fields(zs, spec), spec)
 
 
 def _nonlinearity(zs: list, q0: list, qd: list, spec: NonlinearitySpec) -> Field:
-    """F on the Z list of a state and the coefficient fields on it."""
+    """F on the Z list of a state and the coefficient fields on it: the
+    terms of S, then 2 Q^{0j} d_j w, then Q^{jl} d_l d_j u."""
     g = zs[0].grid
     w, du = zs[1], zs[2:]
-    with shared_operands(zs):
-        out = _add_product(None, source_value(zs, spec), 1.0)
-        for j in range(g.d):
-            out = _add_product(out, dealiased_product(q0[j], derivative(w, j)), 2.0)
-        for j in range(g.d):
-            for l in range(g.d):
-                out = _add_product(out, dealiased_product(qd[j][l], derivative(du[j], l)), 1.0)
-    return Field.zero(g) if out is None else dealias(out)
+    terms = itertools.chain(
+        _source_terms(zs, spec),
+        ((2.0, q0[j], derivative(w, j)) for j in range(g.d)),
+        ((1.0, qd[j][l], derivative(du[j], l)) for j in range(g.d) for l in range(g.d)))
+    return dealiased_sum(g, terms, zs)
 
 
 def rhs(state: KGState, spec: NonlinearitySpec):
@@ -359,12 +337,7 @@ def run_to_time(
     and respect both dt and :func:`step_limit`.
 
     Before the first step the heap is held for the grid
-    (``grid._hold_heap``, glibc only): with A = 16 n^d bytes, up to 32A
-    of freed heap top stays with the process and the mmap threshold
-    goes to glibc's 32 MiB ceiling, so the temporaries each step frees
-    are reused by the next one rather than returned to the kernel and
-    faulted back in.  This ends glibc's dynamic threshold adjustment for
-    the process; the values are only ever raised.
+    (``grid._hold_heap``; see the ``grid`` module docstring).
     """
     if t_end <= state.t:
         raise ValueError("t_end must exceed the initial time")

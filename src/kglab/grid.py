@@ -40,8 +40,9 @@ the heap back to the kernel, and the next step faults it back in page
 by page.  :func:`_hold_heap`, which ``dynamics.run_to_time`` calls
 before its loop, keeps that memory with the process instead.  With
 A = 16 n^d bytes (one complex grid array) it keeps up to 32A of free
-heap top (``M_TRIM_THRESHOLD``), and it puts the mmap threshold at
-glibc's 32 MiB ceiling (``M_MMAP_THRESHOLD``).  Setting either one
+heap top (``M_TRIM_THRESHOLD``, at most the largest C int), and it
+puts the mmap threshold at glibc's 32 MiB ceiling
+(``M_MMAP_THRESHOLD``).  Setting either one
 switches glibc's dynamic adjustment off for the whole process, and the
 ceiling is as high as that adjustment could ever have raised the mmap
 threshold, so no later allocation is mapped and unmapped anew each time
@@ -276,15 +277,8 @@ def _glibc_mallopt():
 
 
 def _hold_heap(grid: Grid) -> None:
-    """Keep the temporaries a step on this grid frees on the heap.
-
-    With A = 16 n^d bytes, sets glibc's ``M_TRIM_THRESHOLD`` to 32A (at
-    most the largest C int) and ``M_MMAP_THRESHOLD`` to its 32 MiB
-    ceiling; see the module docstring for why.  Only ever raises a value
-    set earlier in the process, because setting either one ends glibc's
-    dynamic adjustment for good.  A no-op off glibc and when 4A is at
-    most glibc's 128 KiB default mmap threshold.
-    """
+    """Keep the temporaries a step on this grid frees on the heap; the
+    module docstring's heap paragraph says how and why."""
     array = 16 * grid.npoints
     if 4 * array <= _MMAP_THRESHOLD_DEFAULT:
         return

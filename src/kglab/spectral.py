@@ -11,17 +11,16 @@ Conventions:
 * Every pointwise product in the package goes through
   :func:`dealiased_product` (2/3 rule, Orszag 1971).  It spends no
   transform on a zero operand and one inverse transform on a square,
-  and it returns its result in coefficient space.  Inside
-  :func:`shared_operands` a listed field is inverse-transformed once
-  however many products it enters, and each product is left in
-  physical space, untruncated: the 2/3 projector is linear, so the
-  block's caller (``dynamics.nonlinearity_value``) sums the products
-  of one evaluation there and truncates the sum once.  Multipliers,
-  sums and ``Field.zero`` keep fields in coefficient space too, so in
-  ``dynamics.rhs`` the only transforms are one inverse per distinct
-  live operand and one forward transform, with no Hermitian
-  completion and one mask on the rfftn half, for the whole of F (none
-  when no product is live).
+  and it returns its result in coefficient space.  A sum of products,
+  such as the nonlinearity F of ``dynamics``, goes through
+  :func:`dealiased_sum`: an operand it is told is shared is
+  inverse-transformed once however many products it enters, and the
+  live products are summed in physical space and truncated once (the
+  2/3 projector is linear).  Multipliers, sums and ``Field.zero`` keep
+  fields in coefficient space too, so the only transforms of F are one
+  inverse per distinct live operand and one forward transform, with no
+  Hermitian completion and one mask on the rfftn half (none when no
+  product is live).
 * Real symbols keep a real field real (``grid.Field.real``), and the
   product of two real fields is real.  A real field stores only the
   rfftn half of its coefficients (``Field.spectrum``), and every real
@@ -37,14 +36,12 @@ Conventions:
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
 
 from .cutoffs import psi_band, psi_le, psi_range
-from .grid import Field, Grid
+from .grid import Field, Grid, _zero_coeffs
 
 __all__ = [
     "lp_project",
@@ -58,7 +55,7 @@ __all__ = [
     "laplacian",
     "dealias",
     "dealiased_product",
-    "shared_operands",
+    "dealiased_sum",
 ]
 
 
@@ -155,7 +152,7 @@ def dealias(f: Field) -> Field:
     return Field.from_spectrum(f.grid, kept, f.real)
 
 
-def dealiased_product(f: Field, g: Field) -> Field:
+def dealiased_product(f: Field, g: Field, memo: dict = None) -> Field:
     """Pointwise product with the 2/3 rule on inputs and output.
 
     Inputs are truncated to the 2/3 box, multiplied in physical space,
@@ -166,50 +163,58 @@ def dealiased_product(f: Field, g: Field) -> Field:
     A zero operand gives a zero product, the shared ``Field.zero``, with
     no transform, whatever the other operand holds (even NaN).  A square
     (``g is f``) makes one zero test and one inverse transform for both
-    factors, and a field listed by an enclosing :func:`shared_operands`
-    makes one inverse transform for all its products.  Inside that block a live product is returned in
-    physical space without its output truncation, which the block's
-    caller applies once to the sum of its products.
+    factors.
+
+    ``memo`` is passed only by :func:`dealiased_sum`: it maps each of
+    the sum's shared operands (keyed by the field itself) to its
+    truncated values, filled on first use, and a live product is then
+    returned in physical space without its output truncation, which the
+    sum applies once.
     """
     if not f.grid.compatible(g.grid):
         raise ValueError("fields live on different grids")
     if f.is_zero() or (g is not f and g.is_zero()):
         return Field.zero(f.grid)
-    fv = _dealiased_values(f)
-    gv = fv if g is f else _dealiased_values(g)
+    fv = _dealiased_values(f, memo)
+    gv = fv if g is f else _dealiased_values(g, memo)
     product = Field.from_values(f.grid, fv * gv, f.real and g.real)
-    return product if hasattr(_shared, "memo") else dealias(product)
+    return dealias(product) if memo is None else product
 
 
-# id -> [field, its dealiased values or None] for the fields of the open
-# shared_operands block (blocks do not nest), no attribute outside one;
-# while it is set, products are left untruncated in physical space; per
-# thread, as experiment entries may run F on several threads at once
-_shared = threading.local()
-
-
-@contextmanager
-def shared_operands(fields):
-    """One F evaluation: inside the block, :func:`dealiased_product`
-    inverse-transforms each of ``fields`` at most once, however many
-    products it enters, and returns each live product in physical space
-    without truncating it.  The caller sums the products and applies
-    :func:`dealias` once; by linearity that is the sum of the truncated
-    products.  The operand copies are dropped, and products are
-    truncated again, when the block ends, even by an exception; the
-    block is per thread, so other threads never see it."""
-    _shared.memo = {id(f): [f, None] for f in fields}
-    try:
-        yield
-    finally:
-        del _shared.memo
-
-
-def _dealiased_values(f: Field) -> np.ndarray:
-    """dealias(f).values, computed once per shared operand."""
-    entry = getattr(_shared, "memo", {}).get(id(f))
-    if entry is None:
+def _dealiased_values(f: Field, memo) -> np.ndarray:
+    """dealias(f).values, computed once per shared operand of a memo."""
+    if memo is None or f not in memo:
         return dealias(f).values
-    if entry[1] is None:
-        entry[1] = dealias(f).values
-    return entry[1]
+    if memo[f] is None:
+        memo[f] = dealias(f).values
+    return memo[f]
+
+
+def dealiased_sum(grid: Grid, terms, shared) -> Field:
+    """The sum of c (f g) over the ``(c, f, g)`` that ``terms`` yields,
+    each product dealiased by the 2/3 rule, in coefficient space.
+
+    Each term makes one :func:`dealiased_product` call.  A field of
+    ``shared`` is inverse-transformed once, however many products it
+    enters.  A product with a zero operand is skipped; the live ones are
+    summed in physical space, and the sum is truncated to the 2/3 box
+    once, which by linearity of the projector is the sum of the
+    truncated products up to rounding.  So the sum makes one forward
+    transform, and it is the shared ``Field.zero``, with no transform,
+    when no term is live.  ``terms`` may be a generator: each term's
+    operands and product are let go before the next term is built.
+    """
+    memo = {f: None for f in shared}
+    zero = _zero_coeffs(grid.half_shape)
+    out = None
+    for c, f, g in terms:
+        p = dealiased_product(f, g, memo)
+        if p._coeffs is not zero:
+            # a unit coefficient passes the product itself: p * 1.0 is bitwise p
+            p = p if c == 1.0 else p * c
+            out = p if out is None else out + p
+        # let the term go before the next one is built
+        del f, g, p
+    # and the operand values before the forward transform
+    del memo
+    return Field.zero(grid) if out is None else dealias(out)

@@ -92,6 +92,11 @@ def test_pi_suffix_floats():
     assert cfg.box == pytest.approx(math.pi)
     cfg = parse_config("schema = kglab-experiment-v1\nexperiment = phase-scan\nbox = 2.5pi\n")
     assert cfg.box == pytest.approx(2.5 * math.pi)
+    # a bare sign means +-1, as an explicit 1 does
+    for raw, want in (("-pi", -math.pi), ("+pi", math.pi), ("- pi", -math.pi),
+                      ("-1pi", -math.pi), ("+2pi", 2 * math.pi)):
+        cfg = parse_config(f"schema = {SCHEMA}\nexperiment = phase-scan\ncoeff_alpha = {raw}\n")
+        assert cfg.coeff_alpha == want
 
 
 def test_validation_runs_at_parse_time():
@@ -121,6 +126,11 @@ def test_validation_runs_at_parse_time():
         ("experiment = scattering\neps = 0.1, 0.2\ncheckpoints = 8",
          "simpson needs an odd number of checkpoints, got 8"),
         ("experiment = weighted-bootstrap\neps = 0.05, 0.1", "runs one eps"),
+        ("experiment = dispersive-decay\nfit_lo = 5\nfit_hi = 3",
+         "fit_lo must be below fit_hi, got fit_lo = 5 and fit_hi = 3"),
+        ("experiment = dispersive-decay\nfit_lo = 3\nfit_hi = 3", "fit_lo must be below fit_hi"),
+        ("experiment = dispersive-decay\nfit_lo = -1", "fit_lo and fit_hi must be nonnegative"),
+        ("experiment = dispersive-decay\nfit_hi = -2", "fit_lo and fit_hi must be nonnegative"),
     ]
     for body, needle in cases:
         with pytest.raises(ValueError, match=needle):

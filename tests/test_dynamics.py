@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,7 @@ import pytest
 from kglab.data import gaussian_bump, make_rng, random_band_field
 from kglab import dynamics
 from kglab import grid as grid_module
+from kglab import spectral as spectral_module
 from kglab.dynamics import (
     KGState,
     default_norm_order,
@@ -239,13 +239,13 @@ def test_2d_rhs_transforms_each_operand_once(fft_calls, monkeypatch):
     st = _small_state(g, 0.1)
     st = _spectral_state(st, 1.0)
     pairs = []
-    product = dynamics.dealiased_product
+    product = spectral_module.dealiased_product
 
-    def counted(f, h):
+    def counted(f, h, memo):
         pairs.append(not (f.is_zero() or h.is_zero()))
-        return product(f, h)
+        return product(f, h, memo)
 
-    monkeypatch.setattr(dynamics, "dealiased_product", counted)
+    monkeypatch.setattr(spectral_module, "dealiased_product", counted)
     fft_calls.update(fftn=0, ifftn=0)
     rhs(st, default_spec(2))
     assert fft_calls == {"fftn": 1, "ifftn": 6}
@@ -314,10 +314,14 @@ def _f_on(zs, spec):
 
 def _product_by_product(zs, spec):
     """F on a Z list as the sum of its products, each dealiased on its
-    own outside any shared_operands block."""
+    own by a plain dealiased_product call."""
     g = zs[0].grid
     q0, qd = dynamics.coefficient_fields(zs, spec)
-    out = dynamics.source_value(zs, spec)
+    out = Field.zero(g)
+    for c in range(spec.nz):
+        for cp in range(c, spec.nz):
+            coeff = spec.s[c, cp] * (1.0 if c == cp else 2.0)
+            out = out + dealiased_product(zs[c], zs[cp]) * coeff
     for j in range(g.d):
         out = out + dealiased_product(q0[j], derivative(zs[1], j)) * 2.0
     for j in range(g.d):
@@ -363,12 +367,11 @@ def _assert_masked_coefficients(p):
 
 @pytest.mark.parametrize("spec", [default_spec(2), default_spec(2, 0.0, 0.0, 2.0, 0.0)],
                          ids=["quasilinear", "semilinear"])
-def test_product_memo_ends_with_the_evaluation(fft_calls, monkeypatch, spec):
+def test_product_memo_ends_with_the_evaluation(fft_calls, spec):
     # F shares the transforms of its Z list, and leaves its products in
-    # physical space, only while it runs and only on its own thread:
-    # afterwards, after a product raised inside it, and on another thread
-    # while it runs, every product transforms both of its operands and
-    # comes back truncated, in coefficient space
+    # physical space, only inside its own sum: after a step and an F
+    # evaluation, a product transforms both of its operands and comes
+    # back truncated, in coefficient space
     g = make_grid(2, 16, 4 * np.pi)
     st = _small_state(g, 0.1, t=1.0)
     step(st, spec, step_limit(g, spec))
@@ -378,33 +381,6 @@ def test_product_memo_ends_with_the_evaluation(fft_calls, monkeypatch, spec):
     assert fft_calls == {"fftn": 2, "ifftn": 4}
     _assert_masked_coefficients(first)
     _assert_masked_coefficients(second)
-
-    product = dynamics.dealiased_product
-    seen = {}
-
-    def on_another_thread(f, h):
-        inside = product(f, h)
-        if not seen:
-            seen["inside"] = inside
-            worker = threading.Thread(target=lambda: seen.update(other=product(st.u, st.w)))
-            worker.start()
-            worker.join()
-        return inside
-
-    monkeypatch.setattr(dynamics, "dealiased_product", on_another_thread)
-    nonlinearity_value(st, spec)
-    assert seen["inside"]._coeffs is None  # u^2 is live, and left in physical space
-    _assert_masked_coefficients(seen["other"])
-    assert np.array_equal(seen["other"].coeffs, first.coeffs)
-
-    def failing(f, h):
-        product(f, h)
-        raise RuntimeError("product failed")
-
-    monkeypatch.setattr(dynamics, "dealiased_product", failing)
-    with pytest.raises(RuntimeError, match="product failed"):
-        nonlinearity_value(st, spec)
-    _assert_masked_coefficients(dealiased_product(st.u, st.w))
 
 
 def test_run_to_time_guards_and_rows():

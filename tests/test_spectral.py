@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from kglab.data import make_rng, random_band_field
+from kglab import spectral
 from kglab.grid import Field, make_grid
 from kglab.spectral import (
     dealias,
     dealiased_product,
+    dealiased_sum,
     derivative,
     laplacian,
     lambda_power,
@@ -145,6 +147,74 @@ def test_square_shares_one_inverse_transform(fft_calls):
     square = dealiased_product(f, f)
     assert fft_calls == {"fftn": 1, "ifftn": 1}
     assert np.array_equal(square.coeffs, dealiased_product(f, g).coeffs)
+
+
+def _spectral_field(g, seed, real):
+    """A random band field held in coefficient space alone."""
+    f = _field(g, seed, real)
+    return Field.from_spectrum(g, f.spectrum(), real)
+
+
+def _terms(g, real):
+    """(c, f, h) terms over two shared fields a, b and an unshared c,
+    with a square, unit and non-unit coefficients and two zero terms."""
+    a, b, c = (_spectral_field(g, seed, real) for seed in (20, 21, 22))
+    zero = Field.zero(g)
+    terms = [(1.0, a, a), (2.0, a, b), (-0.5, b, c), (1.0, zero, a),
+             (3.0, c, a), (1.0, b, Field.from_values(g, np.zeros(g.shape)))]
+    return terms, [a, b]
+
+
+def test_dealiased_sum_makes_one_product_call_per_term(monkeypatch):
+    terms, shared = _terms(G2, True)
+    calls = []
+    product = spectral.dealiased_product
+
+    def counted(f, h, memo):
+        calls.append((f, h))
+        return product(f, h, memo)
+
+    monkeypatch.setattr(spectral, "dealiased_product", counted)
+    dealiased_sum(G2, iter(terms), shared)
+    assert calls == [(f, h) for _, f, h in terms]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_dealiased_sum_transforms_each_shared_field_once(fft_calls, real):
+    # a and b are shared and live, so one inverse transform each; c is
+    # not shared and enters two live products, so two; the sum makes
+    # one forward transform and is returned in coefficient space
+    terms, shared = _terms(G2, real)
+    fft_calls.update(fftn=0, ifftn=0)
+    out = dealiased_sum(G2, iter(terms), shared)
+    assert fft_calls == {"fftn": 1, "ifftn": 4}
+    assert out._values is None and out.real == real
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_dealiased_sum_is_the_sum_of_dealiased_products(d, n, real):
+    # the 2/3 projector is linear, so truncating the summed products once
+    # equals summing the truncated products, up to rounding
+    g = make_grid(d, n, 4 * np.pi)
+    terms, shared = _terms(g, real)
+    got = dealiased_sum(g, iter(terms), shared)
+    want = Field.zero(g)
+    for c, f, h in terms:
+        want = want + dealiased_product(f, h) * c
+    assert got.real == want.real == real
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
+    assert not np.any(got.coeffs[~g.dealias_mask])
+
+
+def test_dealiased_sum_with_no_live_term_is_the_shared_zero(fft_calls):
+    f = _spectral_field(G2, 23, True)
+    zero = Field.zero(G2)
+    fft_calls.update(fftn=0, ifftn=0)
+    for terms in ([], [(1.0, zero, f), (2.0, f, zero), (1.0, zero, zero)]):
+        out = dealiased_sum(G2, iter(terms), [f, zero])
+        assert out.spectrum() is zero.spectrum()
+    assert fft_calls == {"fftn": 0, "ifftn": 0}
 
 
 def test_derivative_symbol_has_the_bits_of_the_inline_expression():

@@ -23,6 +23,10 @@ import math
 import os
 from dataclasses import dataclass, fields
 
+import numpy as np
+
+from .dynamics import checkpoint_times
+
 __all__ = ["ExperimentConfig", "EXPERIMENT_IDS", "SCHEMA", "parse_config", "load_config"]
 
 SCHEMA = "kglab-experiment-v1"
@@ -185,6 +189,8 @@ class ExperimentConfig:
             raise ValueError("checkpoints must be at least 2")
         if self.schedule not in ("log", "linear"):
             raise ValueError("schedule must be 'log' or 'linear'")
+        if self.band_lo < -1:
+            raise ValueError(f"band_lo must be at least -1 (the low band), got {self.band_lo}")
         if self.band_hi < self.band_lo:
             raise ValueError("band_hi must be at least band_lo")
         if not 0 < self.alpha < 1:
@@ -209,6 +215,18 @@ class ExperimentConfig:
         if 0 < self.fit_hi <= self.fit_lo:
             raise ValueError(f"fit_lo must be below fit_hi, got fit_lo = {self.fit_lo:g}"
                              f" and fit_hi = {self.fit_hi:g}")
+        if self.experiment in ("dispersive-decay", "strichartz-growth"):
+            # the fit needs two distinct checkpoint times in its window; a
+            # 1-D strichartz-growth fit is log-log, and its integral is 0 at t0
+            ts = checkpoint_times(self.t0, self.t1, self.checkpoints, self.schedule)
+            lo, hi = self.fit_lo or ts[0], self.fit_hi or ts[-1]
+            usable = ts[int(self.experiment == "strichartz-growth" and self.dim == 1):]
+            inside = np.unique(usable[(usable >= lo) & (usable <= hi)])
+            if inside.size < 2:
+                raise ValueError(f"fit window [{lo:g}, {hi:g}] holds {inside.size} usable of the"
+                                 f" {self.checkpoints} {self.schedule} checkpoint times from"
+                                 f" {ts[0]:g} to {ts[-1]:g}; {self.experiment} fits a slope"
+                                 f" through at least two")
         if self.blow_up_factor <= 1:
             raise ValueError("blow_up_factor must exceed 1")
         if self.ladder < 1:

@@ -82,9 +82,10 @@ def psi_le(k: int, r):
 def psi_range(k_lo: int, k_hi: int, r):
     """Sum of rings k_lo..k_hi (inclusive), telescoped.
 
-    Indices below -1 are clamped; an empty range raises.
+    A band index below -1 or an empty range raises.
     """
-    k_lo = max(k_lo, -1)
+    if k_lo < -1:
+        raise ValueError(f"band index must be >= -1, got {k_lo}")
     if k_hi < k_lo:
         raise ValueError(f"empty band range [{k_lo}, {k_hi}]")
     high = psi_le(k_hi, r)

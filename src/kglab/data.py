@@ -37,14 +37,14 @@ def random_band_field(
 
     The draw is a complex field with independent standard normal real
     and imaginary coefficient parts.  With ``real`` (the default) the
-    result is the real part of its values, declared real: a real field
-    whose stored rfftn half is exactly Hermitian.
+    result is built from the real part of its values, so it is a real
+    field, whose stored rfftn half is exactly Hermitian.
     """
     shape = grid.shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = Field.from_coeffs(grid, coeffs)
+    f = Field.from_spectrum(grid, coeffs)
     if real:
-        f = Field.from_values(grid, f.values.real, real=True)
+        f = Field.from_values(grid, f.values.real)
     k_hi = grid.k_top if k_hi is None else k_hi
     return dealias(lp_interval(f, k_lo, k_hi))
 
@@ -52,7 +52,7 @@ def random_band_field(
 def gaussian_bump(grid: Grid, sigma: float) -> Field:
     """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), dealiased; a real field."""
     vals = np.exp(-(grid.x_mags**2) / (2.0 * sigma**2))
-    return dealias(Field.from_values(grid, vals, real=True))
+    return dealias(Field.from_values(grid, vals))
 
 
 def envelope_field(
@@ -71,4 +71,4 @@ def envelope_field(
     """
     f = random_band_field(grid, rng, k_lo=k_lo, k_hi=k_hi)
     env = (1.0 + (grid.x_mags / core) ** 2) ** (-decay / 2.0)
-    return dealias(Field.from_values(grid, f.values * env, real=True))
+    return dealias(Field.from_values(grid, f.values * env))

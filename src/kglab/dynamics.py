@@ -27,14 +27,15 @@ sampled at the stages, so the step is bounded by accuracy rather than
 stability.  Every other spec steps with classical RK4 within the CFL
 limit; see :func:`step_limit`.
 
-u and w are real-valued.  The initial data are built as real fields
-(``grid.Field.real``, ``data``), and :class:`KGState` takes nothing
-else.  Realness propagates from there through both steppers, every F
-evaluation and the good-unknown products, so their transforms are the
-half-cost real ones, and their coefficients are the rfftn halves,
-n^(d-1) (n/2+1) of them: the multipliers and the 2/3 masks of F, the
-classical RK4 combinations and Lawson's linear turn all act on the
-half, and none of them completes it to the full Hermitian array.  Only
+u and w are real-valued.  The initial data are real fields, built from
+float values (``grid.Field.real``, ``data``), and :class:`KGState`
+takes nothing else.  Realness propagates from there through both
+steppers, every F evaluation and the good-unknown products, so their
+transforms are the half-cost real ones, and their coefficients are the
+rfftn halves, n^(d-1) (n/2+1) of them: the multipliers and the 2/3
+masks of F, the classical RK4 combinations and Lawson's linear turn all
+act on the half, and none of them completes it to the full Hermitian
+array; ``Field.from_spectrum`` makes a half back into a real field.  Only
 the reductions (norms, residuals) and the complex objects complete it:
 the half-wave variable U and the profile V are complex.
 
@@ -120,9 +121,9 @@ class KGState:
         if not (self.grid.compatible(self.u.grid) and self.grid.compatible(self.w.grid)):
             raise ValueError("state fields live on a different grid")
         if not (self.u.real and self.w.real):
-            raise ValueError("u and w must be real fields: build them with"
-                             " Field.from_values(grid, values, real=True)"
-                             " or Field.from_spectrum(grid, half, True)")
+            raise ValueError("u and w must be real fields: build them from real"
+                             " values (Field.from_values) or from an rfftn half of"
+                             " grid.half_shape (Field.from_spectrum)")
 
     def half_wave(self) -> Field:
         """U = w + i Lambda u."""
@@ -252,11 +253,9 @@ def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
     def turn(a, b):
         return cos * a + sin_over_lam * b, cos * b - lam_sin * a
 
-    def real(half):
-        return Field.from_spectrum(g, half, True)
-
     def F(tt, a, b):
-        return nonlinearity_value(KGState(g, tt, real(a), real(b)), spec).spectrum()
+        state = KGState(g, tt, Field.from_spectrum(g, a), Field.from_spectrum(g, b))
+        return nonlinearity_value(state, spec).spectrum()
 
     eu, ew = turn(u, w)
     f1 = F(t, u, w)
@@ -265,7 +264,8 @@ def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
     f4 = F(t + dt, *turn(eu, ew + f3 * dt))
     au, aw = turn(u, w + f1 * (dt / 6))
     nu, nw = turn(au, aw + (f2 + f3) * (dt / 3))
-    return KGState(g, t + dt, real(nu), real(nw + f4 * (dt / 6)))
+    return KGState(g, t + dt, Field.from_spectrum(g, nu),
+                   Field.from_spectrum(g, nw + f4 * (dt / 6)))
 
 
 def step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
@@ -311,8 +311,6 @@ class RunResult:
     verdict: str
     t_final: float
     blowup_time: float | None
-    initial_norm: float
-    norm_order: float
 
 
 def run_to_time(
@@ -383,7 +381,7 @@ def run_to_time(
         rows.append(row)
         if keep_states:
             states.append(current)
-    return RunResult(rows, states, verdict, current.t, blowup_time, initial, norm_order)
+    return RunResult(rows, states, verdict, current.t, blowup_time)
 
 
 # -- the good unknown ------------------------------------------------------
@@ -456,11 +454,11 @@ def _pair_sum(fs: list) -> Symbol:
                Symbol(fs[0][0].grid, {}))
 
 
-def good_unknown_field(para: Paralinearization, *, q_guard: bool = True):
+def good_unknown_field(para: Paralinearization):
     """The good unknown of the paralinearized state (u, w) = para.zs[:2]
-    and its q diagnostic, without the report wrapper."""
+    and its q bound, which may not exceed 1/2; no report wrapper."""
     q_bound = q_sup_bound(para.q)
-    if q_guard and q_bound > 0.5:
+    if q_bound > 0.5:
         raise ValueError(
             f"square-root symbol out of range: sup bound {q_bound:.4f} > 1/2; "
             "the data is too large for the good-unknown reduction"
@@ -556,17 +554,17 @@ def reduced_rhs(state: KGState, para: Paralinearization, spec: NonlinearitySpec,
     # quadratic block
     quad = Field.zero(g)
     for j in range(g.d):
-        quad = quad + weyl_apply(Symbol.x_only(dw[j]), q0[j]) * 2.0
+        quad = quad + weyl_apply(Symbol.term(dw[j]), q0[j]) * 2.0
     for j in range(g.d):
         for l in range(g.d):
-            quad = quad + weyl_apply(Symbol.x_only(ddu[j][l]), qd[j][l])
+            quad = quad + weyl_apply(Symbol.term(ddu[j][l]), qd[j][l])
     quad = quad - weyl_apply(_zeta_sum(f1_0, -1), lam_u) * 1j
     quad = quad + weyl_apply(f1q, lam_u) * 1j
     for j in range(g.d):
-        quad = quad + error_op([Symbol.x_only(q0[j]), Symbol.term(one, (j,))], w) * 2j
+        quad = quad + error_op([Symbol.term(q0[j]), Symbol.term(one, (j,))], w) * 2j
     for j in range(g.d):
         for l in range(g.d):
-            quad = quad - error_op([Symbol.x_only(qd[j][l]), Symbol.term(one, (j, l), -1)], lam_u)
+            quad = quad - error_op([Symbol.term(qd[j][l]), Symbol.term(one, (j, l), -1)], lam_u)
     for j in range(g.d):
         quad = quad - error_op([Symbol.term(f1_0[j], (j,)), inv_lam_mult], lam_u) * 1j
     quad = quad + error_op([q * 0.5, lam_mult], w) * 1j
@@ -756,13 +754,13 @@ def duhamel_check(
     }
 
 
-def scattering_limit(snapshots: list, *, alpha: float = None, N: float = None) -> dict:
+def scattering_limit(snapshots: list, *, alpha: float, N: float) -> dict:
     """Cauchy audit of the profile: V(t) settles toward its last snapshot.
 
     snapshots: (t, V) pairs, strictly increasing, at least ten of them.
     Fits the decay exponent of ||V(t) - V_inf|| over all but the final
-    checkpoint; when alpha and N are given, reports the consistency band
-    around the dispersive rate -alpha(1 - 1/N).
+    checkpoint, and reports the consistency band around the dispersive
+    rate -alpha(1 - 1/N).
     """
     if len(snapshots) < 10:
         raise ValueError("need at least ten checkpoints to estimate the limit")
@@ -789,7 +787,8 @@ def scattering_limit(snapshots: list, *, alpha: float = None, N: float = None) -
             due = 2.0 * t
     monotone_octave = all(octave[i] >= octave[i + 1] - 1e-14
                           for i in range(len(octave) - 1))
-    out = {
+    target = -alpha * (1.0 - 1.0 / N)
+    return {
         "v_inf": v_inf,
         "times": diff_ts,
         "cauchy": diffs,
@@ -797,9 +796,6 @@ def scattering_limit(snapshots: list, *, alpha: float = None, N: float = None) -
         "monotone": monotone,
         "octave_gaps": octave,
         "monotone_octave": monotone_octave,
+        "target_exponent": target,
+        "band": (1.5 * target, 0.5 * target),
     }
-    if alpha is not None and N is not None:
-        target = -alpha * (1.0 - 1.0 / N)
-        out["target_exponent"] = target
-        out["band"] = (1.5 * target, 0.5 * target)
-    return out

@@ -152,8 +152,8 @@ def run_paradiff_oracle(cfg: ExperimentConfig) -> RunReport:
         fr = random_band_field(grid, rng)
         gr = random_band_field(grid, rng)
         prod = bilinear_oracle(lambda z1, z2: np.ones(z1.shape[:-1]), fr, gr)
-        para = (weyl_oracle(Symbol.x_only(fr), gr)
-                + weyl_oracle(Symbol.x_only(gr), fr))
+        para = (weyl_oracle(Symbol.term(fr), gr)
+                + weyl_oracle(Symbol.term(gr), fr))
         report.rows.append({"dim": d, "op": "remainder", "n": n_weyl,
                             "rel_err": rel(remainder(fr, gr), prod - para)})
 
@@ -723,7 +723,7 @@ _PINNED = {
 def _crit_oracle_equivalence():
     report = run_paradiff_oracle(pinned_config("paradiff-oracle"))
     detail = f"worst rel err {report.constants['worst_rel_err']:.2e} (tol 1e-10)"
-    return report.verdict == "pass", detail, report
+    return report.verdict == "pass", detail
 
 
 def _crit_operator_identities():
@@ -758,7 +758,7 @@ def _crit_operator_identities():
     checks["live-couplings"] = live > 0
     detail = (f"T_1 exact, Hermitian defect and E(a,1), E(1,a) below 1e-10, "
               f"{live} live off-diagonal couplings")
-    return all(checks.values()), detail, checks
+    return all(checks.values()), detail
 
 
 def _crit_dispersive_decay():
@@ -767,7 +767,7 @@ def _crit_dispersive_decay():
     s2 = rep2.fits["decay_exponent"].slope
     s1 = rep1.fits["decay_exponent"].slope
     detail = f"2d exponent {s2:+.3f} (want -1), 1d {s1:+.3f} (want -0.5)"
-    return (rep2.verdict == "pass" and rep1.verdict == "pass"), detail, (rep2, rep1)
+    return (rep2.verdict == "pass" and rep1.verdict == "pass"), detail
 
 
 def _crit_strichartz_growth():
@@ -776,14 +776,14 @@ def _crit_strichartz_growth():
     r2 = rep2.fits["accumulated_vs_ln_t"].r2
     s1 = rep1.fits["accumulated_exponent"].slope
     detail = f"2d ln-affine R^2 {r2:.4f} (>= 0.95), 1d exponent {s1:+.3f} (want 0.5)"
-    return (rep2.verdict == "pass" and rep1.verdict == "pass"), detail, (rep2, rep1)
+    return (rep2.verdict == "pass" and rep1.verdict == "pass"), detail
 
 
 def _crit_phase_scan():
     reports = [run_phase_scan(pinned_config("phase-scan", d)) for d in (1, 2, 3)]
     worst_min = min(min(row["min_abs_phase"] for row in rep.rows) for rep in reports)
     detail = f"12 sign/dimension scans, smallest |Phi| = {worst_min:.3f}, refinement-stable"
-    return all(rep.verdict == "pass" for rep in reports), detail, reports
+    return all(rep.verdict == "pass" for rep in reports), detail
 
 
 def _crit_multiplier_bounds():
@@ -794,7 +794,7 @@ def _crit_multiplier_bounds():
     finite = sum(report.checks[f"{tag}-finite"] for tag in growth)
     detail = (f"{finite}/{len(growth)} kernel runs finite, worst fitted growth "
               f"{growth[worst]:+.3f} bits/band in {worst} (cap 0.5)")
-    return report.verdict == "pass", detail, report
+    return report.verdict == "pass", detail
 
 
 def _crit_good_unknown():
@@ -802,14 +802,14 @@ def _crit_good_unknown():
     fit = report.fits["substitution_exponent"]
     qmax = max(row["q_bound"] for row in report.rows)
     detail = f"exponent {fit.slope:+.3f} (want 2 +- 0.1), max q bound {qmax:.3f} (< 0.5)"
-    return report.verdict == "pass", detail, report
+    return report.verdict == "pass", detail
 
 
 def _crit_reduced_residual():
     report = run_reduced_residual(pinned_config("reduced-residual"))
     fit = report.fits["floor_exponent"]
     detail = f"halvings clean at every eps, floor exponent {fit.slope:+.2f} (>= 3.5)"
-    return report.verdict == "pass", detail, report
+    return report.verdict == "pass", detail
 
 
 def _crit_scattering():
@@ -818,7 +818,7 @@ def _crit_scattering():
     c = report.fits["cubic_exponent"].slope
     m = report.fits["mismatch_exponent"].slope
     detail = f"boundary {b:+.2f} (2), cubic {c:+.2f} (3), mismatch {m:+.2f} (>= 3)"
-    return report.verdict == "pass", detail, report
+    return report.verdict == "pass", detail
 
 
 def _crit_lifespan():
@@ -831,7 +831,7 @@ def _crit_lifespan():
                   f"T*eps^4 in [{min(prods):.2f}, {max(prods):.2f}]")
     else:
         detail = "a run failed to blow up inside the budget"
-    return report.verdict == "pass", detail, report
+    return report.verdict == "pass", detail
 
 
 def _crit_weighted_bootstrap():
@@ -839,9 +839,10 @@ def _crit_weighted_bootstrap():
     detail = (f"norm growth x{report.constants['sobolev_growth']:.3f} / "
               f"x{report.constants['weighted_growth']:.3f} (<= 2), "
               f"profile Cauchy monotone, sandwich finite")
-    return report.verdict == "pass", detail, report
+    return report.verdict == "pass", detail
 
 
+# (name, criterion, in the fast battery); a criterion returns (ok, detail)
 CRITERIA = (
     ("oracle-equivalence", _crit_oracle_equivalence, True),
     ("operator-identities", _crit_operator_identities, True),
@@ -871,7 +872,7 @@ def acceptance_battery(fast: bool = False, echo=print) -> bool:
             continue
         start = time.time()
         try:
-            ok, detail, _ = fn()
+            ok, detail = fn()
         except Exception as exc:  # a crash is a red result, not a skip
             ok, detail = False, f"crashed: {exc!r}"
         elapsed = time.time() - start

@@ -14,21 +14,19 @@ a frequency multiplier is a plain pointwise scale of ``coeffs`` and the
 coefficient convolution theorem has no stray measure factors, which
 fixes every operator normalization downstream.
 
-A field is real (``Field.real``) when it is built so, from float
-values or from its own half, and never becomes real later.  It holds
-float64 ``values`` and stores only the ``rfftn`` half of its
-coefficients: last-axis modes 0..n/2, shape n^(d-1) x (n/2+1), which
-fix the rest through c_{-m} = conj(c_m).  Its transforms are the real
-ones, ``values = irfftn(half)`` and ``half = rfftn(values)``, about half
-the cost of the complex pair, and a real multiplier, mask or
-combination acts on the half alone (``Field.spectrum``).  The two
-last-axis planes at modes 0 and n/2 are their own mirrors; a forward
-transform symmetrizes them, so the half is exactly Hermitian.
-``Field.coeffs`` still gives the full array: it completes the half by
-conjugation on each call, for the reductions and mixed real-complex
-arithmetic that read it.  Multipliers with real symbols, real
-combinations and dealiased products of real fields stay real; see
-:class:`Field`.
+A field is real (``Field.real``) when the array it is built from is:
+real values, or an rfftn half of ``Grid.half_shape`` (see
+:class:`Field`).  A real field holds float64 ``values`` and stores only
+the ``rfftn`` half of its coefficients: last-axis modes 0..n/2, shape
+n^(d-1) x (n/2+1), which fix the rest through c_{-m} = conj(c_m).  Its
+transforms are the real ones, ``values = irfftn(half)`` and
+``half = rfftn(values)``, about half the cost of the complex pair, and a
+real multiplier, mask or combination acts on the half alone
+(``Field.spectrum``).  The two last-axis planes at modes 0 and n/2 are
+their own mirrors; a forward transform symmetrizes them, so the half is
+exactly Hermitian.  ``Field.coeffs`` still gives the full array: it
+completes the half by conjugation on each call, for the reductions and
+mixed real-complex arithmetic that read it.
 
 Quadrature: physical integrals carry the weight (2L/n)^d, so the
 squared L2 norm is also (2L)^d * sum |c_m|^2 (Parseval).
@@ -295,17 +293,17 @@ def _hold_heap(grid: Grid) -> None:
 class Field:
     """A field on a Grid with lazily cached FFT representation.
 
-    A field is complex unless it is declared real where it is built,
-    and nothing converts one kind into the other later.  A real field
-    comes from float values (``from_values(grid, values, real=True)``)
-    or from its own rfftn half (``from_spectrum(grid, half, True)``);
-    :meth:`from_coeffs` takes a full array and builds a complex field,
-    and ``Field(grid, coeffs=..., real=True)`` raises.  A real field
-    holds float64 ``values`` and stores the rfftn half of its
-    coefficients, which :meth:`spectrum` returns; ``coeffs`` is the full
-    Hermitian array, completed from the half on each call and not kept,
-    so a real field holds half the coefficient memory of a complex one
-    and code that reads ``coeffs`` sees a full array for either kind.
+    A field's kind is the kind of the array it is built from, and
+    nothing converts one kind into the other later.  ``from_values``
+    makes a real field from real (float or integer) values and a complex
+    field from complex ones; ``from_spectrum`` makes a real field from
+    an array of ``grid.half_shape`` (its rfftn half) and a complex field
+    from one of ``grid.shape``.  A real field (``.real``) holds float64
+    ``values`` and stores the rfftn half of its coefficients, which
+    :meth:`spectrum` returns; ``coeffs`` is the full Hermitian array,
+    completed from the half on each call and not kept, so a real field
+    holds half the coefficient memory of a complex one and code that
+    reads ``coeffs`` sees a full array for either kind.
 
     Realness propagates: sums and differences of two real fields, real
     scalar multiples, ``conj``, real multipliers (``spectral.derivative``,
@@ -318,51 +316,40 @@ class Field:
     Instances are immutable: arithmetic returns new fields, and every
     cached array is read-only, so writing into ``values`` or ``coeffs``
     raises ``ValueError``.  A Field takes ownership of the array it is
-    given: an array of its dtype (complex; float64 values of a real
-    field) is stored as is, not copied, and becomes read-only.
-    Construct with :meth:`from_values`, :meth:`from_coeffs` or
-    :meth:`from_spectrum`.
+    given: an array of its dtype (float64 or complex128 values, complex128
+    coefficients) is stored as is, not copied, and becomes read-only.
     """
 
     __slots__ = ("grid", "_values", "_coeffs", "real")
 
-    def __init__(self, grid: Grid, values=None, coeffs=None, real: bool = False):
-        if values is None and coeffs is None:
-            raise ValueError("need physical values or frequency coefficients")
-        if real and coeffs is not None:
-            raise ValueError("a real field is built from its values or from its rfftn half"
-                             " (from_spectrum), not from a full coefficient array")
-        self.grid = grid
-        self.real = real
-        self._values = None if values is None else _frozen(
-            np.asarray(values, dtype=float if real else complex))
-        self._coeffs = None if coeffs is None else _frozen(np.asarray(coeffs, dtype=complex))
-        ref = self._values if self._values is not None else self._coeffs
-        if ref.shape != grid.shape:
-            raise ValueError(f"shape {ref.shape} does not match grid {grid.shape}")
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_values(cls, grid: Grid, values, real: bool = False) -> "Field":
-        return cls(grid, values, None, real)
-
-    @classmethod
-    def from_coeffs(cls, grid: Grid, coeffs) -> "Field":
-        """A complex field from its full coefficient array."""
-        return cls(grid, None, coeffs)
-
-    @classmethod
-    def from_spectrum(cls, grid: Grid, spectrum, real: bool = False) -> "Field":
-        """A field from coefficients in the layout it stores them: the
-        rfftn half of a real field, the full array of a complex one."""
-        spectrum = _frozen(np.asarray(spectrum, dtype=complex))
-        if spectrum.shape != (grid.half_shape if real else grid.shape):
-            raise ValueError(f"spectrum shape {spectrum.shape} does not match grid {grid.shape}"
-                             f" for a {'real' if real else 'complex'} field")
+    def _new(cls, grid: Grid, real: bool, values, coeffs) -> "Field":
         out = cls.__new__(cls)
-        out.grid, out.real, out._values, out._coeffs = grid, real, None, spectrum
+        out.grid, out.real, out._values, out._coeffs = grid, real, values, coeffs
         return out
+
+    @classmethod
+    def from_values(cls, grid: Grid, values) -> "Field":
+        """A field from its values on the grid: real for real values,
+        complex for complex ones."""
+        values = np.asarray(values)
+        real = not np.iscomplexobj(values)
+        if values.shape != grid.shape:
+            raise ValueError(f"shape {values.shape} does not match grid {grid.shape}")
+        return cls._new(grid, real, _frozen(values.astype(float if real else complex, copy=False)),
+                        None)
+
+    @classmethod
+    def from_spectrum(cls, grid: Grid, spectrum) -> "Field":
+        """A field from coefficients in the layout it stores them: a real
+        field from its rfftn half, a complex field from the full array."""
+        spectrum = np.asarray(spectrum, dtype=complex)
+        if spectrum.shape not in (grid.half_shape, grid.shape):
+            raise ValueError(f"spectrum shape {spectrum.shape} is neither the rfftn half"
+                             f" {grid.half_shape} nor the full array {grid.shape} of the grid")
+        return cls._new(grid, spectrum.shape == grid.half_shape, None, _frozen(spectrum))
 
     @classmethod
     def zero(cls, grid: Grid) -> "Field":
@@ -372,11 +359,11 @@ class Field:
         Every zero field of one grid shape shares one read-only half, and
         its ``coeffs`` are one shared read-only full array.
         """
-        return cls.from_spectrum(grid, _zero_coeffs(grid.half_shape), True)
+        return cls.from_spectrum(grid, _zero_coeffs(grid.half_shape))
 
     @classmethod
     def one(cls, grid: Grid) -> "Field":
-        return cls(grid, values=np.ones(grid.shape), real=True)
+        return cls.from_values(grid, np.ones(grid.shape))
 
     # -- representations ---------------------------------------------------
 
@@ -440,12 +427,11 @@ class Field:
         """op of the two fields, on the halves when both are real, on the
         full arrays otherwise, in whichever space both have cached."""
         self._check(other)
-        real = self.real and other.real
         if self._coeffs is not None and other._coeffs is not None:
-            if real:
-                return Field.from_spectrum(self.grid, op(self._coeffs, other._coeffs), True)
-            return Field.from_coeffs(self.grid, op(self.coeffs, other.coeffs))
-        return Field.from_values(self.grid, op(self.values, other.values), real)
+            same = self.real == other.real
+            a, b = (self._coeffs, other._coeffs) if same else (self.coeffs, other.coeffs)
+            return Field.from_spectrum(self.grid, op(a, b))
+        return Field.from_values(self.grid, op(self.values, other.values))
 
     def __add__(self, other: "Field") -> "Field":
         return self._combine(other, np.add)
@@ -456,15 +442,14 @@ class Field:
     def __mul__(self, scalar) -> "Field":
         if isinstance(scalar, Field):
             raise TypeError("use dealiased_product for field products")
-        real = self.real and not isinstance(scalar, (complex, np.complexfloating))
         if self._coeffs is not None:
             # a complex scalar on a real field scales the full array
-            coeffs = self._coeffs if real == self.real else self.coeffs
-            out = Field.from_spectrum(self.grid, coeffs * scalar, real)
+            widen = self.real and isinstance(scalar, (complex, np.complexfloating))
+            out = Field.from_spectrum(self.grid, (self.coeffs if widen else self._coeffs) * scalar)
             if self._values is not None:
                 out._values = _frozen(self._values * scalar)
             return out
-        return Field.from_values(self.grid, self.values * scalar, real)
+        return Field.from_values(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -472,7 +457,7 @@ class Field:
         return self * (-1.0)
 
     def conj(self) -> "Field":
-        return Field.from_values(self.grid, np.conj(self.values), self.real)
+        return Field.from_values(self.grid, np.conj(self.values))
 
     def l2(self) -> float:
         """Quadrature L2 norm, computed from whichever representation exists

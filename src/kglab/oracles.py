@@ -94,7 +94,7 @@ def weyl_matrix(a: Symbol) -> np.ndarray:
 def weyl_oracle(a: Symbol, f: Field) -> Field:
     """T_a f as the dense Weyl matrix times f's coefficients."""
     out = weyl_matrix(a) @ f.coeffs.reshape(-1)
-    return Field.from_coeffs(f.grid, out.reshape(f.grid.shape))
+    return Field.from_spectrum(f.grid, out.reshape(f.grid.shape))
 
 
 def bilinear_oracle(m_fn, f: Field, g: Field) -> Field:
@@ -131,7 +131,7 @@ def bilinear_oracle(m_fn, f: Field, g: Field) -> Field:
         k = inbox[live]
         mval = m_fn(dxi * diff[k].astype(float), dxi * eta[k].astype(float))
         out[i] = np.sum(mval * fc[idx[live]] * gc[active[k]])
-    return Field.from_coeffs(grid, out.reshape(grid.shape))
+    return Field.from_spectrum(grid, out.reshape(grid.shape))
 
 
 def trilinear_oracle(b_fn, f: Field, g: Field, h: Field) -> Field:
@@ -170,7 +170,7 @@ def trilinear_oracle(b_fn, f: Field, g: Field, h: Field) -> Field:
         bval = b_fn(t1, dxi * modes[jg[k]].astype(float), dxi * modes[jh[k]].astype(float))
         idx = np.ravel_multi_index(tuple((total[k] % grid.n).T), grid.shape)
         np.add.at(out, idx, bval * fc[jf] * gc[jg[k]] * hc[jh[k]])
-    return Field.from_coeffs(grid, out.reshape(grid.shape))
+    return Field.from_spectrum(grid, out.reshape(grid.shape))
 
 
 def fd_gradient_oracle(f: Field, axis: int) -> Field:

@@ -79,10 +79,6 @@ class Symbol:
     def one(cls, grid: Grid) -> "Symbol":
         return cls.term(Field.one(grid))
 
-    @classmethod
-    def x_only(cls, f: Field) -> "Symbol":
-        return cls.term(f)
-
     # -- algebra -----------------------------------------------------------
 
     def _merged(self, items) -> "Symbol":
@@ -216,7 +212,7 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
             out += btheta * weight * zeta_factor(zpts, alpha, p) * shifted
 
     out[grid.nyquist_mask] = 0.0
-    return Field.from_coeffs(grid, out)
+    return Field.from_spectrum(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
 
 def remainder(f: Field, g: Field) -> Field:
     """H(f, g) = fg - T_f g - T_g f (product via the 2/3 rule)."""
-    return dealiased_product(f, g) - weyl_apply(Symbol.x_only(f), g) - weyl_apply(Symbol.x_only(g), f)
+    return dealiased_product(f, g) - weyl_apply(Symbol.term(f), g) - weyl_apply(Symbol.term(g), f)
 
 
 def error_op(symbols: Sequence[Symbol], f: Field) -> Field:

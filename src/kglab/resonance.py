@@ -557,7 +557,7 @@ class Pseudoproduct:
         vals = (self._table * fv[:, None] * pair[None, :])[self._keep]
         out = np.zeros(grid.shape, dtype=complex)
         np.add.at(out.reshape(-1), self._flat, vals)
-        return Field.from_coeffs(grid, out)
+        return Field.from_spectrum(grid, out)
 
 
 def bilinear_apply(m, f: Field, g: Field) -> Field:

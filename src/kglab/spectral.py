@@ -21,12 +21,13 @@ Conventions:
   inverse per distinct live operand and one forward transform, with no
   Hermitian completion and one mask on the rfftn half (none when no
   product is live).
-* Real symbols keep a real field real (``grid.Field.real``), and the
-  product of two real fields is real.  A real field stores only the
-  rfftn half of its coefficients (``Field.spectrum``), and every real
-  multiplier and mask here acts on that half, with its table cut to the
-  half (``Grid.half``): entry for entry the same arithmetic as on the
-  full array, on half the entries.  The Klein-Gordon unknowns are real
+* A field's kind follows its array (``grid.Field``).  A real field
+  stores only the rfftn half of its coefficients (``Field.spectrum``),
+  and every real multiplier and mask here acts on that half, with its
+  table cut to the half (``Grid.half``): entry for entry the same
+  arithmetic as on the full array, on half the entries, and the result
+  is again a half, so a real field.  The product of two real fields has
+  real values, so it is real too.  The Klein-Gordon unknowns are real
   fields from the data on (``dynamics.KGState`` takes no complex one),
   so every operand and product of F is real, and each of those
   transforms is a real one (``irfftn`` in, ``rfftn`` out): about half
@@ -69,7 +70,7 @@ def _scaled(f: Field, multiplier: np.ndarray) -> Field:
     """f times a multiplier table given on the coefficients it stores; the
     symbol keeps a real field real (it is real and even, or odd and
     imaginary)."""
-    return Field.from_spectrum(f.grid, f.spectrum() * multiplier, f.real)
+    return Field.from_spectrum(f.grid, f.spectrum() * multiplier)
 
 
 def _band_multiplier(f: Field, weights: np.ndarray) -> np.ndarray:
@@ -99,7 +100,7 @@ def q_shell(f: Field, j: int) -> Field:
     A smooth multiplication, not a projector: Q_j Q_j != Q_j.
     """
     w = psi_band(j, f.grid.x_mags)
-    return Field.from_values(f.grid, f.values * w, f.real)
+    return Field.from_values(f.grid, f.values * w)
 
 
 def lambda_mag(grid: Grid) -> np.ndarray:
@@ -117,29 +118,27 @@ def semigroup(f: Field, t: float, sign: int = +1) -> Field:
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     phase = np.exp(1j * sign * t * lambda_mag(f.grid))
-    return Field.from_coeffs(f.grid, f.coeffs * phase)
+    return Field.from_spectrum(f.grid, f.coeffs * phase)
 
 
 @lru_cache(maxsize=None)
-def _derivative_symbol(d: int, n: int, dxi: float, axis: int, order: int) -> np.ndarray:
-    """(i xi_axis)^order, broadcastable along ``axis``; read-only and shared."""
+def _derivative_symbol(d: int, n: int, dxi: float, axis: int) -> np.ndarray:
+    """i xi_axis, Nyquist row zeroed, broadcastable along ``axis``; read-only, shared."""
     imodes = np.rint(np.fft.fftfreq(n) * n).astype(int)
-    modes = imodes.astype(float)
-    if order % 2 == 1:
-        modes = np.where(np.abs(imodes) == n // 2, 0.0, modes)
+    modes = np.where(np.abs(imodes) == n // 2, 0.0, imodes.astype(float))
     shape = [1] * d
     shape[axis] = n
-    sym = (1j * dxi * modes.reshape(shape)) ** order
+    sym = 1j * dxi * modes.reshape(shape)
     sym.setflags(write=False)
     return sym
 
 
-def derivative(f: Field, axis: int, order: int = 1) -> Field:
-    """Spectral partial derivative along one axis (odd symbol: Nyquist zeroed)."""
+def derivative(f: Field, axis: int) -> Field:
+    """Spectral first derivative along one axis (odd symbol: Nyquist zeroed)."""
     grid = f.grid
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
-    return _scaled(f, _stored(f, _derivative_symbol(grid.d, grid.n, grid.dxi, axis, order)))
+    return _scaled(f, _stored(f, _derivative_symbol(grid.d, grid.n, grid.dxi, axis)))
 
 
 def laplacian(f: Field) -> Field:
@@ -149,7 +148,7 @@ def laplacian(f: Field) -> Field:
 def dealias(f: Field) -> Field:
     """Truncate to the 2/3 box (also removes Nyquist rows)."""
     kept = np.where(_stored(f, f.grid.dealias_mask), f.spectrum(), 0.0)
-    return Field.from_spectrum(f.grid, kept, f.real)
+    return Field.from_spectrum(f.grid, kept)
 
 
 def dealiased_product(f: Field, g: Field, memo: dict = None) -> Field:
@@ -177,7 +176,7 @@ def dealiased_product(f: Field, g: Field, memo: dict = None) -> Field:
         return Field.zero(f.grid)
     fv = _dealiased_values(f, memo)
     gv = fv if g is f else _dealiased_values(g, memo)
-    product = Field.from_values(f.grid, fv * gv, f.real and g.real)
+    product = Field.from_values(f.grid, fv * gv)
     return dealias(product) if memo is None else product
 
 

@@ -15,7 +15,7 @@ from kglab.experiments import CRITERIA
     ids=[name for name, _, _ in CRITERIA],
 )
 def test_acceptance_criterion(name, criterion):
-    ok, detail, _payload = criterion()
+    ok, detail = criterion()
     status = "PASS" if ok else "FAIL"
     print(f"{status}: {name} - {detail}")
     assert ok, f"{name}: {detail}"

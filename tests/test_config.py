@@ -99,6 +99,10 @@ def test_pi_suffix_floats():
         assert cfg.coeff_alpha == want
 
 
+PINNED_DECAY_1D = ("experiment = dispersive-decay\ndim = 1\nn = 2048\nbox = 256pi\n"
+                   "band_lo = -1\nband_hi = 1\nt0 = 4\nt1 = 48\ncheckpoints = 11")
+
+
 def test_validation_runs_at_parse_time():
     cases = [
         ("experiment = warp-drive", "unknown experiment"),
@@ -131,6 +135,15 @@ def test_validation_runs_at_parse_time():
         ("experiment = dispersive-decay\nfit_lo = 3\nfit_hi = 3", "fit_lo must be below fit_hi"),
         ("experiment = dispersive-decay\nfit_lo = -1", "fit_lo and fit_hi must be nonnegative"),
         ("experiment = dispersive-decay\nfit_hi = -2", "fit_lo and fit_hi must be nonnegative"),
+        ("experiment = dispersive-decay\nband_lo = -2", "band_lo must be at least -1"),
+        # the pinned 1-D dispersive-decay (checkpoints 4..48) with a fit
+        # window past its last checkpoint, and one holding only t1 = 48
+        (f"{PINNED_DECAY_1D}\nfit_lo = 100", r"fit window \[100, 48\] holds 0 usable"),
+        (f"{PINNED_DECAY_1D}\nfit_lo = 47", r"fit window \[47, 48\] holds 1 usable"),
+        ("experiment = strichartz-growth\ndim = 2\nfit_hi = 1.01", "holds 1 usable"),
+        # a 1-D strichartz-growth fit cannot use t0, where its integral is 0
+        ("experiment = strichartz-growth\ncheckpoints = 2\nschedule = linear",
+         "holds 1 usable of the 2 linear checkpoint times from 1 to 2"),
     ]
     for body, needle in cases:
         with pytest.raises(ValueError, match=needle):

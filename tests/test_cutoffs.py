@@ -1,6 +1,7 @@
 """Cutoff family: plateau/support geometry and partition identities."""
 
 import numpy as np
+import pytest
 
 from kglab.cutoffs import PLATEAU, SUPPORT, psi, psi_band, psi_le, psi_range
 
@@ -63,8 +64,11 @@ def test_psi_range_telescopes():
     assert np.allclose(got, want, atol=1e-14)
 
 
-def test_psi_range_clamps_below():
-    assert np.allclose(psi_range(-5, 2, R), psi_range(-1, 2, R), atol=0)
+def test_psi_range_refuses_a_band_below_the_low_ball():
+    # like psi_band, no index below -1 is clamped into range
+    with pytest.raises(ValueError, match="band index must be >= -1, got -5"):
+        psi_range(-5, 2, R)
+    assert np.array_equal(psi_range(-1, 2, R), psi_le(2, R))
 
 
 def test_smoothness_no_jumps():

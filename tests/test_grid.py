@@ -9,6 +9,7 @@ from kglab.data import make_rng, random_band_field
 from kglab.dynamics import KGState
 from kglab import grid as grid_module
 from kglab.grid import Field, make_grid
+from kglab.oracles import fd_gradient_oracle
 from kglab.spectral import (dealias, dealiased_product, derivative, lambda_power, laplacian,
                             lp_interval, lp_low, lp_project, q_shell, semigroup)
 
@@ -65,7 +66,7 @@ def test_round_trip_values_coeffs():
     rng = make_rng(0)
     v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     f = Field.from_values(g, v)
-    back = Field.from_coeffs(g, f.coeffs)
+    back = Field.from_spectrum(g, f.coeffs)
     assert np.max(np.abs(back.values - v)) < 1e-12
 
 
@@ -96,7 +97,7 @@ def test_cached_arrays_are_read_only():
     g = make_grid(1, 16, 1.0)
     f = random_band_field(g, make_rng(3))
     fresh = Field.from_values(g, np.ones(g.shape, dtype=complex))
-    scaled = Field.from_coeffs(g, f.coeffs) * 2.0
+    scaled = Field.from_spectrum(g, f.coeffs) * 2.0
     _ = scaled.values  # both caches filled: __mul__ scales each
     for arr in (f.values, f.coeffs, fresh.values, fresh.coeffs,
                 (f * 3.0).coeffs, (scaled * 0.5).values):
@@ -105,11 +106,15 @@ def test_cached_arrays_are_read_only():
 
 
 def test_field_takes_ownership_of_its_array():
+    # an array of the field's dtype is stored as is, not copied
     g = make_grid(1, 16, 1.0)
-    arr = np.zeros(g.shape, dtype=complex)
-    Field.from_coeffs(g, arr)
-    with pytest.raises(ValueError):
-        arr[0] = 1.0
+    spectra = [np.zeros(g.shape, dtype=complex), np.zeros(g.half_shape, dtype=complex)]
+    values = [np.zeros(g.shape), np.zeros(g.shape, dtype=complex)]
+    fields = [Field.from_spectrum(g, a) for a in spectra] + [Field.from_values(g, a) for a in values]
+    for f, arr in zip(fields, spectra + values):
+        assert f._coeffs is arr or f._values is arr
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_is_zero_reads_the_cache_and_counts_nan_as_live(fft_calls):
@@ -120,13 +125,13 @@ def test_is_zero_reads_the_cache_and_counts_nan_as_live(fft_calls):
     nan = np.zeros(g.shape)
     nan[1, 2] = np.nan
     assert not Field.from_values(g, nan).is_zero()
-    assert not Field.from_coeffs(g, nan).is_zero()
+    assert not Field.from_spectrum(g, nan).is_zero()
     assert fft_calls == {"fftn": 0, "ifftn": 0}
 
 
 def test_zero_is_held_in_coefficient_space(fft_calls):
     g = make_grid(1, 16, 1.0)
-    f = Field.from_coeffs(g, np.arange(g.n, dtype=complex))
+    f = Field.from_spectrum(g, np.arange(g.n, dtype=complex))
     total = Field.zero(g) + f
     assert np.array_equal(total.coeffs, f.coeffs)
     assert fft_calls == {"fftn": 0, "ifftn": 0}
@@ -218,26 +223,47 @@ def test_grid_mismatch_guard():
         f + h
 
 
-def test_is_real():
-    # realness is the declaration a field is built with, read as .real:
-    # a real field comes from float values or from its half, never from
-    # a full coefficient array
-    g = make_grid(1, 16, 1.0)
-    rng = make_rng(3)
-    f = random_band_field(g, rng, real=True)
-    assert f.real
-    assert not (f * 1j + Field.one(g)).real
+def test_kind_follows_the_array():
+    # real (float or integer) values and an rfftn half give a real field,
+    # complex values and a full coefficient array a complex one
     g = make_grid(2, 16, 1.0)
+    rng = make_rng(3)
     v = rng.standard_normal(g.shape)
-    half = np.fft.rfftn(v, norm="forward")
-    assert Field.from_values(g, v, real=True).real
-    assert Field.from_spectrum(g, half, True).real
-    full = Field.from_values(g, v, real=True).coeffs
-    assert not Field.from_coeffs(g, full).real
-    with pytest.raises(ValueError, match="real field"):
-        Field(g, coeffs=full, real=True)
-    with pytest.raises(ValueError, match="spectrum shape"):
-        Field.from_spectrum(g, full, True)
+    z = v + 1j * rng.standard_normal(g.shape)
+    table = [
+        ("float values", Field.from_values(g, v), True),
+        ("integer values", Field.from_values(g, np.arange(g.npoints).reshape(g.shape)), True),
+        ("complex values", Field.from_values(g, z), False),
+        ("half", Field.from_spectrum(g, np.fft.rfftn(v, norm="forward")), True),
+        ("full array", Field.from_spectrum(g, np.fft.fftn(v, norm="forward")), False),
+    ]
+    for name, f, real in table:
+        assert f.real is real, name
+        assert f.values.dtype == (np.float64 if real else np.complex128), name
+        assert f.spectrum().shape == (g.half_shape if real else g.shape), name
+    # complex values keep their imaginary part, through the spectrum too
+    assert np.array_equal(table[2][1].values, z)
+    back = Field.from_spectrum(g, table[2][1].coeffs).values
+    assert np.max(np.abs(back - z)) <= 1e-14 * np.max(np.abs(z))
+    assert not (random_band_field(g, rng) * 1j + Field.one(g)).real
+
+
+@pytest.mark.parametrize("d,n,shape", [(1, 16, (16, 1)), (1, 16, (8,)), (2, 16, (16, 8)),
+                                       (2, 16, (9, 16)), (3, 8, (8, 8))])
+def test_any_other_spectrum_shape_raises_and_names_both_shapes(d, n, shape):
+    g = make_grid(d, n, 1.0)
+    with pytest.raises(ValueError) as err:
+        Field.from_spectrum(g, np.zeros(shape, dtype=complex))
+    message = str(err.value)
+    assert str(shape) in message
+    assert str(g.half_shape) in message and str(g.shape) in message
+
+
+def test_fields_are_built_only_through_the_named_constructors():
+    g = make_grid(1, 16, 1.0)
+    with pytest.raises(TypeError):
+        Field(g, np.zeros(g.shape))
+    assert not hasattr(Field, "from_coeffs")
 
 
 def test_band_indices_cover_lattice():
@@ -261,7 +287,7 @@ def test_complex_transforms_fold_the_scale_into_pocketfft_bitwise(d, n):
     rng = make_rng(7)
     c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    assert np.array_equal(Field.from_coeffs(g, c).values, np.fft.ifftn(c) * g.npoints)
+    assert np.array_equal(Field.from_spectrum(g, c).values, np.fft.ifftn(c) * g.npoints)
     assert np.array_equal(Field.from_values(g, v).coeffs, np.fft.fftn(v) / g.npoints)
 
 
@@ -269,27 +295,27 @@ def test_complex_transforms_fold_the_scale_into_pocketfft_bitwise(d, n):
 def test_real_field_is_exactly_hermitian_and_matches_the_complex_route(d, n):
     g = make_grid(d, n, 1.0)
     v = make_rng(8).standard_normal(g.shape)
-    real, cplx = Field(g, values=v, real=True), Field.from_values(g, v)
+    real, cplx = Field.from_values(g, v), Field.from_values(g, v.astype(complex))
     c = real.coeffs
     assert np.array_equal(c, np.conj(_negated(c)))
     assert np.max(np.abs(c - cplx.coeffs)) <= 1e-14 * np.max(np.abs(c))
-    back = Field.from_spectrum(g, g.half(cplx.coeffs), True).values
+    back = Field.from_spectrum(g, g.half(cplx.coeffs)).values
     assert back.dtype == np.float64
-    assert np.max(np.abs(back - Field.from_coeffs(g, cplx.coeffs).values)) <= 1e-14 * np.max(np.abs(v))
+    assert np.max(np.abs(back - cplx.values)) <= 1e-14 * np.max(np.abs(v))
 
 
 def test_realness_propagates_as_documented():
     g = make_grid(2, 16, 4.0)
     rng = make_rng(9)
     f = random_band_field(g, rng)
-    h = Field.from_values(g, random_band_field(g, rng).values, real=True)
+    h = Field.from_values(g, random_band_field(g, rng).values)
     z = random_band_field(g, rng, real=False)
     st = KGState(g, 0.0, f, h)
     table = [
         ("real + real", f + h, True),
         ("real - real", f - h, True),
         ("real + complex", f + z, False),
-        ("from_coeffs", Field.from_coeffs(g, f.coeffs), False),
+        ("full spectrum", Field.from_spectrum(g, f.coeffs), False),
         ("real * float", f * 2.5, True),
         ("real * int", h * 3, True),
         ("-real", -h, True),
@@ -298,7 +324,7 @@ def test_realness_propagates_as_documented():
         ("real * np.complex64(1)", h * np.complex64(1.0), False),
         ("conj", f.conj(), True),
         ("dealias", dealias(h), True),
-        ("derivative", derivative(f, 1, 3), True),
+        ("derivative", derivative(f, 1), True),
         ("laplacian", laplacian(f), True),
         ("lambda_power", lambda_power(f, -1.5), True),
         ("lp_project", lp_project(f, 0), True),
@@ -313,6 +339,8 @@ def test_realness_propagates_as_documented():
         ("one", Field.one(g), True),
         ("complex derivative", derivative(z, 0), False),
         ("complex conj", z.conj(), False),
+        ("fd_gradient_oracle", fd_gradient_oracle(h, 1), True),
+        ("complex fd_gradient_oracle", fd_gradient_oracle(z, 0), False),
     ]
     for name, out, real in table:
         assert out.real is real, name
@@ -345,14 +373,14 @@ def test_real_field_stores_its_rfftn_half(d, n):
     # the half completes to, and a state holds the field it is given
     g = make_grid(d, n, 2.0)
     v = make_rng(20).standard_normal(g.shape)
-    from_values = Field.from_values(g, v, real=True)
+    from_values = Field.from_values(g, v)
     assert from_values._coeffs is None
     full = _full_from_half(np.fft.rfftn(v, norm="forward"), n)
     assert np.array_equal(full, np.conj(_negated(full)))
     assert from_values.coeffs.tobytes() == full.tobytes()
     assert from_values._coeffs.shape == g.half_shape
     assert from_values.spectrum() is from_values._coeffs
-    from_half = Field.from_spectrum(g, g.half(full).copy(), True)
+    from_half = Field.from_spectrum(g, g.half(full).copy())
     st = KGState(g, 0.0, from_half, from_values)
     assert st.u is from_half and st.w is from_values
     for f in (from_half, from_values):
@@ -367,17 +395,17 @@ def _real_multipliers(d):
            ("lp_project", lambda f: lp_project(f, 1)), ("lp_low", lambda f: lp_low(f, 0)),
            ("lp_interval", lambda f: lp_interval(f, 0, 1)), ("dealias", dealias)]
     for axis in range(d):
-        for order in (1, 2, 3):
-            out.append((f"derivative-{axis}-{order}",
-                        lambda f, axis=axis, order=order: derivative(f, axis, order)))
+        out.append((f"derivative-{axis}", lambda f, axis=axis: derivative(f, axis)))
+        out.append((f"derivative-{axis}-{d - 1}",
+                    lambda f, axis=axis: derivative(derivative(f, axis), d - 1)))
     return out
 
 
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
 def test_real_multipliers_on_the_half_match_the_full_array_bitwise(d, n):
     g = make_grid(d, n, 3.0)
-    f = Field.from_values(g, make_rng(21).standard_normal(g.shape), real=True)
-    cplx = Field.from_coeffs(g, f.coeffs)  # the same full array, complex route
+    f = Field.from_values(g, make_rng(21).standard_normal(g.shape))
+    cplx = Field.from_spectrum(g, f.coeffs)  # the same full array, complex route
     for name, op in _real_multipliers(d):
         half, full = op(f), op(cplx)
         assert half.real and half._coeffs.shape == g.half_shape, name
@@ -387,7 +415,7 @@ def test_real_multipliers_on_the_half_match_the_full_array_bitwise(d, n):
 def test_real_sums_and_scalings_stay_on_the_half():
     g = make_grid(2, 16, 1.0)
     rng = make_rng(22)
-    f, h = (Field.from_values(g, rng.standard_normal(g.shape), real=True) for _ in range(2))
+    f, h = (Field.from_values(g, rng.standard_normal(g.shape)) for _ in range(2))
     f.spectrum(), h.spectrum()
     for out, want in ((f + h, f.coeffs + h.coeffs), (f - h, f.coeffs - h.coeffs),
                       (f * 2.5, f.coeffs * 2.5)):
@@ -400,7 +428,7 @@ def test_real_sums_and_scalings_stay_on_the_half():
 
 def test_a_square_scans_its_operand_once_and_zero_not_at_all(monkeypatch):
     g = make_grid(2, 16, 1.0)
-    f = Field.from_values(g, make_rng(23).standard_normal(g.shape), real=True)
+    f = Field.from_values(g, make_rng(23).standard_normal(g.shape))
     zero = Field.zero(g)
     scans = []
     np_any = np.any

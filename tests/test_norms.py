@@ -29,7 +29,7 @@ def test_sobolev_single_mode_closed_form():
     g = make_grid(1, 128, 2 * np.pi)
     c = np.zeros(g.shape, dtype=complex)
     c[3] = 1.0  # mode m = 3, frequency 3 * dxi
-    f = Field.from_coeffs(g, c)
+    f = Field.from_spectrum(g, c)
     xi = 3 * g.dxi
     for s in (0.0, 1.0, 4.5):
         want = math.sqrt(g.volume) * (1.0 + xi * xi) ** (s / 2.0)

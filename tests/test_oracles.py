@@ -46,7 +46,7 @@ class Recorder:
 def _sparse(field, rng, keep=0.5):
     """Zero about half of a field's coefficients, so the zero filters act."""
     mask = rng.random(field.grid.shape) < keep
-    return Field.from_coeffs(field.grid, np.where(mask, field.coeffs, 0.0))
+    return Field.from_spectrum(field.grid, np.where(mask, field.coeffs, 0.0))
 
 
 def _box_modes(grid, c):
@@ -85,7 +85,7 @@ def _literal(grid, terms) -> Field:
     out = np.zeros(grid.shape, dtype=complex)
     for mode, term in terms:
         out[tuple(k % grid.n for k in mode)] += term
-    return Field.from_coeffs(grid, out)
+    return Field.from_spectrum(grid, out)
 
 
 @pytest.mark.parametrize("d,n", TINY_GRIDS)

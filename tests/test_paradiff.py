@@ -72,10 +72,10 @@ def test_weyl_matches_matrix_on_live_off_diagonal_couplings():
     M = weyl_matrix(a)
     live_off_diagonal = np.count_nonzero(M) - np.count_nonzero(np.diag(M))
     assert live_off_diagonal >= 20_000
-    full_box = Field.from_coeffs(g, rng.standard_normal(g.shape)
+    full_box = Field.from_spectrum(g, rng.standard_normal(g.shape)
                                  + 1j * rng.standard_normal(g.shape))
     for f in (random_band_field(g, rng), full_box):
-        slow = Field.from_coeffs(g, M @ f.coeffs)
+        slow = Field.from_spectrum(g, M @ f.coeffs)
         fast = weyl_apply(a, f)
         assert (fast - slow).l2() <= 1e-12 * slow.l2()
 
@@ -124,7 +124,7 @@ def test_product_of_keys_adds_multi_indices_and_powers():
 def _mode(g, m, amp):
     c = np.zeros(g.shape, dtype=complex)
     c[m % g.n] = amp
-    return Field.from_coeffs(g, c)
+    return Field.from_spectrum(g, c)
 
 
 def test_paraproduct_keeps_separated_modes_exactly():
@@ -133,7 +133,7 @@ def test_paraproduct_keeps_separated_modes_exactly():
     g = make_grid(1, 2048, np.pi)
     f = _mode(g, 1, 0.8)
     h = _mode(g, 500, 1.3)
-    out = weyl_apply(Symbol.x_only(f), h)
+    out = weyl_apply(Symbol.term(f), h)
     want = np.zeros(g.shape, dtype=complex)
     want[501] = 0.8 * 1.3
     assert np.max(np.abs(out.coeffs - want)) < 1e-15
@@ -145,8 +145,8 @@ def test_close_modes_fall_entirely_to_remainder():
     g = make_grid(1, 512, np.pi)
     f = _mode(g, 1, 0.7)
     h = _mode(g, 100, 1.1)
-    assert weyl_apply(Symbol.x_only(f), h).l2() == 0.0
-    assert weyl_apply(Symbol.x_only(h), f).l2() == 0.0
+    assert weyl_apply(Symbol.term(f), h).l2() == 0.0
+    assert weyl_apply(Symbol.term(h), f).l2() == 0.0
     diff = remainder(f, h) - dealiased_product(f, h)
     assert diff.l2() < 1e-15
 
@@ -170,7 +170,7 @@ def test_error_op_matches_matrix_composition():
     f = random_band_field(g, rng, real=False)
     direct = error_op([a, b], f)
     Ma, Mb, Mab = weyl_matrix(a), weyl_matrix(b), weyl_matrix(a * b)
-    via = Field.from_coeffs(g, ((Ma @ Mb - Mab) @ f.coeffs.reshape(-1)).reshape(g.shape))
+    via = Field.from_spectrum(g, ((Ma @ Mb - Mab) @ f.coeffs.reshape(-1)).reshape(g.shape))
     assert (direct - via).l2() <= 1e-12 * max(via.l2(), 1e-30)
 
 

@@ -80,7 +80,7 @@ UNIT = BilinearSymbol(lambda z1, z2: np.ones(z1.shape[:-1]))
 @example((make_grid(1, 8, 1.0), [np.full((2, 8), 2.61942413e-161)] * 2), True)
 def test_bilinear_apply_with_unit_symbol_is_the_dealiased_product(case, in_coeffs):
     grid, (fp, gp) = case
-    build = Field.from_coeffs if in_coeffs else Field.from_values
+    build = Field.from_spectrum if in_coeffs else Field.from_values
     f, g = (_unit_scaled(build(grid, _complex(parts))) for parts in (fp, gp))
     want = dealiased_product(f, g).coeffs
     got = bilinear_apply(UNIT, f, g).coeffs

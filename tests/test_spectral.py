@@ -95,7 +95,7 @@ def test_derivative_single_mode():
 
 def test_laplacian_matches_double_derivative():
     f = _field(G2, 8)
-    dd = derivative(f, 0, 2) + derivative(f, 1, 2)
+    dd = derivative(derivative(f, 0), 0) + derivative(derivative(f, 1), 1)
     assert (laplacian(f) - dd).l2() < 1e-12 * max(f.l2(), 1.0)
 
 
@@ -142,8 +142,8 @@ def test_zero_operand_gives_exact_zeros_with_no_transform(fft_calls):
 
 
 def test_square_shares_one_inverse_transform(fft_calls):
-    f = Field.from_coeffs(G1, _field(G1, 12).coeffs)
-    g = Field.from_coeffs(G1, f.coeffs.copy())  # equal to f, but not f
+    f = Field.from_spectrum(G1, _field(G1, 12).coeffs)
+    g = Field.from_spectrum(G1, f.coeffs.copy())  # equal to f, but not f
     square = dealiased_product(f, f)
     assert fft_calls == {"fftn": 1, "ifftn": 1}
     assert np.array_equal(square.coeffs, dealiased_product(f, g).coeffs)
@@ -152,7 +152,7 @@ def test_square_shares_one_inverse_transform(fft_calls):
 def _spectral_field(g, seed, real):
     """A random band field held in coefficient space alone."""
     f = _field(g, seed, real)
-    return Field.from_spectrum(g, f.spectrum(), real)
+    return Field.from_spectrum(g, f.spectrum())
 
 
 def _terms(g, real):
@@ -221,14 +221,12 @@ def test_derivative_symbol_has_the_bits_of_the_inline_expression():
     for g in (G1, G2, make_grid(3, 8, 2.0)):
         f = _field(g, 13)
         for axis in range(g.d):
-            for order in (1, 2, 3):
-                modes = g.mode_axes[axis].astype(float)
-                if order % 2 == 1:
-                    modes = np.where(np.abs(g.mode_axes[axis]) == g.n // 2, 0.0, modes)
-                shape = [1] * g.d
-                shape[axis] = g.n
-                sym = (1j * g.dxi * modes.reshape(shape)) ** order
-                assert np.array_equal(derivative(f, axis, order).coeffs, f.coeffs * sym)
+            modes = g.mode_axes[axis]
+            modes = np.where(np.abs(modes) == g.n // 2, 0.0, modes.astype(float))
+            shape = [1] * g.d
+            shape[axis] = g.n
+            sym = 1j * g.dxi * modes.reshape(shape)
+            assert np.array_equal(derivative(f, axis).coeffs, f.coeffs * sym)
 
 
 def test_q_shell_is_spatial_weight():

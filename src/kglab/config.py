@@ -32,7 +32,8 @@ __all__ = ["ExperimentConfig", "EXPERIMENT_IDS", "SCHEMA", "parse_config", "load
 SCHEMA = "kglab-experiment-v1"
 
 # largest n**dim a config may ask for: 2**24 points is 256 MiB per
-# complex field, and the largest pinned grid (dim 3, n 256) sits on it
+# complex field.  No pinned config has a 3-D grid; the largest pinned
+# grids are 2-D n = 256 and 1-D n = 32768 (2**16 and 2**15 points)
 MAX_GRID_POINTS = 2**24
 
 EXPERIMENT_IDS = (
@@ -215,10 +216,12 @@ class ExperimentConfig:
         if 0 < self.fit_hi <= self.fit_lo:
             raise ValueError(f"fit_lo must be below fit_hi, got fit_lo = {self.fit_lo:g}"
                              f" and fit_hi = {self.fit_hi:g}")
+        if self.experiment in ("dispersive-decay", "strichartz-growth", "lifespan-sweep"):
+            # refuses a schedule that is not finite in float64
+            ts = checkpoint_times(self.t0, self.t1, self.checkpoints, self.schedule)
         if self.experiment in ("dispersive-decay", "strichartz-growth"):
             # the fit needs two distinct checkpoint times in its window; a
             # 1-D strichartz-growth fit is log-log, and its integral is 0 at t0
-            ts = checkpoint_times(self.t0, self.t1, self.checkpoints, self.schedule)
             lo, hi = self.fit_lo or ts[0], self.fit_hi or ts[-1]
             usable = ts[int(self.experiment == "strichartz-growth" and self.dim == 1):]
             inside = np.unique(usable[(usable >= lo) & (usable <= hi)])

@@ -1,7 +1,9 @@
 """Periodic box discretization and lazily transformed fields.
 
 A :class:`Grid` is a uniform periodic box [-L, L)^d with n points per
-axis (n a power of two) and frequency lattice {pi m / L}.  A field is
+axis (n a power of two) and frequency lattice {pi m / L}.  It compares
+and hashes by (d, n, L) alone, so two grids built alike are equal and
+tables cached per grid can be keyed by those three numbers.  A field is
 stored in physical or frequency space, and the other representation is
 computed once, on first use, and cached; the two are tied together by
 the Fourier series convention
@@ -65,23 +67,26 @@ __all__ = ["Grid", "Field", "make_grid"]
 class Grid:
     """Periodic box [-L, L)^d sampled on n^d points.
 
-    Attributes filled in by :func:`make_grid`; construct through it so
-    the derived lattices are consistent.
+    A grid is its (d, n, L): the derived lattices and tables below are
+    computed from them in ``__post_init__`` and take no part in ``==``
+    or ``hash``, so grids built from equal (d, n, L) are equal, hash
+    alike and serve as one dict key.  :func:`make_grid` stores L as a
+    float.
     """
 
     d: int
     n: int
     L: float
-    # Derived, precomputed in __post_init__.
-    half_shape: tuple = field(init=False, repr=False)
-    dx: float = field(init=False, repr=False)
-    dxi: float = field(init=False, repr=False)
-    x_axes: tuple = field(init=False, repr=False)
-    mode_axes: tuple = field(init=False, repr=False)
-    xi_mags: np.ndarray = field(init=False, repr=False)
-    x_mags: np.ndarray = field(init=False, repr=False)
-    nyquist_mask: np.ndarray = field(init=False, repr=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False)
+    # Derived, precomputed in __post_init__, not compared.
+    half_shape: tuple = field(init=False, repr=False, compare=False)
+    dx: float = field(init=False, repr=False, compare=False)
+    dxi: float = field(init=False, repr=False, compare=False)
+    x_axes: tuple = field(init=False, repr=False, compare=False)
+    mode_axes: tuple = field(init=False, repr=False, compare=False)
+    xi_mags: np.ndarray = field(init=False, repr=False, compare=False)
+    x_mags: np.ndarray = field(init=False, repr=False, compare=False)
+    nyquist_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
@@ -176,9 +181,6 @@ class Grid:
         """Integer mode vectors, shape (npoints, d), row-major over the lattice."""
         mesh = np.meshgrid(*self.mode_axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def compatible(self, other: "Grid") -> bool:
-        return self.d == other.d and self.n == other.n and self.L == other.L
 
 
 def make_grid(d: int, n: int, L: float) -> Grid:
@@ -420,7 +422,7 @@ class Field:
     # -- arithmetic (new fields, same grid) ---------------------------------
 
     def _check(self, other: "Field"):
-        if not self.grid.compatible(other.grid):
+        if self.grid != other.grid:
             raise ValueError("fields live on different grids")
 
     def _combine(self, other: "Field", op) -> "Field":

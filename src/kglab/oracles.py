@@ -219,9 +219,7 @@ def phase_scan_oracle(d: int, mu: int, nu: int, radius: float = 8.0,
     grad_rows[::row_stride] = True
 
     min_abs = np.inf
-    min_arg = (None, None)
     c_phi = 0.0
-    c_phi_arg = (None, None)
     c_grad = 0.0
     n_grad = 0
     n_floor = 0
@@ -243,19 +241,11 @@ def phase_scan_oracle(d: int, mu: int, nu: int, radius: float = 8.0,
         aph = np.abs(ph)
         n_floor += int(np.sum(aph < floor))
 
-        flat = int(np.argmin(aph))
-        if aph.flat[flat] < min_abs:
-            min_abs = float(aph.flat[flat])
-            r, c = divmod(flat, ne)
-            min_arg = (xi_pts[i0 + r].copy(), eta_pts[c].copy())
+        min_abs = min(min_abs, float(aph.min()))
 
         min3 = np.minimum(np.minimum(abs_xi[:, None], abs_eta[None, :]), abs_diff)
         ratio = 1.0 / (np.maximum(aph, floor) * (1.0 + min3))
-        flat = int(np.argmax(ratio))
-        if ratio.flat[flat] > c_phi:
-            c_phi = float(ratio.flat[flat])
-            r, c = divmod(flat, ne)
-            c_phi_arg = (xi_pts[i0 + r].copy(), eta_pts[c].copy())
+        c_phi = max(c_phi, float(ratio.max()))
 
         rows = np.nonzero(grad_rows[i0:i1])[0]
         if rows.size == 0:
@@ -288,10 +278,7 @@ def phase_scan_oracle(d: int, mu: int, nu: int, radius: float = 8.0,
 
     return {
         "d": d, "mu": mu, "nu": nu, "radius": radius, "step": step,
-        "n_pairs": nx * ne, "min_abs_phase": min_abs,
-        "argmin_xi": min_arg[0], "argmin_eta": min_arg[1],
-        "c_phi": c_phi, "c_phi_arg_xi": c_phi_arg[0],
-        "c_phi_arg_eta": c_phi_arg[1],
-        "c_grad": c_grad, "n_grad_pairs": n_grad, "fd_step": delta,
+        "n_pairs": nx * ne, "min_abs_phase": min_abs, "c_phi": c_phi,
+        "c_grad": c_grad, "n_grad_pairs": n_grad,
         "floor_violations": n_floor,
     }

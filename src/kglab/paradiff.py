@@ -24,18 +24,24 @@ Conventions fixed here and relied on everywhere:
 * differences xi - eta leaving the frequency box contribute nothing
   (no wraparound), and Nyquist rows are zeroed on input and output.
 
-weyl_apply is T_a's one fast route; its oracle is the dense matrix of
-the sum above, kglab.oracles.weyl_matrix.
+weyl_apply is T_a's one fast route: it runs the sum over the grid's
+live offsets theta = xi - eta, those whose weight w(xi, xi - theta) is
+not zero everywhere, each with its weight table (cutoff, no-wraparound
+and Nyquist rules folded in) and its midpoint frequencies, built once
+per (d, n, L) by _live_offsets.  At PARA_CUT_BAND = -10 most desk-scale
+grids have theta = 0 alone, the multiplier by the x-average.  Its
+oracle is the dense matrix of the sum above, kglab.oracles.weyl_matrix.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .cutoffs import PARA_CUT_BAND, psi_le
-from .grid import Field, Grid
+from .cutoffs import PARA_CUT_BAND, SUPPORT, psi_le
+from .grid import Field, Grid, _frozen, make_grid
 from .spectral import dealiased_product
 
 __all__ = [
@@ -62,7 +68,7 @@ class Symbol:
         self.grid = grid
         self.parts = dict(parts)
         for f in self.parts.values():
-            if not f.grid.compatible(grid):
+            if f.grid != grid:
                 raise ValueError("symbol term lives on a different grid")
 
     # -- constructors ------------------------------------------------------
@@ -88,7 +94,7 @@ class Symbol:
         return Symbol(self.grid, parts)
 
     def __add__(self, other: "Symbol") -> "Symbol":
-        if not self.grid.compatible(other.grid):
+        if self.grid != other.grid:
             raise ValueError("symbols live on different grids")
         return self._merged(other.parts.items())
 
@@ -98,7 +104,7 @@ class Symbol:
     def __mul__(self, other):
         if np.isscalar(other):
             return Symbol(self.grid, {k: f * other for k, f in self.parts.items()})
-        if not self.grid.compatible(other.grid):
+        if self.grid != other.grid:
             raise ValueError("symbols live on different grids")
         products = (
             ((tuple(i + j for i, j in zip(alpha, beta)), p + q), dealiased_product(f, g))
@@ -141,77 +147,72 @@ def zeta_factor(zpts: np.ndarray, alpha: tuple, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _theta_candidates(grid: Grid) -> np.ndarray:
-    """Integer mode offsets theta that can pass the low-ratio cutoff.
+@lru_cache(maxsize=None)
+def _live_offsets(d: int, n: int, L: float) -> tuple:
+    """The offsets theta = xi - eta of the (d, n, L) grid whose weight is
+    not identically zero, as (theta, weight, zpts) triples.
 
-    |theta| <= r |2 xi - theta| with r = (8/5) 2^-10 and |2 xi - theta|
-    <= 2 sqrt(d) xi_max + |theta| bounds the reachable offsets; one
-    extra lattice step of slack is kept for safety.  Offsets outside
-    the returned set contribute exactly zero.
+    weight[xi] is psi_le(PARA_CUT_BAND, |theta| / |2 xi - theta|) (ratio
+    0 on the diagonal, +inf where 2 xi = theta off it), set to zero where
+    eta = xi - theta leaves the box |eta_j| <= n/2 - 1 (no wraparound,
+    no Nyquist input) and on the Nyquist rows of xi; zpts holds the
+    midpoint frequencies xi - theta/2, shape (*grid.shape, d).  The
+    candidates satisfy |theta| <= r |2 xi - theta| with r = (8/5) 2^-10,
+    so |theta| <= 2 r sqrt(d) xi_max / (1 - r), plus one lattice step of
+    slack; they come theta = 0 first, then by |theta|^2, stably.  Both
+    tables are read-only, and the cache is keyed by (d, n, L), not by a
+    grid, so it keeps no grid's tables alive.
     """
-    r = 1.6 * 2.0**PARA_CUT_BAND
-    ximax = grid.nyquist * np.sqrt(grid.d)
-    radius = r * 2.0 * ximax / (1.0 - r) / grid.dxi + 1.0
+    grid = make_grid(d, n, L)
+    r = SUPPORT * 2.0**PARA_CUT_BAND
+    radius = r * 2.0 * grid.nyquist * np.sqrt(d) / (1.0 - r) / grid.dxi + 1.0
     reach = int(np.floor(radius))
-    axes = [np.arange(-reach, reach + 1)] * grid.d
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*[np.arange(-reach, reach + 1)] * d, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = np.sum(pts * pts, axis=1) <= radius**2
-    pts = pts[keep]
-    # order with theta = 0 first for the exact-diagonal fast case
-    order = np.argsort(np.sum(pts * pts, axis=1), kind="stable")
-    return pts[order]
+    pts = pts[np.sum(pts * pts, axis=1) <= radius**2]
+    pts = pts[np.argsort(np.sum(pts * pts, axis=1), kind="stable")]
+
+    modes = np.meshgrid(*grid.mode_axes, indexing="ij")
+    live = []
+    for theta in pts:
+        pairmag = grid.dxi * np.sqrt(sum((2 * m - s).astype(float) ** 2
+                                         for m, s in zip(modes, theta)))
+        ratio = np.full(grid.shape, np.inf if theta.any() else 0.0)
+        np.divide(grid.dxi * float(np.sqrt(np.dot(theta, theta))), pairmag,
+                  out=ratio, where=pairmag > 0.0)
+        weight = psi_le(PARA_CUT_BAND, ratio)
+        kept = ~grid.nyquist_mask
+        for m, s in zip(modes, theta):
+            kept &= np.abs(m - s) <= n // 2 - 1
+        weight[~kept] = 0.0
+        if not weight.any():
+            continue
+        zpts = np.stack([(m - 0.5 * s) * grid.dxi for m, s in zip(modes, theta)], axis=-1)
+        live.append((tuple(int(s) for s in theta), _frozen(weight), _frozen(zpts)))
+    return tuple(live)
 
 
 def weyl_apply(a: Symbol, f: Field) -> Field:
-    """T_a f via the banded sum over passing spatial offsets theta.
+    """T_a f as the banded sum over the grid's live offsets theta.
 
-    Exact (not an approximation): offsets that cannot pass the cutoff
-    contribute zero and are skipped.  Cost O(#theta * #keys * n^d).
+    Exact (not an approximation): an offset whose weight vanishes on the
+    whole lattice contributes zero, and _live_offsets, built once per
+    (d, n, L), leaves it out.  Cost O(#live theta * #keys * n^d).
     """
     grid = f.grid
-    if not a.grid.compatible(grid):
+    if a.grid != grid:
         raise ValueError("symbol and field live on different grids")
-    bf = f.coeffs.copy()
-    bf[grid.nyquist_mask] = 0.0
-    modes = np.meshgrid(*grid.mode_axes, indexing="ij")
+    coeffs = f.coeffs
     out = np.zeros(grid.shape, dtype=complex)
     xcoeffs = {key: xpart.coeffs for key, xpart in a.parts.items()}
-
-    for mtheta in _theta_candidates(grid):
-        diag = not mtheta.any()
-        # ratio weight on this offset: |theta| / |2 xi - theta|
-        if diag:
-            weight = 1.0  # ratio := 0 on the diagonal, psi(0) = 1
-            shifted = bf
-        else:
-            two_minus = [2 * m - int(s) for m, s in zip(modes, mtheta)]
-            pairmag = grid.dxi * np.sqrt(sum(tm.astype(float) ** 2 for tm in two_minus))
-            theta_mag = grid.dxi * float(np.sqrt(np.dot(mtheta, mtheta)))
-            with np.errstate(divide="ignore"):
-                ratio = np.where(pairmag > 0.0, theta_mag / np.where(pairmag > 0, pairmag, 1.0), np.inf)
-            weight = psi_le(PARA_CUT_BAND, ratio)
-            weight[pairmag == 0.0] = 0.0
-            if not np.any(weight):
-                continue
-            shifted = np.roll(bf, shift=tuple(mtheta), axis=tuple(range(grid.d)))
-            valid = np.ones(grid.shape, dtype=bool)
-            for m, s in zip(modes, mtheta):
-                tgt = m - int(s)
-                valid &= (tgt >= -grid.n // 2 + 1) & (tgt <= grid.n // 2 - 1)
-            shifted = np.where(valid, shifted, 0.0)
-
-        # midpoint frequencies (xi - theta/2), shape (*grid.shape, d)
-        zpts = np.stack(
-            [(m - 0.5 * s) * grid.dxi for m, s in zip(modes, mtheta)], axis=-1
-        )
+    for theta, weight, zpts in _live_offsets(grid.d, grid.n, grid.L):
+        shifted = np.roll(coeffs, shift=theta, axis=tuple(range(grid.d)))
+        at = tuple(s % grid.n for s in theta)
         for (alpha, p), xc in xcoeffs.items():
-            btheta = xc[tuple(mtheta % grid.n)]
+            btheta = xc[at]
             if btheta == 0.0:
                 continue
             out += btheta * weight * zeta_factor(zpts, alpha, p) * shifted
-
-    out[grid.nyquist_mask] = 0.0
     return Field.from_spectrum(grid, out)
 
 

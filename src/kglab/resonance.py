@@ -192,9 +192,7 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
     coordinates on a dyadic step are exact in floating point, so
     min_abs_phase, c_phi and floor_violations equal those of the full
     product (oracles.phase_scan_oracle) exactly, and c_grad to
-    rounding.  The arguments reported for the minimum and for c_phi
-    have xi in the wedge.  For d = 3 the scan runs over a canonical
-    slice instead.
+    rounding.  For d = 3 the scan runs over a canonical slice instead.
 
     n_pairs counts the pairs evaluated, n_pairs_covered the pairs of
     the full lattice product they stand for.  At d = 3 the rotation
@@ -215,14 +213,12 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
     xi2_all = np.sum(xi_pts * xi_pts, axis=1)
 
     min_abs = np.inf
-    min_arg = (None, None)
     min_den = np.inf
-    c_phi_arg = (None, None)
     n_floor = 0
 
     # each step below overwrites one of two block-sized buffers in place,
     # in the operation order of oracles.phase_scan_oracle, so the two
-    # agree bitwise; the strict < across blocks keeps the first argmin
+    # agree bitwise
     rows = _block_rows(ne)
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
@@ -242,11 +238,7 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
         np.abs(aph, out=aph)
         n_floor += int(weight[i0:i1] @ np.count_nonzero(aph < floor, axis=1))
 
-        flat = int(np.argmin(aph))
-        if aph.flat[flat] < min_abs:
-            min_abs = float(aph.flat[flat])
-            r, c = divmod(flat, ne)
-            min_arg = (xi_pts[i0 + r].copy(), eta_pts[c].copy())
+        min_abs = min(min_abs, float(aph.min()))
 
         # c_phi = 1 / min of the denominator (the reciprocal is monotone)
         min3 = np.minimum(abs_diff, np.sqrt(xi2)[:, None], out=abs_diff)
@@ -254,21 +246,14 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
         min3 += 1.0
         np.maximum(aph, floor, out=aph)
         den = np.multiply(aph, min3, out=aph)
-        flat = int(np.argmin(den))
-        if den.flat[flat] < min_den:
-            min_den = float(den.flat[flat])
-            r, c = divmod(flat, ne)
-            c_phi_arg = (xi_pts[i0 + r].copy(), eta_pts[c].copy())
+        min_den = min(min_den, float(den.min()))
 
     c_grad = _grad_scan(mu, nu, grad_pts, eta_pts, delta, floor)
     return {
         "d": d, "mu": mu, "nu": nu, "radius": radius, "step": step,
         "n_pairs": nx * ne, "n_pairs_covered": int(weight.sum()) * ne,
-        "min_abs_phase": min_abs,
-        "argmin_xi": min_arg[0], "argmin_eta": min_arg[1],
-        "c_phi": 1.0 / min_den, "c_phi_arg_xi": c_phi_arg[0],
-        "c_phi_arg_eta": c_phi_arg[1],
-        "c_grad": c_grad, "n_grad_pairs": grad_pts.shape[0] * ne, "fd_step": delta,
+        "min_abs_phase": min_abs, "c_phi": 1.0 / min_den,
+        "c_grad": c_grad, "n_grad_pairs": grad_pts.shape[0] * ne,
         "floor_violations": n_floor,
     }
 
@@ -479,7 +464,7 @@ def b_kernel(spec: NonlinearitySpec, mu: int, sigma: int, iota: int) -> Trilinea
 def _shared_grid(*fields) -> Grid:
     grid = fields[0].grid
     for f in fields[1:]:
-        if not grid.compatible(f.grid):
+        if f.grid != grid:
             raise ValueError("fields must share a grid")
     return grid
 
@@ -548,7 +533,7 @@ class Pseudoproduct:
             raise ValueError(f"this pseudoproduct takes {len(self._masks)} fields, "
                              f"got {len(fields)}")
         grid = _shared_grid(*fields)
-        if not grid.compatible(self.grid):
+        if grid != self.grid:
             raise ValueError("fields do not match the kernel grid")
         fv, *rest = [f.coeffs[mask] for f, mask in zip(fields, self._masks)]
         pair = rest[0][self._idx[0]]

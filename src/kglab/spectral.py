@@ -170,7 +170,7 @@ def dealiased_product(f: Field, g: Field, memo: dict = None) -> Field:
     returned in physical space without its output truncation, which the
     sum applies once.
     """
-    if not f.grid.compatible(g.grid):
+    if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     if f.is_zero() or (g is not f and g.is_zero()):
         return Field.zero(f.grid)

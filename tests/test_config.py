@@ -144,6 +144,11 @@ def test_validation_runs_at_parse_time():
         # a 1-D strichartz-growth fit cannot use t0, where its integral is 0
         ("experiment = strichartz-growth\ncheckpoints = 2\nschedule = linear",
          "holds 1 usable of the 2 linear checkpoint times from 1 to 2"),
+        # a log schedule to the largest float overflows inside np.geomspace
+        ("experiment = dispersive-decay\nschedule = log\nt1 = 1.7976931348623157e308",
+         r"the log schedule of 17 checkpoint times from t0 = 1 to t1 = 1\.79769e\+308 is not finite"),
+        ("experiment = lifespan-sweep\nschedule = log\nt1 = 1.7976931348623157e308",
+         r"the log schedule of 17 checkpoint times from t0 = 1 to t1 = 1\.79769e\+308 is not finite"),
     ]
     for body, needle in cases:
         with pytest.raises(ValueError, match=needle):

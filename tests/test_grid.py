@@ -25,6 +25,17 @@ def test_grid_validation():
         make_grid(1, 16, 0.0)
 
 
+def test_a_grid_is_its_d_n_and_L():
+    g = make_grid(1, 16, 3.0)
+    same = make_grid(1, 16, 3)
+    assert g == same and g is not same
+    assert hash(g) == hash(same)
+    assert {g: "tables"}[same] == "tables"
+    for other in (make_grid(2, 16, 3.0), make_grid(1, 32, 3.0), make_grid(1, 16, 3.5)):
+        assert g != other
+    assert len({g, same, make_grid(1, 16, 3.5)}) == 2
+
+
 def test_lattice_spacings():
     g = make_grid(2, 16, 2 * np.pi)
     assert g.dx == pytest.approx(2 * (2 * np.pi) / 16)

@@ -7,7 +7,7 @@ import pytest
 from kglab.data import make_rng, random_band_field
 from kglab.grid import Field, make_grid
 from kglab.oracles import weyl_matrix, weyl_oracle
-from kglab.paradiff import Symbol, error_op, remainder, weyl_apply
+from kglab.paradiff import Symbol, _live_offsets, error_op, remainder, weyl_apply
 from kglab.spectral import dealiased_product, lambda_power
 
 
@@ -78,6 +78,36 @@ def test_weyl_matches_matrix_on_live_off_diagonal_couplings():
         slow = Field.from_spectrum(g, M @ f.coeffs)
         fast = weyl_apply(a, f)
         assert (fast - slow).l2() <= 1e-12 * slow.l2()
+
+
+def test_live_offsets_are_the_off_diagonals_of_the_weyl_matrix():
+    # operator-identities' 1-D n = 1024 grid on [-8 pi, 8 pi): an x-part
+    # with every mode nonzero puts an entry of the dense matrix at each
+    # offset xi - eta whose weight is not zero everywhere
+    g = make_grid(1, 1024, 8 * np.pi)
+    f = Field.from_values(g, make_rng(23).standard_normal(g.shape))
+    M = weyl_matrix(Symbol.term(f))
+    np.fill_diagonal(M, 0.0)
+    rows, cols = np.nonzero(M)
+    modes = g.mode_tuples()
+    measured = {tuple(int(t) for t in theta) for theta in modes[rows] - modes[cols]}
+    live = [theta for theta, _, _ in _live_offsets(g.d, g.n, g.L)]
+    assert live[0] == (0,)
+    assert measured == set(live[1:]) == {(-1,), (1,)}
+
+
+@pytest.mark.parametrize("d, n, L", [(1, 64, 4 * np.pi), (2, 16, 4 * np.pi),
+                                     (1, 64, 8 * np.pi)],
+                         ids=["paradiff-oracle-1d", "paradiff-oracle-2d", "reduced-residual"])
+def test_pinned_weyl_grids_have_the_diagonal_alone(d, n, L):
+    # at the cut -10 these grids couple no xi != eta: T_a is the
+    # multiplier by the x-average of a's parts
+    offsets = _live_offsets(d, n, L)
+    assert [theta for theta, _, _ in offsets] == [(0,) * d]
+    _, weight, zpts = offsets[0]
+    assert not (weight.flags.writeable or zpts.flags.writeable)
+    g = make_grid(d, n, L)
+    assert _live_offsets(g.d, g.n, g.L) is offsets  # built once per (d, n, L)
 
 
 def test_real_even_symbol_is_hermitian():

@@ -151,8 +151,7 @@ def test_wedge_scan_matches_full_lattice_oracle(signs, d, step, floor):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_scan_blocking_changes_no_bit(monkeypatch, d):
-    # one row per block, several rows with a ragged last block, one block;
-    # the (-+) denominator ties across rows, so its argmin pins the first
+    # one row per block, several rows with a ragged last block, one block
     reports = []
     for budget in (1, 5000, 1 << 40):
         monkeypatch.setattr(resonance, "_BLOCK_PAIRS", budget)

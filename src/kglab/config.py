@@ -290,9 +290,7 @@ for _f in fields(ExperimentConfig):
     elif _f.name in ("signs",):
         _FIELD_TYPES[_f.name] = "str_list"
     else:
-        _FIELD_TYPES[_f.name] = _f.type if isinstance(_f.type, type) else {
-            "int": int, "float": float, "bool": bool, "str": str
-        }[_f.type]
+        _FIELD_TYPES[_f.name] = {"int": int, "float": float, "bool": bool, "str": str}[_f.type]
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -10,6 +10,11 @@ copies and form a partition of unity together with the low ball
 
 Everything here is a plain function of nonnegative moduli; radial
 evaluation on frequency or space lattices happens at the call site.
+
+``para_cut(low, high)`` is the one definition of the paradifferential
+cut psi_le(PARA_CUT_BAND, low / high), ratio rules included: T_a's
+offset tables (``paradiff._live_offsets``) and the energy and commutator
+kernels of ``resonance`` call it; only the dense Weyl oracle keeps a copy.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ __all__ = [
     "PARA_CUT_BAND",
     "PLATEAU",
     "SUPPORT",
+    "para_cut",
     "psi",
     "psi_band",
     "psi_le",
@@ -92,3 +98,14 @@ def psi_range(k_lo: int, k_hi: int, r):
     if k_lo == -1:
         return high
     return high - psi_le(k_lo - 1, r)
+
+
+def para_cut(low, high):
+    """psi_le(PARA_CUT_BAND, low / high) of nonnegative moduli, broadcast,
+    with 0/0 := 0 (the diagonal passes) and x/0 := inf (cut)."""
+    low = np.asarray(low, dtype=float)
+    high = np.asarray(high, dtype=float)
+    ratio = np.full(np.broadcast(low, high).shape, np.inf)
+    np.divide(low, high, out=ratio, where=high > 0)
+    ratio[(low == 0) & (high == 0)] = 0.0
+    return psi_le(PARA_CUT_BAND, ratio)

@@ -326,7 +326,6 @@ class RunResult:
     rows: list
     states: list
     verdict: str
-    t_final: float
     blowup_time: float | None
 
 
@@ -338,14 +337,14 @@ def run_to_time(
     dt: float = None,
     checkpoints: int = 33,
     schedule: str = "log",
-    monitors: dict = None,
     blow_up_factor: float = 10.0,
     norm_order: float = None,
     keep_states: bool = False,
 ) -> RunResult:
-    """Integrate to t_end, recording monitors on a checkpoint schedule.
+    """Integrate to t_end, recording the half-wave Sobolev norm on a
+    checkpoint schedule.
 
-    Stops early with a blow-up verdict when the monitored half-wave
+    Stops early with a blow-up verdict when the recorded half-wave
     Sobolev norm exceeds blow_up_factor times its initial value or goes
     non-finite.  The checkpoint schedule is logarithmic by default (all
     decay fits are against t); substeps between checkpoints are uniform
@@ -361,20 +360,12 @@ def run_to_time(
     h_max = limit if dt is None else min(dt, limit)
     if norm_order is None:
         norm_order = default_norm_order(state.grid.d)
-    monitors = {} if monitors is None else monitors
     _hold_heap(state.grid)
 
-    def record(s: KGState) -> dict:
-        hn = sobolev(s.half_wave(), norm_order)
-        row = {"t": s.t, f"sobolev_{norm_order:g}": hn}
-        for name, fn in monitors.items():
-            row[name] = fn(s)
-        return row
-
-    rows = [record(state)]
-    rows[0]["flag"] = "ok"
+    key = f"sobolev_{norm_order:g}"
+    initial = sobolev(state.half_wave(), norm_order)
+    rows = [{"t": state.t, key: initial, "flag": "ok"}]
     states = [state] if keep_states else []
-    initial = rows[0][f"sobolev_{norm_order:g}"]
     verdict, blowup_time = "survived", None
 
     current = state
@@ -384,21 +375,15 @@ def run_to_time(
         h = span / n_sub
         for _ in range(n_sub):
             current = step(current, spec, h)
-        row = record(current)
-        hn = row[f"sobolev_{norm_order:g}"]
-        if not np.isfinite(hn) or hn > blow_up_factor * initial:
-            row["flag"] = "blow-up"
-            rows.append(row)
-            if keep_states:
-                states.append(current)
-            verdict = f"blew-up-at-{current.t:.6g}"
-            blowup_time = current.t
-            break
-        row["flag"] = "ok"
-        rows.append(row)
+        hn = sobolev(current.half_wave(), norm_order)
+        blew_up = not np.isfinite(hn) or hn > blow_up_factor * initial
+        rows.append({"t": current.t, key: hn, "flag": "blow-up" if blew_up else "ok"})
         if keep_states:
             states.append(current)
-    return RunResult(rows, states, verdict, current.t, blowup_time)
+        if blew_up:
+            verdict, blowup_time = f"blew-up-at-{current.t:.6g}", current.t
+            break
+    return RunResult(rows, states, verdict, blowup_time)
 
 
 # -- the good unknown ------------------------------------------------------
@@ -664,9 +649,15 @@ def reduced_equation_residual(
 # -- profile identities ----------------------------------------------------
 
 
-def _half_wave_pair(state: KGState):
+def _profile_sum(state: KGState, kernels: dict) -> Field:
+    """e^{-it Lambda} of the sum of kern(U_s1, U_s2, ...) over the kernels'
+    sign keys, with U_+ = U and U_- = conj(U)."""
     U = state.half_wave()
-    return {+1: U, -1: U.conj()}
+    fields = {+1: U, -1: U.conj()}
+    total = Field.zero(state.grid)
+    for signs, kern in kernels.items():
+        total = total + kern.apply(*(fields[s] for s in signs))
+    return semigroup(total, state.t, -1)
 
 
 def make_boundary_kernels(grid: Grid, spec: NonlinearitySpec) -> dict:
@@ -685,27 +676,13 @@ def normal_form_boundary(state: KGState, kernels: dict) -> Field:
     The boundary contribution of integrating the quadratic interaction
     by parts in time.
     """
-    fields = _half_wave_pair(state)
-    total = Field.zero(state.grid)
-    for (mu, nu), kern in kernels.items():
-        total = total + kern.apply(fields[mu], fields[nu])
-    return semigroup(total, state.t, -1) * (-1j)
+    return _profile_sum(state, kernels) * (-1j)
 
 
 def make_cubic_kernels(grid: Grid, spec: NonlinearitySpec) -> dict:
     """The T_b pseudoproducts on the whole 2/3 box, per sign triple."""
     return {trip: Pseudoproduct(b_kernel(spec, *trip), grid, None, None, None)
             for trip in SIGN_TRIPLES}
-
-
-def cubic_profile_term(state: KGState, kernels: dict) -> Field:
-    """+i e^{-it Lambda} sum of the trilinear interactions at one time,
-    with the kernels of make_cubic_kernels."""
-    fields = _half_wave_pair(state)
-    total = Field.zero(state.grid)
-    for (mu, sigma, iota), kern in kernels.items():
-        total = total + kern.apply(fields[mu], fields[sigma], fields[iota])
-    return semigroup(total, state.t, -1) * 1j
 
 
 def _quad_weights(ts: np.ndarray, rule: str) -> np.ndarray:
@@ -759,7 +736,8 @@ def duhamel_check(
     wts = _quad_weights(ts, rule)
     integral = Field.zero(grid)
     for wt, s in zip(wts, states):
-        integral = integral + cubic_profile_term(s, cubic_kernels) * wt
+        # the cubic node: +i e^{-it Lambda} of the trilinear interactions
+        integral = integral + _profile_sum(s, cubic_kernels) * 1j * wt
     mismatch = lhs - bnd - integral
     return {
         "boundary": bnd.l2(),

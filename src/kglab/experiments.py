@@ -47,7 +47,7 @@ from .norms import (
 )
 from .oracles import bilinear_oracle, trilinear_oracle, weyl_matrix, weyl_oracle
 from .paradiff import Symbol, error_op, remainder, weyl_apply
-from .reports import RunReport, format_table
+from .reports import RunReport
 from .resonance import (
     Pseudoproduct,
     a_kernel,
@@ -59,7 +59,7 @@ from .resonance import (
     semilinear_symbol,
     trilinear_apply,
 )
-from .spectral import lp_interval, lp_project, semigroup
+from .spectral import lp_interval, semigroup
 
 __all__ = ["run_experiment", "EXPERIMENT_DRIVERS", "acceptance_battery", "CRITERIA"]
 
@@ -126,10 +126,6 @@ def run_paradiff_oracle(cfg: ExperimentConfig) -> RunReport:
     report = _report(cfg)
     tol = 1e-10
     rng = make_rng(cfg.seed)
-    spec1 = default_spec(1, cfg.coeff_alpha, cfg.coeff_beta,
-                         cfg.coeff_gamma_u, cfg.coeff_gamma_t)
-    spec2 = default_spec(2, cfg.coeff_alpha, cfg.coeff_beta,
-                         cfg.coeff_gamma_u, cfg.coeff_gamma_t)
 
     def sym_and_fields(d, n):
         grid = make_grid(d, n, 4 * math.pi)
@@ -162,7 +158,8 @@ def run_paradiff_oracle(cfg: ExperimentConfig) -> RunReport:
         report.rows.append({"dim": d, "op": "error_op", "n": n_weyl,
                             "rel_err": rel(error_op([a, b], f), want)})
 
-        spec = spec1 if d == 1 else spec2
+        spec = default_spec(d, cfg.coeff_alpha, cfg.coeff_beta,
+                            cfg.coeff_gamma_u, cfg.coeff_gamma_t)
         akern = a_kernel(spec, 1, -1)
         report.rows.append({"dim": d, "op": "bilinear_apply", "n": n_weyl,
                             "rel_err": rel(bilinear_apply(akern, f, g),
@@ -204,8 +201,8 @@ def _bound_constant(kernel, grid, bands, log2_scale: int, rng) -> float:
 
         ||P(f_1, ..., f_m)||_{L^p} / (2^log2_scale ||f_1||_{L^q_1} ... ||f_m||_{L^q_m})
 
-    where f_i is a random complex field projected on band bands[i] (drawn
-    in operand order, trial by trial), P applies the kernel on the
+    where f_i is a random complex field drawn on band bands[i] (in
+    operand order, trial by trial), P applies the kernel on the
     operands' supports, and (p; q_i) is (2; 2, inf) for two operands and
     (2; 6, 6, 6) for three.  Trials whose inputs vanish are skipped.
     The supports are the bands themselves, the same in every trial, so
@@ -215,7 +212,7 @@ def _bound_constant(kernel, grid, bands, log2_scale: int, rng) -> float:
     scale = 2.0 ** log2_scale
     product, ratios = None, []
     for _ in range(_BOUND_TRIALS):
-        fs = [lp_project(random_band_field(grid, rng, real=False), k) for k in bands]
+        fs = [random_band_field(grid, rng, k_lo=k, k_hi=k, real=False) for k in bands]
         if product is None:
             product = Pseudoproduct(kernel, grid, *(f.coeffs != 0 for f in fs))
         out = product.apply(*fs)
@@ -438,7 +435,6 @@ def run_reduced_residual(cfg: ExperimentConfig) -> RunReport:
         base = _band_state(grid, make_rng(cfg.seed), eps, cfg.t0)
         rows = []
         prev = None
-        floor_hit = False
         clean = 0
         dt = dt0
         for _ in range(cfg.ladder):
@@ -448,16 +444,12 @@ def run_reduced_residual(cfg: ExperimentConfig) -> RunReport:
             ratio = (prev / res) if prev is not None else math.nan
             rows.append({"eps": eps, "dt": dt, "residual": res, "ratio": ratio})
             if prev is not None:
-                if floor_hit:
-                    pass  # ratios after the floor carry no claim
-                elif ratio >= 3.5:
+                if ratio >= 3.5:
                     clean += 1
                 else:
-                    floor_hit = True
+                    break  # the floor: no claim past it
             prev = res
             dt /= 2
-            if floor_hit:
-                break
         return eps, rows, clean, rows[-1]["residual"]
 
     floors = []
@@ -595,12 +587,15 @@ def run_weighted_bootstrap(cfg: ExperimentConfig) -> RunReport:
     # sup-sized so the quadratic terms act visibly inside the run
     state = KGState(grid, cfg.t0, u0 * (eps / u0.sup()), w0 * (eps / w0.sup()))
 
-    label = f"weightedL2_{cfg.alpha:g}"
-    monitors = {label: lambda s: weighted_l2(s.profile(), cfg.alpha)}
     t_end = grid.L / 4.0
     result = run_to_time(state, spec, t_end, dt=cfg.dt or None,
-                         checkpoints=cfg.checkpoints, monitors=monitors,
-                         norm_order=N, keep_states=True)
+                         checkpoints=cfg.checkpoints, norm_order=N, keep_states=True)
+    # the weighted profile norm goes in before each row's flag, one
+    # transient profile at a time
+    label = f"weightedL2_{cfg.alpha:g}"
+    for row, s in zip(result.rows, result.states):
+        row[label] = weighted_l2(s.profile(), cfg.alpha)
+        row["flag"] = row.pop("flag")
     report.rows.extend(result.rows)
 
     sob_key = f"sobolev_{N:g}"
@@ -858,14 +853,13 @@ CRITERIA = (
 )
 
 
-def acceptance_battery(fast: bool = False, echo=print) -> bool:
-    """Run the acceptance criteria; one line per criterion.
+def acceptance_battery(fast: bool = False) -> bool:
+    """Run the acceptance criteria, printing one line per criterion.
 
     fast skips the long-running nonlinear sweeps (they stay in the
     full battery and the test suite).  Returns overall success.
     """
     _env_workers()  # a malformed KGLAB_WORKERS fails before compute
-    lines = []
     all_ok = True
     for name, fn, in_fast in CRITERIA:
         if fast and not in_fast:
@@ -876,9 +870,6 @@ def acceptance_battery(fast: bool = False, echo=print) -> bool:
         except Exception as exc:  # a crash is a red result, not a skip
             ok, detail = False, f"crashed: {exc!r}"
         elapsed = time.time() - start
-        status = "PASS" if ok else "FAIL"
         all_ok &= ok
-        lines.append((status, name, f"{detail}  [{elapsed:.1f}s]"))
-        if echo:
-            echo(format_table([lines[-1]]))
+        print(f"{'PASS' if ok else 'FAIL'} {name}  {detail}  [{elapsed:.1f}s]")
     return all_ok

@@ -28,7 +28,8 @@ real multiplier, mask or combination acts on the half alone
 their own mirrors; a forward transform symmetrizes them, so the half is
 exactly Hermitian.  ``Field.coeffs`` still gives the full array: it
 completes the half by conjugation on each call, for the reductions and
-mixed real-complex arithmetic that read it.
+mixed real-complex arithmetic that read it.  Both read a mode's mirror
+by one rule, ``_mirrored``: every axis but the last at -m mod n.
 
 Quadrature: physical integrals carry the weight (2L/n)^d, so the
 squared L2 norm is also (2L)^d * sum |c_m|^2 (Parseval).
@@ -53,7 +54,6 @@ default mmap threshold it does nothing.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -200,19 +200,14 @@ def _zero_coeffs(shape: tuple) -> np.ndarray:
     return _frozen(np.zeros(shape, dtype=complex))
 
 
-# -m mod n along one axis, as (destination, source) slices: index 0 is
-# its own mirror, and 1..n-1 mirror n-1..1
-_NEGATE = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-
-
-@lru_cache(maxsize=None)
-def _mirror_blocks(d: int, n: int) -> tuple:
-    """(destination, source) index pairs that fill the last axis' modes
-    n/2+1..n-1 from their mirrors n/2-1..1, negating every other axis."""
-    h = n // 2 + 1
-    return tuple((tuple(p[0] for p in picks) + (slice(h, None),),
-                  tuple(p[1] for p in picks) + (slice(h - 2, 0, -1),))
-                 for picks in itertools.product(_NEGATE, repeat=d - 1))
+def _mirrored(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """coeffs with every axis but the last read at -m mod n, as a copy
+    (the array itself in 1-D): the mirror rule shared by the self-mirror
+    planes and the Hermitian completion."""
+    negated = -np.arange(n) % n
+    for axis in range(coeffs.ndim - 1):
+        coeffs = np.take(coeffs, negated, axis=axis)
+    return coeffs
 
 
 def _symmetrize_ends(coeffs: np.ndarray, n: int) -> None:
@@ -224,10 +219,7 @@ def _symmetrize_ends(coeffs: np.ndarray, n: int) -> None:
     if coeffs.ndim == 1:
         return  # a 1-D plane is one entry, which rfft makes exactly real
     ends = coeffs[..., ::n // 2]
-    mirror, negated = ends, -np.arange(n) % n
-    for axis in range(coeffs.ndim - 1):
-        mirror = np.take(mirror, negated, axis=axis)
-    ends += np.conj(mirror)
+    ends += np.conj(_mirrored(ends, n))
     ends *= 0.5
 
 
@@ -235,14 +227,13 @@ def _hermitian_coeffs(half: np.ndarray, n: int) -> np.ndarray:
     """The full coefficient array of a real field from its rfftn half.
 
     The last axis' modes n/2+1..n-1 are the conjugates of the mirrored
-    modes, c_{-m} = conj(c_m), and the self-mirror planes are
+    modes n/2-1..1, c_{-m} = conj(c_m), and the self-mirror planes are
     symmetrized, so the whole array is exactly Hermitian.
     """
     h = n // 2 + 1
     full = np.empty(half.shape[:-1] + (n,), dtype=complex)
     full[..., :h] = half
-    for dst, src in _mirror_blocks(half.ndim, n):
-        np.conjugate(half[src], out=full[dst])
+    np.conjugate(_mirrored(half[..., h - 2:0:-1], n), out=full[..., h:])
     _symmetrize_ends(full, n)
     return full
 

@@ -9,11 +9,12 @@ say about it.  The quantization acts mode-by-mode:
     (T_a f)^(xi) = sum_eta  w(xi, eta) (F_x a)(xi - eta, (xi + eta)/2) f^(eta),
 
 where w is the low-ratio cutoff psi_le(PARA_CUT_BAND, |xi - eta| /
-|xi + eta|), with PARA_CUT_BAND = -10 (kglab.cutoffs), restricting the
-symbol's spatial frequencies far below the pair frequency.  In the Fourier-series coefficient convention of
-:mod:`kglab.grid` the normalization constant is exactly 1: T_1 = Id on
-the nose (the diagonal xi = eta carries ratio 0, including the origin
-pairing).
+|xi + eta|), with PARA_CUT_BAND = -10, restricting the symbol's spatial
+frequencies far below the pair frequency; kglab.cutoffs.para_cut is its
+one definition, ratio rules included.  In the Fourier-series coefficient
+convention of :mod:`kglab.grid` the normalization constant is exactly 1:
+T_1 = Id on the nose (the diagonal xi = eta carries ratio 0, including
+the origin pairing).
 
 Conventions fixed here and relied on everywhere:
 
@@ -40,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cutoffs import PARA_CUT_BAND, SUPPORT, psi_le
+from .cutoffs import PARA_CUT_BAND, SUPPORT, para_cut
 from .grid import Field, Grid, _frozen, make_grid
 from .spectral import dealiased_product
 
@@ -98,9 +99,6 @@ class Symbol:
             raise ValueError("symbols live on different grids")
         return self._merged(other.parts.items())
 
-    def __sub__(self, other: "Symbol") -> "Symbol":
-        return self + (other * (-1.0))
-
     def __mul__(self, other):
         if np.isscalar(other):
             return Symbol(self.grid, {k: f * other for k, f in self.parts.items()})
@@ -152,8 +150,8 @@ def _live_offsets(d: int, n: int, L: float) -> tuple:
     """The offsets theta = xi - eta of the (d, n, L) grid whose weight is
     not identically zero, as (theta, weight, zpts) triples.
 
-    weight[xi] is psi_le(PARA_CUT_BAND, |theta| / |2 xi - theta|) (ratio
-    0 on the diagonal, +inf where 2 xi = theta off it), set to zero where
+    weight[xi] is cutoffs.para_cut(|theta|, |2 xi - theta|), the one
+    definition of the cut and its ratio rules, set to zero where
     eta = xi - theta leaves the box |eta_j| <= n/2 - 1 (no wraparound,
     no Nyquist input) and on the Nyquist rows of xi; zpts holds the
     midpoint frequencies xi - theta/2, shape (*grid.shape, d).  The
@@ -177,10 +175,7 @@ def _live_offsets(d: int, n: int, L: float) -> tuple:
     for theta in pts:
         pairmag = grid.dxi * np.sqrt(sum((2 * m - s).astype(float) ** 2
                                          for m, s in zip(modes, theta)))
-        ratio = np.full(grid.shape, np.inf if theta.any() else 0.0)
-        np.divide(grid.dxi * float(np.sqrt(np.dot(theta, theta))), pairmag,
-                  out=ratio, where=pairmag > 0.0)
-        weight = psi_le(PARA_CUT_BAND, ratio)
+        weight = para_cut(grid.dxi * float(np.sqrt(np.dot(theta, theta))), pairmag)
         kept = ~grid.nyquist_mask
         for m, s in zip(modes, theta):
             kept &= np.abs(m - s) <= n // 2 - 1

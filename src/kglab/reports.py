@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .norms import FitResult
 
-__all__ = ["RunReport", "format_table", "write_report"]
+__all__ = ["RunReport", "write_report"]
 
 VERDICTS = ("pass", "fail", "report-only")
 
@@ -128,13 +128,3 @@ def write_report(report: RunReport, out_dir: str) -> tuple:
         handle.write(report.json_text())
     return csv_path, json_path
 
-
-def format_table(lines: list) -> str:
-    """Align a list of (status, name, detail) rows for terminal output."""
-    if not lines:
-        return ""
-    name_width = max(len(name) for _, name, _ in lines)
-    out = []
-    for status, name, detail in lines:
-        out.append(f"{status:<4} {name:<{name_width}}  {detail}")
-    return "\n".join(out)

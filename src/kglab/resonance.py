@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cutoffs import PARA_CUT_BAND, psi, psi_le
+from .cutoffs import para_cut, psi
 from .grid import Field, Grid
 from .nonlinearity import NonlinearitySpec
 
@@ -318,18 +318,6 @@ class TrilinearSymbol:
         return self.fn(z1, z2, z3)
 
 
-def _safe_ratio(num, den):
-    """num/den with 0/0 := 0 and x/0 := inf for x > 0."""
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    out = np.full(np.broadcast(num, den).shape, np.inf)
-    both = (num == 0) & (den == 0)
-    ok = den > 0
-    np.divide(num, den, out=out, where=ok)
-    out[both] = 0.0
-    return out
-
-
 def _slot_weights(spec: NonlinearitySpec, sign: int, z):
     """Frequency weights mapping a half-wave to the field components.
 
@@ -378,19 +366,18 @@ def semilinear_symbol(mu: int, nu: int) -> BilinearSymbol:
     """Energy-functional kernel with the near-diagonal cone removed.
 
     -i Phi^{-1} [1 - cut(|z1| / |z1 + 2 z2|) - cut(|z2| / |2 z1 + z2|)]
-    with cut = psi_le(PARA_CUT_BAND, .), the low cutoff of the Weyl
-    quantization; ratio conventions 0/0 := 0, x/0 := inf.
+    with cut = cutoffs.para_cut, the low cutoff of the Weyl quantization
+    (ratio rules 0/0 := 0, x/0 := inf).
     """
     _check_sign(mu), _check_sign(nu)
 
     def fn(z1, z2):
         z1 = np.asarray(z1, dtype=float)
         z2 = np.asarray(z2, dtype=float)
-        r1 = _safe_ratio(np.linalg.norm(z1, axis=-1),
-                         np.linalg.norm(z1 + 2.0 * z2, axis=-1))
-        r2 = _safe_ratio(np.linalg.norm(z2, axis=-1),
-                         np.linalg.norm(2.0 * z1 + z2, axis=-1))
-        bracket = 1.0 - psi_le(PARA_CUT_BAND, r1) - psi_le(PARA_CUT_BAND, r2)
+        bracket = (1.0 - para_cut(np.linalg.norm(z1, axis=-1),
+                                  np.linalg.norm(z1 + 2.0 * z2, axis=-1))
+                   - para_cut(np.linalg.norm(z2, axis=-1),
+                              np.linalg.norm(2.0 * z1 + z2, axis=-1)))
         return -1j * phi_inv(mu, nu, z1, z2) * bracket
 
     return BilinearSymbol(fn)
@@ -407,8 +394,8 @@ def quasilinear_symbol(N: int) -> BilinearSymbol:
     cut(|z1| / |z1 + 2 z2|) n2(z2) n3(z1+z2)
         [n4(z1+z2) n5(z2) - n4((z1+2 z2)/2) n5((z1+2 z2)/2)]
 
-    with n4 = <.>^N, n5 = <.>^{N+1}, and n2, n3 the high-pass factors
-    that vanish on the lowest dyadic block.
+    with cut = cutoffs.para_cut, n4 = <.>^N, n5 = <.>^{N+1}, and n2, n3
+    the high-pass factors that vanish on the lowest dyadic block.
     """
 
     def highpass(z):
@@ -417,8 +404,7 @@ def quasilinear_symbol(N: int) -> BilinearSymbol:
     def fn(z1, z2):
         z1 = np.asarray(z1, dtype=float)
         z2 = np.asarray(z2, dtype=float)
-        cut = psi_le(PARA_CUT_BAND, _safe_ratio(np.linalg.norm(z1, axis=-1),
-                                                np.linalg.norm(z1 + 2.0 * z2, axis=-1)))
+        cut = para_cut(np.linalg.norm(z1, axis=-1), np.linalg.norm(z1 + 2.0 * z2, axis=-1))
         mid = 0.5 * (z1 + 2.0 * z2)
         main = lam(z1 + z2) ** N * lam(z2) ** (N + 1) - lam(mid) ** N * lam(mid) ** (N + 1)
         return cut * highpass(z2) * highpass(z1 + z2) * main

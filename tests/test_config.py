@@ -120,6 +120,16 @@ def test_validation_runs_at_parse_time():
         ("experiment = phase-scan\nrule = gauss", "rule"),
         ("experiment = phase-scan\nsnapshot = true", "snapshot"),
         ("experiment = phase-scan\nbox = nan", "box must be finite"),
+        ("experiment = phase-scan\nbox = 0", "box must be positive"),
+        ("experiment = phase-scan\nseed = -1", "seed must be nonnegative"),
+        ("experiment = phase-scan\neps = ,", "eps list must be nonempty"),
+        ("experiment = phase-scan\ndt = -0.1", "dt must be nonnegative"),
+        ("experiment = phase-scan\nband_lo = 2\nband_hi = 1", "band_hi must be at least band_lo"),
+        ("experiment = phase-scan\nnorm_order = -1", "norm_order must be nonnegative"),
+        ("experiment = phase-scan\nladder = 0", "ladder must be at least 1"),
+        ("experiment = phase-scan\nworkers = -1", "workers must be nonnegative"),
+        ("experiment = phase-scan\ninclude_tail = maybe",
+         "bad value for 'include_tail': not a boolean: 'maybe'"),
         ("experiment = phase-scan\nt1 = inf", "t1 must be finite"),
         ("experiment = phase-scan\neps = 0.1, nan", "eps must be finite"),
         ("experiment = reduced-residual\neps = 0.1, 0.1", "distinct"),

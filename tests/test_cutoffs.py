@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from kglab.cutoffs import PLATEAU, SUPPORT, psi, psi_band, psi_le, psi_range
+from kglab.cutoffs import (
+    PARA_CUT_BAND,
+    PLATEAU,
+    SUPPORT,
+    para_cut,
+    psi,
+    psi_band,
+    psi_le,
+    psi_range,
+)
 
 R = np.linspace(-12.0, 12.0, 4001)
 
@@ -69,6 +78,20 @@ def test_psi_range_refuses_a_band_below_the_low_ball():
     with pytest.raises(ValueError, match="band index must be >= -1, got -5"):
         psi_range(-5, 2, R)
     assert np.array_equal(psi_range(-1, 2, R), psi_le(2, R))
+
+
+def test_para_cut_ratio_rules():
+    low = np.array([0.0, 0.0, 1.0, 1e-4, 3e-3, 1.4e-3])
+    high = np.array([0.0, 2.0, 0.0, 1.0, 1.0, 1.0])
+    got = para_cut(low, high)
+    # 0/0 := 0 and 0/x = 0 pass, x/0 := inf is cut, and a positive
+    # ratio is the cutoff at PARA_CUT_BAND
+    assert list(got[:3]) == [1.0, 1.0, 0.0]
+    assert list(got[3:]) == list(psi_le(PARA_CUT_BAND, low[3:] / high[3:]))
+    assert 0.0 < got[-1] < 1.0
+    # a scalar broadcasts against an array
+    assert list(para_cut(0.0, high)) == [1.0] * 6
+    assert list(para_cut(1.0, high)) == [0.0] * 6
 
 
 def test_smoothness_no_jumps():

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,7 @@ from kglab.experiments import (
     pinned_config,
     run_experiment,
     run_phase_scan,
+    run_reduced_residual,
     run_scattering,
 )
 
@@ -139,8 +141,62 @@ def test_malformed_worker_env_fails_before_compute(monkeypatch):
     with pytest.raises(ValueError, match="KGLAB_WORKERS"):
         run_experiment(cfg)
     with pytest.raises(ValueError, match="KGLAB_WORKERS"):
-        acceptance_battery(fast=True, echo=calls.append)
+        acceptance_battery(fast=True)
     assert calls == []
+
+
+def test_acceptance_battery_prints_one_line_per_criterion(monkeypatch, capsys):
+    ran = []
+
+    def stub(name, result):
+        def criterion():
+            ran.append(name)
+            if isinstance(result, Exception):
+                raise result
+            return result
+        return criterion
+
+    monkeypatch.setattr(kglab.experiments, "CRITERIA", (
+        ("good", stub("good", (True, "fine")), True),
+        ("bad", stub("bad", (False, "off by 2")), True),
+        ("boom", stub("boom", RuntimeError("kaput")), True),
+        ("slow", stub("slow", (True, "took long")), False),
+    ))
+    assert acceptance_battery(fast=True) is False
+    assert ran == ["good", "bad", "boom"]  # fast skips the slow-only one
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert re.fullmatch(r"PASS good  fine  \[\d+\.\ds\]", lines[0])
+    assert re.fullmatch(r"FAIL bad  off by 2  \[\d+\.\ds\]", lines[1])
+    assert re.fullmatch(r"FAIL boom  crashed: RuntimeError\('kaput'\)  \[\d+\.\ds\]",
+                        lines[2])
+
+    ran.clear()
+    assert acceptance_battery() is False
+    assert ran == ["good", "bad", "boom", "slow"]
+    assert capsys.readouterr().out.splitlines()[3].startswith("PASS slow  took long  [")
+
+    monkeypatch.setattr(kglab.experiments, "CRITERIA", (
+        ("good", stub("good", (True, "fine")), True),
+        ("slow", stub("slow", (False, "would fail")), False),
+    ))
+    assert acceptance_battery(fast=True) is True
+    assert acceptance_battery() is False
+
+
+def test_reduced_residual_with_the_tail_is_pure_dt_squared():
+    # with the truncation tail in the right side there is no floor: every
+    # rung of the pinned ladder runs and each halving divides by 4
+    cfg = dataclasses.replace(pinned_config("reduced-residual"), include_tail=True)
+    report = run_reduced_residual(cfg)
+    assert len(report.rows) == cfg.ladder * len(cfg.eps)
+    ratios = [row["ratio"] for row in report.rows if not math.isnan(row["ratio"])]
+    assert len(ratios) == (cfg.ladder - 1) * len(cfg.eps)
+    assert all(3.9 <= r <= 4.1 for r in ratios)
+    assert report.checks == {f"clean-halvings-eps-{e:g}": True for e in cfg.eps}
+    assert "floor_exponent" not in report.fits
+    assert report.notes == ["tail included: no floor, ladder is pure dt^2"]
+    assert report.verdict == "pass"
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from kglab.norms import FitResult
-from kglab.reports import RunReport, format_table, write_report
+from kglab.reports import RunReport, write_report
 
 
 def _report():
@@ -87,12 +87,3 @@ def test_summary_lists_checks_and_constants():
     assert s.startswith("dispersive-decay: pass")
     assert "floor = 1.25e-09" in s
     assert "[ok] finite" in s
-
-
-def test_format_table_aligns_names():
-    out = format_table([("PASS", "short", "d1"), ("FAIL", "much-longer-name", "d2")])
-    lines = out.splitlines()
-    assert lines[0].startswith("PASS short")
-    assert lines[1].startswith("FAIL much-longer-name")
-    assert lines[0].index("d1") == lines[1].index("d2")
-    assert format_table([]) == ""

@@ -20,12 +20,26 @@ tail's q^6 has 13.  A state's good-unknown objects (Z list, Q^{0j},
 Q^{jl}, q and W(q)) are built once, by :func:`paralinearize`; the good
 unknown, its drift and the reduced right side all read that one build.
 
+F has one route.  The spec is compiled once into a plan
+(``NonlinearitySpec``: its live S terms, which Q^{0j} and Q^{jl} rows
+are structurally zero, the Z slots F reads and the semilinear flag),
+and :func:`nonlinearity_value`, :func:`rhs`, :func:`source_value`, the
+paralinearization's F and the Lawson stages all read it.  F builds only
+the Z slots and coefficient rows a live product reads.  It still makes
+one ``spectral.dealiased_product`` call for every product of its
+general form: a product whose coefficient row is structurally zero
+gets one zero field as both operands, and its d_j w or d_jl u
+is not built.
+
 A semilinear spec (no Q^{0j}, no Q^{jl}) steps with Lawson's
 integrating-factor RK4 (Lawson 1967; Cox & Matthews 2002): the linear
 Klein-Gordon flow is moved exactly, mode by mode, and only F is
 sampled at the stages, so the step is bounded by accuracy rather than
-stability.  Every other spec steps with classical RK4 within the CFL
-limit; see :func:`step_limit`.
+stability.  The flow's tables are built once per grid and step size
+(:func:`_flow`), so a run builds them once per checkpoint interval; the
+stages evaluate F on the rfftn halves, and only the new state is a
+:class:`KGState`.  Every other spec steps with classical RK4 within the
+CFL limit; see :func:`step_limit`.
 
 u and w are real-valued.  The initial data are real fields, built from
 float values (``grid.Field.real``, ``data``), and :class:`KGState`
@@ -49,11 +63,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid, _hold_heap
+from .grid import Field, Grid, _frozen, _hold_heap
 from .nonlinearity import NonlinearitySpec
 from .norms import holder_sup, loglog_fit, sobolev
 from .paradiff import Symbol, error_op, remainder, weyl_apply, zeta_factor
@@ -79,7 +94,6 @@ __all__ = [
     "KGState",
     "GoodUnknownReport",
     "RunResult",
-    "z_fields",
     "coefficient_fields",
     "source_value",
     "nonlinearity_value",
@@ -135,12 +149,12 @@ class KGState:
         return semigroup(self.half_wave(), self.t, -1)
 
 
-def z_fields(state: KGState) -> list:
-    """The argument list (u, du/dt, d_1 u, ..., d_d u) of the coefficients."""
-    zs = [state.u, state.w]
-    for axis in range(state.grid.d):
-        zs.append(derivative(state.u, axis))
-    return zs
+def _z_fields(u: Field, w: Field, spec: NonlinearitySpec) -> list:
+    """The argument list (u, du/dt = w, d_1 u, ..., d_d u) of the
+    coefficients, with only the slots the spec's F reads built
+    (``spec.z_slots``); a derivative slot it does not read is None."""
+    return [u, w] + [derivative(u, axis) if 2 + axis in spec.z_slots else None
+                     for axis in range(u.grid.d)]
 
 
 def _linear_combo(coeffs: np.ndarray, zs: list, grid: Grid) -> Field:
@@ -155,28 +169,27 @@ def _linear_combo(coeffs: np.ndarray, zs: list, grid: Grid) -> Field:
 
 
 def coefficient_fields(zs: list, spec: NonlinearitySpec):
-    """Q^{0j} and Q^{jl} on the argument list ``zs = z_fields(state)``,
-    as (list, list-of-lists); a unit coefficient row is its Z slot."""
+    """Q^{0j} and Q^{jl} on the argument list ``zs`` (:func:`_z_fields`),
+    as (list, list-of-lists); a unit coefficient row is its Z slot, and a
+    structurally zero row is a zero field."""
     g = zs[0].grid
-    q0 = [_linear_combo(spec.q0[j], zs, g) for j in range(g.d)]
-    qd = [[_linear_combo(spec.qjl[j, l], zs, g) for l in range(g.d)] for j in range(g.d)]
+    zero = Field.zero(g)
+    q0 = [_linear_combo(spec.q0[j], zs, g) if spec.q0_live[j] else zero for j in range(g.d)]
+    qd = [[_linear_combo(spec.qjl[j, l], zs, g) if spec.qjl_live[j][l] else zero
+           for l in range(g.d)] for j in range(g.d)]
     return q0, qd
 
 
 def _source_terms(zs: list, spec: NonlinearitySpec):
     """The (coefficient, factor, factor) terms of S on the argument list."""
-    nz = spec.nz
-    for c in range(nz):
-        for cp in range(c, nz):
-            coeff = spec.s[c, cp] * (1.0 if c == cp else 2.0)
-            if coeff != 0.0:
-                yield coeff, zs[c], zs[cp]
+    return ((c, zs[a], zs[b]) for c, a, b in spec.s_terms)
 
 
 def source_value(zs: list, spec: NonlinearitySpec) -> Field:
     """The constant-coefficient quadratic form S(u, du) on the argument
-    list ``zs = z_fields(state)``: one :func:`spectral.dealiased_sum` of
-    its products, sharing the Z list.
+    list ``zs`` (:func:`_z_fields`): one :func:`spectral.dealiased_sum` of
+    its products with a nonzero coefficient (``spec.s_terms``), sharing
+    the Z list.
     """
     return dealiased_sum(zs[0].grid, _source_terms(zs, spec), zs)
 
@@ -184,27 +197,42 @@ def source_value(zs: list, spec: NonlinearitySpec) -> Field:
 def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
     """F = 2 Q^{0j} d_j w + Q^{jl} d^2_{jl} u + S, all products dealiased.
 
-    One evaluation builds the Z list once and takes d_jl u from d_j u.
-    A Z slot enters several products (in S, and as every unit
-    coefficient row), so F is one :func:`spectral.dealiased_sum` that
-    shares the Z list: each slot is inverse-transformed once per
-    evaluation, and the products are summed in physical space and
-    truncated once.  So F makes one forward transform (none when every
-    product is zero) and is returned in coefficient space.
+    One evaluation builds only the Z slots that the spec's plan reads
+    (:func:`_z_fields`) and only the coefficient fields of its live rows,
+    and takes d_jl u from d_j u.  A Z slot enters several
+    products (in S, and as every unit coefficient row), so F is one
+    :func:`spectral.dealiased_sum` that shares the Z list: each slot is
+    inverse-transformed once per evaluation, and the products are summed
+    in physical space and truncated once.  So F makes one forward
+    transform (none when every product is zero) and is returned in
+    coefficient space.
     """
-    zs = z_fields(state)
+    return _f(state.u, state.w, spec)
+
+
+def _f(u: Field, w: Field, spec: NonlinearitySpec) -> Field:
+    """F on the real fields u and w, the one route of every evaluation."""
+    zs = _z_fields(u, w, spec)
     return _nonlinearity(zs, *coefficient_fields(zs, spec), spec)
 
 
 def _nonlinearity(zs: list, q0: list, qd: list, spec: NonlinearitySpec) -> Field:
-    """F on the Z list of a state and the coefficient fields on it: the
-    terms of S, then 2 Q^{0j} d_j w, then Q^{jl} d_l d_j u."""
+    """F on a Z list and the coefficient fields on it: the terms of S,
+    then 2 Q^{0j} d_j w, then Q^{jl} d_l d_j u.
+
+    Every product makes its one ``dealiased_product`` call, but a
+    product whose coefficient row is structurally zero gets that row's
+    zero field as both operands, and its d_j w or d_l d_j u is not built.
+    """
     g = zs[0].grid
     w, du = zs[1], zs[2:]
+    # a structurally zero row is a zero field (coefficient_fields), and it
+    # stands for its own second factor
     terms = itertools.chain(
         _source_terms(zs, spec),
-        ((2.0, q0[j], derivative(w, j)) for j in range(g.d)),
-        ((1.0, qd[j][l], derivative(du[j], l)) for j in range(g.d) for l in range(g.d)))
+        ((2.0, q0[j], derivative(w, j) if spec.q0_live[j] else q0[j]) for j in range(g.d)),
+        ((1.0, qd[j][l], derivative(du[j], l) if spec.qjl_live[j][l] else qd[j][l])
+         for j in range(g.d) for l in range(g.d)))
     return dealiased_sum(g, terms, zs)
 
 
@@ -212,10 +240,6 @@ def rhs(state: KGState, spec: NonlinearitySpec):
     """Time derivative of (u, w): du = w, dw = Lap u - u + F."""
     dw = laplacian(state.u) - state.u + nonlinearity_value(state, spec)
     return state.w, dw
-
-
-def _semilinear(spec: NonlinearitySpec) -> bool:
-    return not (spec.q0.any() or spec.qjl.any())
 
 
 def step_limit(grid: Grid, spec: NonlinearitySpec) -> float:
@@ -229,7 +253,22 @@ def step_limit(grid: Grid, spec: NonlinearitySpec) -> float:
     the CFL step on the pinned lifespan sweep.
     """
     lam_max = math.sqrt(1.0 + float(grid.xi_mags.max()) ** 2)
-    return (2.0 if _semilinear(spec) else 0.5) / lam_max
+    return (2.0 if spec.semilinear else 0.5) / lam_max
+
+
+@lru_cache(maxsize=8)
+def _flow(grid: Grid, dt: float) -> tuple:
+    """The exact linear flow over dt/2 per mode, (u, w) -> (cos u + sin/lam w,
+    -lam sin u + cos w) at the angle lam dt/2, as its read-only tables
+    (cos, sin/lam, lam sin) on the rfftn half that a real field stores.
+
+    A run steps with one dt per checkpoint interval, so the tables are
+    built once per interval; a few entries serve runs on threads.
+    """
+    lam = grid.half(lambda_mag(grid))
+    angle = lam * (dt / 2)
+    cos, sin = np.cos(angle), np.sin(angle)
+    return _frozen(cos), _frozen(sin / lam), _frozen(lam * sin)
 
 
 def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
@@ -239,43 +278,40 @@ def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
     With E the linear flow over dt/2 and the nonlinear part N = (0, F):
     y' = E^2 y + dt/6 (E^2 N1 + 2 E (N2 + N3) + N4), where N1 = N(y),
     N2 = N(E (y + dt/2 N1)), N3 = N(E y + dt/2 N2), N4 = N(E (E y + dt N3)).
+    The stages evaluate F on the rfftn halves, and only the new state is
+    a ``KGState``.
     """
-    g, t = state.grid, state.t
-    # the exact linear flow over dt/2 per mode: (u, w) -> (cos u + sin/lam w,
-    # -lam sin u + cos w), at the angle lam dt/2, on the rfftn halves that
-    # the state's real fields store
-    lam_g = g.half(lambda_mag(g))
-    angle = lam_g * (dt / 2)
-    cos, sin = np.cos(angle), np.sin(angle)
-    sin_over_lam, lam_sin = sin / lam_g, lam_g * sin
+    g = state.grid
+    cos, sin_over_lam, lam_sin = _flow(g, dt)
     u, w = state.u.spectrum(), state.w.spectrum()
+
+    def real(half):
+        return Field._new(g, True, None, _frozen(half))
 
     def turn(a, b):
         return cos * a + sin_over_lam * b, cos * b - lam_sin * a
 
-    def F(tt, a, b):
-        state = KGState(g, tt, Field.from_spectrum(g, a), Field.from_spectrum(g, b))
-        return nonlinearity_value(state, spec).spectrum()
+    def F(a, b):
+        return _f(real(a), real(b), spec).spectrum()
 
     eu, ew = turn(u, w)
-    f1 = F(t, u, w)
-    f2 = F(t + dt / 2, *turn(u, w + f1 * (dt / 2)))
-    f3 = F(t + dt / 2, eu, ew + f2 * (dt / 2))
-    f4 = F(t + dt, *turn(eu, ew + f3 * dt))
+    f1 = F(u, w)
+    f2 = F(*turn(u, w + f1 * (dt / 2)))
+    f3 = F(eu, ew + f2 * (dt / 2))
+    f4 = F(*turn(eu, ew + f3 * dt))
     au, aw = turn(u, w + f1 * (dt / 6))
     nu, nw = turn(au, aw + (f2 + f3) * (dt / 3))
-    return KGState(g, t + dt, Field.from_spectrum(g, nu),
-                   Field.from_spectrum(g, nw + f4 * (dt / 6)))
+    return KGState(g, state.t + dt, real(nu), real(nw + f4 * (dt / 6)))
 
 
 def step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
     """One fourth-order step: Lawson IF-RK4 for a semilinear spec,
     classical RK4 otherwise.  dt may not exceed :func:`step_limit`."""
-    limit = step_limit(state.grid, spec)
+    semilinear, limit = spec.semilinear, step_limit(state.grid, spec)
     if dt > limit * (1.0 + 1e-9):
-        kind = "semilinear" if _semilinear(spec) else "quasilinear (CFL)"
+        kind = "semilinear" if semilinear else "quasilinear (CFL)"
         raise ValueError(f"dt={dt:g} exceeds the {kind} step limit {limit:g}")
-    if _semilinear(spec):
+    if semilinear:
         return _lawson_step(state, spec, dt)
     g, t, u, w = state.grid, state.t, state.u, state.w
     k1u, k1w = rhs(state, spec)
@@ -392,7 +428,10 @@ def run_to_time(
 class Paralinearization(NamedTuple):
     """The good-unknown objects of one state: the Z list, Q^{0j} and
     Q^{jl} on it, the symbol q, and W(q) with the parts the reduced
-    equation reads (W - 1, W - 1 - q/2 and Vt - 1)."""
+    equation reads (W - 1, W - 1 - q/2 and Vt - 1).
+
+    ``zs`` holds only the slots the spec's F reads (:func:`_z_fields`):
+    a derivative slot d_j u that it does not read is None."""
 
     zs: list
     q0: list
@@ -413,7 +452,7 @@ def paralinearize(state: KGState, spec: NonlinearitySpec) -> Paralinearization:
     keeping the reduced-equation algebra exact up to the quartic tail.
     """
     d = state.grid.d
-    zs = z_fields(state)
+    zs = _z_fields(state.u, state.w, spec)
     q0, qd = coefficient_fields(zs, spec)
     q = _pair_sum([[qd[j][l] + dealiased_product(q0[j], q0[l]) for l in range(d)]
                    for j in range(d)])

@@ -609,8 +609,9 @@ def run_weighted_bootstrap(cfg: ExperimentConfig) -> RunReport:
     report.checks["sobolev-bounded"] = sob_max <= 2.0 * sob0
     report.checks["weighted-bounded"] = wgt_max <= 2.0 * wgt0
 
-    snapshots = [(s.t, s.profile()) for s in result.states]
-    limit = scattering_limit(snapshots, alpha=cfg.alpha, N=N)
+    # the profiles live only as long as the audit that reads them
+    limit = scattering_limit([(s.t, s.profile()) for s in result.states],
+                             alpha=cfg.alpha, N=N)
     report.constants["final_cauchy_gap"] = limit["cauchy"][-1]
     report.constants["cauchy_rate"] = limit["fit"].slope
     report.constants["cauchy_rate_target"] = limit["target_exponent"]

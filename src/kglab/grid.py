@@ -22,14 +22,16 @@ real values, or an rfftn half of ``Grid.half_shape`` (see
 the ``rfftn`` half of its coefficients: last-axis modes 0..n/2, shape
 n^(d-1) x (n/2+1), which fix the rest through c_{-m} = conj(c_m).  Its
 transforms are the real ones, ``values = irfftn(half)`` and
-``half = rfftn(values)``, about half the cost of the complex pair, and a
-real multiplier, mask or combination acts on the half alone
-(``Field.spectrum``).  The two last-axis planes at modes 0 and n/2 are
-their own mirrors; a forward transform symmetrizes them, so the half is
-exactly Hermitian.  ``Field.coeffs`` still gives the full array: it
-completes the half by conjugation on each call, for the reductions and
-mixed real-complex arithmetic that read it.  Both read a mode's mirror
-by one rule, ``_mirrored``: every axis but the last at -m mod n.
+``half = rfftn(values)`` (on a 1-D grid ``irfft`` and ``rfft``
+themselves, which those call on one axis, so the bits are the same),
+about half the cost of the complex pair, and a real multiplier, mask or
+combination acts on the half alone (``Field.spectrum``).  The two
+last-axis planes at modes 0 and n/2 are their own mirrors; a forward
+transform symmetrizes them, so the half is exactly Hermitian.
+``Field.coeffs`` still gives the full array: it completes the half by
+conjugation on each call, for the reductions and mixed real-complex
+arithmetic that read it.  Both read a mode's mirror by one rule,
+``_mirrored``: every axis but the last at -m mod n.
 
 Quadrature: physical integrals carry the weight (2L/n)^d, so the
 squared L2 norm is also (2L)^d * sum |c_m|^2 (Parseval).
@@ -350,9 +352,12 @@ class Field:
 
         Sums with spectral fields then stay spectral, with no transform.
         Every zero field of one grid shape shares one read-only half, and
-        its ``coeffs`` are one shared read-only full array.
+        its ``coeffs`` are one shared read-only full array.  The field
+        itself is new on each call: a zero field kept by its grid would
+        tie the grid to itself in a reference cycle, so a finished grid
+        would wait for the cyclic collector.
         """
-        return cls.from_spectrum(grid, _zero_coeffs(grid.half_shape))
+        return cls._new(grid, True, None, _zero_coeffs(grid.half_shape))
 
     @classmethod
     def one(cls, grid: Grid) -> "Field":
@@ -364,7 +369,10 @@ class Field:
     def values(self) -> np.ndarray:
         if self._values is None:
             grid = self.grid
-            if self.real:
+            if self.real and grid.d == 1:
+                # what irfftn calls on one axis, without its n-D argument handling
+                vals = np.fft.irfft(self._coeffs, n=grid.n, norm="forward")
+            elif self.real:
                 vals = np.fft.irfftn(self._coeffs, s=grid.shape, axes=tuple(range(grid.d)),
                                      norm="forward")
             else:
@@ -388,7 +396,10 @@ class Field:
         the full array of a complex one.  Transforms once if needed, and
         never completes a half."""
         if self._coeffs is None:
-            if self.real:
+            if self.real and self.grid.d == 1:
+                # rfftn on one axis is rfft, and a 1-D half has no plane to symmetrize
+                coeffs = np.fft.rfft(self._values, norm="forward")
+            elif self.real:
                 coeffs = np.fft.rfftn(self._values, norm="forward")
                 _symmetrize_ends(coeffs, self.grid.n)
             else:

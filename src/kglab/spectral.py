@@ -13,14 +13,17 @@ Conventions:
   transform on a zero operand and one inverse transform on a square,
   and it returns its result in coefficient space.  A sum of products,
   such as the nonlinearity F of ``dynamics``, goes through
-  :func:`dealiased_sum`: an operand it is told is shared is
-  inverse-transformed once however many products it enters, and the
-  live products are summed in physical space and truncated once (the
-  2/3 projector is linear).  Multipliers, sums and ``Field.zero`` keep
-  fields in coefficient space too, so the only transforms of F are one
-  inverse per distinct live operand and one forward transform, with no
-  Hermitian completion and one mask on the rfftn half (none when no
-  product is live).
+  :func:`dealiased_sum`, one ``dealiased_product`` call per term: F
+  makes one for every product of its general form, and a product with a
+  factor that the spec makes structurally zero gets one zero field as
+  both operands, which returns at once.  An operand the sum is told is
+  shared is inverse-transformed once however many products it enters,
+  and the live products are summed in physical space, as bare arrays,
+  and truncated once (the 2/3 projector is linear).  Multipliers, sums
+  and ``Field.zero`` keep fields in coefficient space too, so the only
+  transforms of F are one inverse per distinct live operand and one
+  forward transform, with no Hermitian completion and one mask on the
+  rfftn half (none when no product is live).
 * A field's kind follows its array (``grid.Field``).  A real field
   stores only the rfftn half of its coefficients (``Field.spectrum``),
   and every real multiplier and mask here acts on that half, with its
@@ -30,9 +33,10 @@ Conventions:
   real values, so it is real too.  The Klein-Gordon unknowns are real
   fields from the data on (``dynamics.KGState`` takes no complex one),
   so every operand and product of F is real, and each of those
-  transforms is a real one (``irfftn`` in, ``rfftn`` out): about half
-  the cost of a complex transform.  ``semigroup`` and a complex operand
-  make complex fields from the full array.
+  transforms is a real one (``irfftn`` in, ``rfftn`` out, or ``irfft``
+  and ``rfft`` on a 1-D grid): about half the cost of a complex
+  transform.  ``semigroup`` and a complex operand make complex fields
+  from the full array.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import psi_band, psi_le, psi_range
-from .grid import Field, Grid, _zero_coeffs
+from .grid import Field, Grid, _frozen
 
 __all__ = [
     "lp_project",
@@ -69,8 +73,8 @@ def _stored(f: Field, table: np.ndarray) -> np.ndarray:
 def _scaled(f: Field, multiplier: np.ndarray) -> Field:
     """f times a multiplier table given on the coefficients it stores; the
     symbol keeps a real field real (it is real and even, or odd and
-    imaginary)."""
-    return Field.from_spectrum(f.grid, f.spectrum() * multiplier)
+    imaginary), and the product is in the layout f stores."""
+    return Field._new(f.grid, f.real, None, _frozen(f.spectrum() * multiplier))
 
 
 def _band_multiplier(f: Field, weights: np.ndarray) -> np.ndarray:
@@ -118,7 +122,7 @@ def semigroup(f: Field, t: float, sign: int = +1) -> Field:
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     phase = np.exp(1j * sign * t * lambda_mag(f.grid))
-    return Field.from_spectrum(f.grid, f.coeffs * phase)
+    return Field._new(f.grid, False, None, _frozen(f.coeffs * phase))
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +152,7 @@ def laplacian(f: Field) -> Field:
 def dealias(f: Field) -> Field:
     """Truncate to the 2/3 box (also removes Nyquist rows)."""
     kept = np.where(_stored(f, f.grid.dealias_mask), f.spectrum(), 0.0)
-    return Field.from_spectrum(f.grid, kept)
+    return Field._new(f.grid, f.real, None, _frozen(kept))
 
 
 def dealiased_product(f: Field, g: Field, memo: dict = None) -> Field:
@@ -166,18 +170,20 @@ def dealiased_product(f: Field, g: Field, memo: dict = None) -> Field:
 
     ``memo`` is passed only by :func:`dealiased_sum`: it maps each of
     the sum's shared operands (keyed by the field itself) to its
-    truncated values, filled on first use, and a live product is then
-    returned in physical space without its output truncation, which the
-    sum applies once.
+    truncated values, filled on first use.  With a memo the return is
+    not a Field: a live product is its bare physical-space values,
+    without the output truncation, which the sum applies once, and a
+    zero product is None.
     """
-    if f.grid != g.grid:
+    if f.grid is not g.grid and f.grid != g.grid:
         raise ValueError("fields live on different grids")
     if f.is_zero() or (g is not f and g.is_zero()):
-        return Field.zero(f.grid)
+        return Field.zero(f.grid) if memo is None else None
     fv = _dealiased_values(f, memo)
     gv = fv if g is f else _dealiased_values(g, memo)
-    product = Field.from_values(f.grid, fv * gv)
-    return dealias(product) if memo is None else product
+    if memo is not None:
+        return fv * gv
+    return dealias(Field._new(f.grid, f.real and g.real, _frozen(fv * gv), None))
 
 
 def _dealiased_values(f: Field, memo) -> np.ndarray:
@@ -198,17 +204,17 @@ def dealiased_sum(grid: Grid, terms, shared) -> Field:
     enters.  A product with a zero operand is skipped; the live ones are
     summed in physical space, and the sum is truncated to the 2/3 box
     once, which by linearity of the projector is the sum of the
-    truncated products up to rounding.  So the sum makes one forward
-    transform, and it is the shared ``Field.zero``, with no transform,
-    when no term is live.  ``terms`` may be a generator: each term's
-    operands and product are let go before the next term is built.
+    truncated products up to rounding.  The sum is held as a bare array
+    until that truncation, so it makes one forward transform, and it is
+    a ``Field.zero``, with no transform, when no term is live.
+    ``terms`` may be a generator: each term's operands and product are
+    let go before the next term is built.
     """
     memo = {f: None for f in shared}
-    zero = _zero_coeffs(grid.half_shape)
     out = None
     for c, f, g in terms:
         p = dealiased_product(f, g, memo)
-        if p._coeffs is not zero:
+        if p is not None:
             # a unit coefficient passes the product itself: p * 1.0 is bitwise p
             p = p if c == 1.0 else p * c
             out = p if out is None else out + p
@@ -216,4 +222,6 @@ def dealiased_sum(grid: Grid, terms, shared) -> Field:
         del f, g, p
     # and the operand values before the forward transform
     del memo
-    return Field.zero(grid) if out is None else dealias(out)
+    if out is None:
+        return Field.zero(grid)
+    return dealias(Field._new(grid, not np.iscomplexobj(out), _frozen(out), None))

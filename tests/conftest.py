@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-# the n-D transforms that Field makes, and the direction each counts as:
-# a real field's rfftn is a forward transform and its irfftn an inverse one
-_TRANSFORMS = {"fftn": "fftn", "rfftn": "fftn", "ifftn": "ifftn", "irfftn": "ifftn"}
+# the transforms that Field makes, and the direction each counts as: a
+# real field's rfftn is a forward transform and its irfftn an inverse
+# one, and on a 1-D grid it calls rfft and irfft themselves.  numpy's
+# n-D routines call their 1-D ones inside numpy.fft, not through the
+# attributes patched here, so no transform is counted twice.
+_TRANSFORMS = {"fftn": "fftn", "rfftn": "fftn", "rfft": "fftn",
+               "ifftn": "ifftn", "irfftn": "ifftn", "irfft": "ifftn"}
 
 
 @pytest.fixture

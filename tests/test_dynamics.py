@@ -39,7 +39,7 @@ from kglab.nonlinearity import NonlinearitySpec, default_spec
 from kglab.oracles import fd_gradient_oracle, weyl_matrix
 from kglab.paradiff import weyl_apply
 from kglab.resonance import SIGN_PAIRS, a_kernel, bilinear_apply, resonant_kernel
-from kglab.spectral import dealiased_product, derivative, semigroup
+from kglab.spectral import dealiased_product, derivative, lambda_mag, semigroup
 
 
 def _small_state(g, eps, seed=60, t=0.0):
@@ -345,7 +345,7 @@ def test_nonlinearity_matches_products_dealiased_one_at_a_time(d, n, real):
     # route runs on complex u and w, which no state holds
     g = make_grid(d, n, 4 * np.pi)
     st = _small_state(g, 0.1, t=1.0)
-    zs = dynamics.z_fields(st)
+    zs = _z_list(st.u, st.w)
     if not real:
         rng = make_rng(62)
         zs = _z_list(st.u + random_band_field(g, rng, k_lo=-1, k_hi=1) * 0.05j,
@@ -359,6 +359,91 @@ def test_nonlinearity_matches_products_dealiased_one_at_a_time(d, n, real):
         assert not np.any(F.coeffs[~g.dealias_mask])
         if real:
             assert np.array_equal(F.coeffs, np.conj(_mirrored(F.coeffs)))
+
+
+@pytest.mark.parametrize("d, n, spec, calls, live", [
+    (1, 256, LIFESPAN_SPEC, 3, 1),
+    (2, 32, default_spec(2), 8, 6),
+    (3, 16, _full_spec(3, 63), 15 + 3 + 9, 15 + 3 + 9),
+], ids=["lifespan-1d", "default-2d", "full-3d"])
+def test_f_makes_one_product_call_per_term_and_no_dead_operand(monkeypatch, d, n, spec,
+                                                               calls, live):
+    # every product of the general form makes its one dealiased_product
+    # call; a product whose coefficient row is structurally zero gets one
+    # zero field as both operands, and F builds no derivative that only
+    # such a product would read: 2u^2 takes none at all
+    g = make_grid(d, n, 4 * np.pi)
+    st = _small_state(g, 0.1, t=1.0)
+    pairs, derivatives = [], []
+    product, derivative_ = spectral_module.dealiased_product, dynamics.derivative
+
+    def counted(f, h, memo):
+        pairs.append((f, h))
+        return product(f, h, memo)
+
+    monkeypatch.setattr(spectral_module, "dealiased_product", counted)
+    monkeypatch.setattr(dynamics, "derivative",
+                        lambda f, axis: derivatives.append(axis) or derivative_(f, axis))
+    nonlinearity_value(st, spec)
+    assert len(pairs) == calls
+    assert sum(not (f.is_zero() or h.is_zero()) for f, h in pairs) == live
+    zero = Field.zero(g).spectrum()
+    assert all(f is h and f.spectrum() is zero
+               for f, h in pairs if f.is_zero() and h.is_zero())
+    if spec is LIFESPAN_SPEC:
+        assert derivatives == []
+
+
+def _inline_lawson_step(st, spec, dt):
+    """Lawson IF-RK4 written out from lambda_mag and a public F per stage."""
+    g = st.grid
+    lam = g.half(lambda_mag(g))
+    angle = lam * (dt / 2)
+    cos, sin = np.cos(angle), np.sin(angle)
+    sin_over_lam, lam_sin = sin / lam, lam * sin
+
+    def turn(a, b):
+        return cos * a + sin_over_lam * b, cos * b - lam_sin * a
+
+    def F(t, a, b):
+        state = KGState(g, t, Field.from_spectrum(g, a), Field.from_spectrum(g, b))
+        return nonlinearity_value(state, spec).spectrum()
+
+    t, u, w = st.t, st.u.spectrum(), st.w.spectrum()
+    eu, ew = turn(u, w)
+    f1 = F(t, u, w)
+    f2 = F(t + dt / 2, *turn(u, w + f1 * (dt / 2)))
+    f3 = F(t + dt / 2, eu, ew + f2 * (dt / 2))
+    f4 = F(t + dt, *turn(eu, ew + f3 * dt))
+    au, aw = turn(u, w + f1 * (dt / 6))
+    nu, nw = turn(au, aw + (f2 + f3) * (dt / 3))
+    return (cos, sin_over_lam, lam_sin), nu, nw + f4 * (dt / 6)
+
+
+@pytest.mark.parametrize("d, n, spec", [
+    (1, 256, LIFESPAN_SPEC),
+    (2, 32, default_spec(2, 0.0, 0.0, 2.0, 0.0)),
+], ids=["lifespan-1d", "semilinear-2d"])
+def test_lawson_step_is_bitwise_the_inline_step(d, n, spec):
+    # the flow tables are cached per (grid, dt): repeated steps hit the
+    # cache and a new dt misses it, and either way the step has the bits
+    # of the inline one, and the tables those of its expressions
+    g = make_grid(d, n, 8 * np.pi)
+    st = _small_state(g, 0.1, t=1.0)
+    limit = step_limit(g, spec)
+    dynamics._flow.cache_clear()
+    for dt in (limit, 0.5 * limit, limit, 0.3 * limit, 0.5 * limit):
+        nxt = step(st, spec, dt)
+        tables, nu, nw = _inline_lawson_step(st, spec, dt)
+        assert nxt.t == st.t + dt
+        assert nxt.u.spectrum().tobytes() == nu.tobytes()
+        assert nxt.w.spectrum().tobytes() == nw.tobytes()
+        for got, want in zip(dynamics._flow(g, dt), tables):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+        st = nxt
+    info = dynamics._flow.cache_info()
+    assert (info.misses, info.hits) == (3, 2 + 5)
 
 
 def _assert_masked_coefficients(p):

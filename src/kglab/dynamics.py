@@ -23,13 +23,13 @@ unknown, its drift and the reduced right side all read that one build.
 F has one route.  The spec is compiled once into a plan
 (``NonlinearitySpec``: its live S terms, which Q^{0j} and Q^{jl} rows
 are structurally zero, the Z slots F reads and the semilinear flag),
-and :func:`nonlinearity_value`, :func:`rhs`, :func:`source_value`, the
-paralinearization's F and the Lawson stages all read it.  F builds only
-the Z slots and coefficient rows a live product reads.  It still makes
-one ``spectral.dealiased_product`` call for every product of its
-general form: a product whose coefficient row is structurally zero
-gets one zero field as both operands, and its d_j w or d_jl u
-is not built.
+and :func:`nonlinearity_value`, :func:`rhs`, the reduced right side's
+S, the paralinearization's F and the Lawson stages all read it.  F
+builds only the Z slots and coefficient rows a live product reads.  It
+still makes one ``spectral.dealiased_product`` call for every product
+of its general form: a product whose coefficient row is structurally
+zero gets one zero field as both operands, and its d_j w or d_jl u is
+not built.
 
 A semilinear spec (no Q^{0j}, no Q^{jl}) steps with Lawson's
 integrating-factor RK4 (Lawson 1967; Cox & Matthews 2002): the linear
@@ -95,7 +95,6 @@ __all__ = [
     "GoodUnknownReport",
     "RunResult",
     "coefficient_fields",
-    "source_value",
     "nonlinearity_value",
     "rhs",
     "step_limit",
@@ -183,15 +182,6 @@ def coefficient_fields(zs: list, spec: NonlinearitySpec):
 def _source_terms(zs: list, spec: NonlinearitySpec):
     """The (coefficient, factor, factor) terms of S on the argument list."""
     return ((c, zs[a], zs[b]) for c, a, b in spec.s_terms)
-
-
-def source_value(zs: list, spec: NonlinearitySpec) -> Field:
-    """The constant-coefficient quadratic form S(u, du) on the argument
-    list ``zs`` (:func:`_z_fields`): one :func:`spectral.dealiased_sum` of
-    its products with a nonzero coefficient (``spec.s_terms``), sharing
-    the Z list.
-    """
-    return dealiased_sum(zs[0].grid, _source_terms(zs, spec), zs)
 
 
 def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
@@ -471,15 +461,14 @@ def q_sup_bound(q: Symbol) -> float:
 
     The zeta sup is taken over a half-step refinement of the frequency
     lattice, which is where the Weyl quantization actually samples the
-    symbol.
+    symbol: (2n)^d points, passed to zeta_factor as d sparse axes of 2n.
     """
     g = q.grid
-    axes = [np.arange(-g.n, g.n) * (g.dxi / 2.0) for _ in range(g.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    half_steps = np.arange(-g.n, g.n) * (g.dxi / 2.0)
+    axes = np.meshgrid(*[half_steps] * g.d, indexing="ij", sparse=True)
     total = 0.0
     for (alpha, p), xpart in q.parts.items():
-        zmax = float(np.max(np.abs(zeta_factor(pts, alpha, p))))
+        zmax = float(np.max(np.abs(zeta_factor(axes, alpha, p))))
         total += float(np.max(np.abs(xpart.values))) * zmax
     return total
 
@@ -532,10 +521,10 @@ def good_unknown(state: KGState, spec: NonlinearitySpec, N: float = None) -> Goo
 # -- reduced equation ------------------------------------------------------
 
 
-def _f_q_symbols(state: KGState, para: Paralinearization, spec: NonlinearitySpec):
+def _f_q_symbols(state: KGState, para: Paralinearization, spec: NonlinearitySpec, dw: list):
     """Split d(q/2)/dt into its linear part and the rest, as symbols,
     with the linear (f1_0) and quadratic (f2_0) parts of dQ^{0j}/dt;
-    para is the state's paralinearization.
+    para is the state's paralinearization and dw its d_j w.
 
     The linear parts substitute du/dt = w, dw/dt = Lap u - u; the
     quadratic ones carry the nonlinearity F through the same slots, and
@@ -543,9 +532,7 @@ def _f_q_symbols(state: KGState, para: Paralinearization, spec: NonlinearitySpec
     """
     g = state.grid
     q0 = para.q0
-    lin_dz = [state.w, laplacian(state.u) - state.u] + [
-        derivative(state.w, axis) for axis in range(g.d)
-    ]
+    lin_dz = [state.w, laplacian(state.u) - state.u] + dw
     F = _nonlinearity(para.zs, q0, para.qd, spec)
     f1_0 = [_linear_combo(spec.q0[j], lin_dz, g) for j in range(g.d)]
     f2_0 = [F * spec.q0[j, 1] for j in range(g.d)]
@@ -575,17 +562,17 @@ def reduced_rhs(state: KGState, para: Paralinearization, spec: NonlinearitySpec,
     lam_u = lambda_power(u, 1.0)
     zs, q0, qd, q = para.zs, para.q0, para.qd, para.q
     wm1, wm1mq2, vtm1 = para.wm1, para.wm1mq2, para.vtm1
-    f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, para, spec)
+    dw = [derivative(w, j) for j in range(g.d)]
+    ddu = [[derivative(derivative(u, j), l) for l in range(g.d)] for j in range(g.d)]
+    f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, para, spec, dw)
 
     one = Field.one(g)
     lam_mult = Symbol.term(one, p=1)
     inv_lam_mult = Symbol.term(one, p=-1)
 
-    dw = [derivative(w, j) for j in range(g.d)]
-    ddu = [[derivative(derivative(u, j), l) for l in range(g.d)] for j in range(g.d)]
-
-    # semilinear block: the source plus both coefficient remainders
-    sem = source_value(zs, spec)
+    # semilinear block: the source S (its products share the Z list)
+    # plus both coefficient remainders
+    sem = dealiased_sum(g, _source_terms(zs, spec), zs)
     for j in range(g.d):
         sem = sem + remainder(q0[j], dw[j]) * 2.0
     for j in range(g.d):

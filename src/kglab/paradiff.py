@@ -29,9 +29,12 @@ weyl_apply is T_a's one fast route: it runs the sum over the grid's
 live offsets theta = xi - eta, those whose weight w(xi, xi - theta) is
 not zero everywhere, each with its weight table (cutoff, no-wraparound
 and Nyquist rules folded in) and its midpoint frequencies, built once
-per (d, n, L) by _live_offsets.  At PARA_CUT_BAND = -10 most desk-scale
-grids have theta = 0 alone, the multiplier by the x-average.  Its
-oracle is the dense matrix of the sum above, kglab.oracles.weyl_matrix.
+per (d, n, L) by _live_offsets.  The midpoints are held per axis, as
+the grid holds xi: one n^d weight plus d vectors of n per offset, on
+which zeta_factor evaluates a key in a few n^d passes.  At
+PARA_CUT_BAND = -10 most desk-scale grids have theta = 0 alone, the
+multiplier by the x-average.  Its oracle is the dense matrix of the
+sum above, kglab.oracles.weyl_matrix.
 """
 
 from __future__ import annotations
@@ -126,17 +129,22 @@ class Symbol:
         return out
 
 
-def zeta_factor(zpts: np.ndarray, alpha: tuple, p: int) -> np.ndarray:
-    """zeta^alpha <zeta>^p on frequency vectors, shape (..., d) -> (...).
+def zeta_factor(axes: Sequence[np.ndarray], alpha: tuple, p: int) -> np.ndarray:
+    """zeta^alpha <zeta>^p on the broadcastable per-axis coordinates
+    ``axes`` (as ``np.meshgrid(..., indexing="ij", sparse=True)`` gives).
 
-    At zeta = 0 it is 1 when alpha = 0 and 0 otherwise, with no special
-    case: <0> = 1.
+    <zeta>^2 is 1 plus the per-axis squares summed left to right, zeta^alpha
+    the per-axis powers multiplied left to right.  At zeta = 0 it is 1
+    when alpha = 0 and 0 otherwise, with no special case: <0> = 1.
     """
-    lam2 = 1.0 + np.sum(zpts * zpts, axis=-1)
+    lam2 = 1.0 + sum(z * z for z in axes)
     lam_p = lam2 ** (abs(p) // 2)
     if p % 2:
         lam_p = lam_p * np.sqrt(lam2)
-    mono = np.prod(zpts ** np.asarray(alpha), axis=-1)
+    mono = 1.0
+    for z, a in zip(axes, alpha):
+        if a:
+            mono = mono * z**a
     return mono * lam_p if p >= 0 else mono / lam_p
 
 
@@ -148,17 +156,18 @@ def zeta_factor(zpts: np.ndarray, alpha: tuple, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _live_offsets(d: int, n: int, L: float) -> tuple:
     """The offsets theta = xi - eta of the (d, n, L) grid whose weight is
-    not identically zero, as (theta, weight, zpts) triples.
+    not identically zero, as (theta, weight, zaxes) triples.
 
     weight[xi] is cutoffs.para_cut(|theta|, |2 xi - theta|), the one
     definition of the cut and its ratio rules, set to zero where
     eta = xi - theta leaves the box |eta_j| <= n/2 - 1 (no wraparound,
-    no Nyquist input) and on the Nyquist rows of xi; zpts holds the
-    midpoint frequencies xi - theta/2, shape (*grid.shape, d).  The
-    candidates satisfy |theta| <= r |2 xi - theta| with r = (8/5) 2^-10,
-    so |theta| <= 2 r sqrt(d) xi_max / (1 - r), plus one lattice step of
-    slack; they come theta = 0 first, then by |theta|^2, stably.  Both
-    tables are read-only, and the cache is keyed by (d, n, L), not by a
+    no Nyquist input) and on the Nyquist rows of xi; zaxes holds the
+    midpoint frequencies xi - theta/2 as d vectors of n, each along its
+    own axis (the sparse mesh :func:`zeta_factor` takes).  The candidates
+    satisfy |theta| <= r |2 xi - theta| with r = (8/5) 2^-10, so
+    |theta| <= 2 r sqrt(d) xi_max / (1 - r), plus one lattice step of
+    slack; they come theta = 0 first, then by |theta|^2, stably.  Every
+    array is read-only, and the cache is keyed by (d, n, L), not by a
     grid, so it keeps no grid's tables alive.
     """
     grid = make_grid(d, n, L)
@@ -170,7 +179,7 @@ def _live_offsets(d: int, n: int, L: float) -> tuple:
     pts = pts[np.sum(pts * pts, axis=1) <= radius**2]
     pts = pts[np.argsort(np.sum(pts * pts, axis=1), kind="stable")]
 
-    modes = np.meshgrid(*grid.mode_axes, indexing="ij")
+    modes = np.meshgrid(*grid.mode_axes, indexing="ij", sparse=True)
     live = []
     for theta in pts:
         pairmag = grid.dxi * np.sqrt(sum((2 * m - s).astype(float) ** 2
@@ -182,8 +191,8 @@ def _live_offsets(d: int, n: int, L: float) -> tuple:
         weight[~kept] = 0.0
         if not weight.any():
             continue
-        zpts = np.stack([(m - 0.5 * s) * grid.dxi for m, s in zip(modes, theta)], axis=-1)
-        live.append((tuple(int(s) for s in theta), _frozen(weight), _frozen(zpts)))
+        zaxes = tuple(_frozen((m - 0.5 * s) * grid.dxi) for m, s in zip(modes, theta))
+        live.append((tuple(int(s) for s in theta), _frozen(weight), zaxes))
     return tuple(live)
 
 
@@ -192,7 +201,9 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
 
     Exact (not an approximation): an offset whose weight vanishes on the
     whole lattice contributes zero, and _live_offsets, built once per
-    (d, n, L), leaves it out.  Cost O(#live theta * #keys * n^d).
+    (d, n, L), leaves it out.  Each key's zeta factor is evaluated on the
+    offset's per-axis midpoints (one n^d weight and d vectors of n).
+    Cost O(#live theta * #keys * n^d).
     """
     grid = f.grid
     if a.grid != grid:
@@ -200,14 +211,14 @@ def weyl_apply(a: Symbol, f: Field) -> Field:
     coeffs = f.coeffs
     out = np.zeros(grid.shape, dtype=complex)
     xcoeffs = {key: xpart.coeffs for key, xpart in a.parts.items()}
-    for theta, weight, zpts in _live_offsets(grid.d, grid.n, grid.L):
+    for theta, weight, zaxes in _live_offsets(grid.d, grid.n, grid.L):
         shifted = np.roll(coeffs, shift=theta, axis=tuple(range(grid.d)))
         at = tuple(s % grid.n for s in theta)
         for (alpha, p), xc in xcoeffs.items():
             btheta = xc[at]
             if btheta == 0.0:
                 continue
-            out += btheta * weight * zeta_factor(zpts, alpha, p) * shifted
+            out += btheta * weight * zeta_factor(zaxes, alpha, p) * shifted
     return Field.from_spectrum(grid, out)
 
 

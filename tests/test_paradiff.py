@@ -22,23 +22,19 @@ def _inv_lam2(f):
     return Symbol.term(f, p=-2)
 
 
-def test_weyl_matches_oracle_1d():
-    g = make_grid(1, 32, 2 * np.pi)
-    rng = make_rng(11)
-    a = _symbol(g, rng)
-    f = random_band_field(g, rng, real=False)
-    fast = weyl_apply(a, f)
-    slow = weyl_oracle(a, f)
-    assert (fast - slow).l2() <= 1e-12 * max(slow.l2(), 1e-30)
-
-
-def test_weyl_matches_oracle_2d():
-    g = make_grid(2, 8, np.pi)
-    rng = make_rng(12)
-    a = _symbol(g, rng)
-    f = random_band_field(g, rng, real=False)
-    fast = weyl_apply(a, f)
-    slow = weyl_oracle(a, f)
+@pytest.mark.parametrize("d, n, L", [(1, 32, 2 * np.pi), (2, 8, np.pi), (3, 8, np.pi)],
+                         ids=["1d", "2d", "3d"])
+def test_weyl_matches_oracle(d, n, L):
+    # a key mixing the first and last axes at p < 0 (zeta_1^2 in 1-D),
+    # plus a one-axis key at p > 0
+    g = make_grid(d, n, L)
+    rng = make_rng(10 + d)
+    f = random_band_field(g, rng, k_lo=-1, k_hi=1)
+    h = random_band_field(g, rng, k_lo=-1, k_hi=1)
+    a = Symbol.term(f, (0, d - 1), -3) + Symbol.term(h, (d - 1,), 1)
+    u = random_band_field(g, rng, real=False)
+    fast = weyl_apply(a, u)
+    slow = weyl_oracle(a, u)
     assert (fast - slow).l2() <= 1e-12 * max(slow.l2(), 1e-30)
 
 
@@ -104,10 +100,23 @@ def test_pinned_weyl_grids_have_the_diagonal_alone(d, n, L):
     # multiplier by the x-average of a's parts
     offsets = _live_offsets(d, n, L)
     assert [theta for theta, _, _ in offsets] == [(0,) * d]
-    _, weight, zpts = offsets[0]
-    assert not (weight.flags.writeable or zpts.flags.writeable)
+    _, weight, zaxes = offsets[0]
+    assert not any(arr.flags.writeable for arr in (weight, *zaxes))
     g = make_grid(d, n, L)
     assert _live_offsets(g.d, g.n, g.L) is offsets  # built once per (d, n, L)
+
+
+def test_live_offsets_keep_one_weight_table_and_per_axis_midpoints():
+    # no dense (n^d, d) midpoint stack: per offset one n^d weight and d
+    # coordinate vectors of n, each along its own axis
+    d, n = 3, 16
+    g = make_grid(d, n, 4 * np.pi)
+    for theta, weight, zaxes in _live_offsets(d, n, g.L):
+        assert weight.shape == g.shape and len(zaxes) == d
+        assert all(arr.size <= g.npoints for arr in (weight, *zaxes))
+        for axis, z in enumerate(zaxes):
+            assert z.shape == tuple(n if k == axis else 1 for k in range(d))
+            assert np.array_equal(z.ravel(), (g.mode_axes[axis] - 0.5 * theta[axis]) * g.dxi)
 
 
 def test_real_even_symbol_is_hermitian():

@@ -36,6 +36,11 @@ SCHEMA = "kglab-experiment-v1"
 # grids are 2-D n = 256 and 1-D n = 32768 (2**16 and 2**15 points)
 MAX_GRID_POINTS = 2**24
 
+# largest checkpoint count a config may ask for: a run builds its whole
+# schedule and keeps a row per checkpoint, so a count no machine can hold
+# must fail at parse time.  The largest pinned count is 600
+MAX_CHECKPOINTS = 10**6
+
 EXPERIMENT_IDS = (
     "paradiff-oracle",
     "multiplier-bounds",
@@ -188,6 +193,9 @@ class ExperimentConfig:
             raise ValueError("dt must be nonnegative (0 = the step limit)")
         if self.checkpoints < 2:
             raise ValueError("checkpoints must be at least 2")
+        if self.checkpoints > MAX_CHECKPOINTS:
+            raise ValueError(f"checkpoints = {self.checkpoints} exceeds the limit of"
+                             f" {MAX_CHECKPOINTS}")
         if self.schedule not in ("log", "linear"):
             raise ValueError("schedule must be 'log' or 'linear'")
         if self.band_lo < -1:

@@ -17,14 +17,18 @@ quartic in q and is the measured floor of the residual check.  The
 symbols are keyed (paradiff.Symbol): q^k keeps one x-part per monomial
 zeta^alpha of degree 2k, so in 2-D q has 3 keys, q^3 has 7 and the
 tail's q^6 has 13.  A state's good-unknown objects (Z list, Q^{0j},
-Q^{jl}, q and W(q)) are built once, by :func:`paralinearize`; the good
-unknown, its drift and the reduced right side all read that one build.
+Q^{jl}, q, W(q), W - 1 and Vt - 1) are built once, by
+:func:`paralinearize`; the good unknown, its drift and the reduced right
+side all read that one build.  The reduced right side is eight operator
+terms (:func:`reduced_rhs`): F itself, four paradifferential operators
+and three error operators, with the time derivatives of the coefficients
+taken from dZ/dt, since the coefficients are linear in Z.
 
 F has one route.  The spec is compiled once into a plan
 (``NonlinearitySpec``: its live S terms, which Q^{0j} and Q^{jl} rows
 are structurally zero, the Z slots F reads and the semilinear flag),
 and :func:`nonlinearity_value`, :func:`rhs`, the reduced right side's
-S, the paralinearization's F and the Lawson stages all read it.  F
+F on the paralinearization and the Lawson stages all read it.  F
 builds only the Z slots and coefficient rows a live product reads.  It
 still makes one ``spectral.dealiased_product`` call for every product
 of its general form: a product whose coefficient row is structurally
@@ -71,7 +75,7 @@ import numpy as np
 from .grid import Field, Grid, _frozen, _hold_heap
 from .nonlinearity import NonlinearitySpec
 from .norms import holder_sup, loglog_fit, sobolev
-from .paradiff import Symbol, error_op, remainder, weyl_apply, zeta_factor
+from .paradiff import Symbol, error_op, weyl_apply, zeta_factor
 from .resonance import (
     SIGN_PAIRS,
     SIGN_TRIPLES,
@@ -179,11 +183,6 @@ def coefficient_fields(zs: list, spec: NonlinearitySpec):
     return q0, qd
 
 
-def _source_terms(zs: list, spec: NonlinearitySpec):
-    """The (coefficient, factor, factor) terms of S on the argument list."""
-    return ((c, zs[a], zs[b]) for c, a, b in spec.s_terms)
-
-
 def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
     """F = 2 Q^{0j} d_j w + Q^{jl} d^2_{jl} u + S, all products dealiased.
 
@@ -219,7 +218,7 @@ def _nonlinearity(zs: list, q0: list, qd: list, spec: NonlinearitySpec) -> Field
     # a structurally zero row is a zero field (coefficient_fields), and it
     # stands for its own second factor
     terms = itertools.chain(
-        _source_terms(zs, spec),
+        ((c, zs[a], zs[b]) for c, a, b in spec.s_terms),
         ((2.0, q0[j], derivative(w, j) if spec.q0_live[j] else q0[j]) for j in range(g.d)),
         ((1.0, qd[j][l], derivative(du[j], l) if spec.qjl_live[j][l] else qd[j][l])
          for j in range(g.d) for l in range(g.d)))
@@ -417,8 +416,8 @@ def run_to_time(
 
 class Paralinearization(NamedTuple):
     """The good-unknown objects of one state: the Z list, Q^{0j} and
-    Q^{jl} on it, the symbol q, and W(q) with the parts the reduced
-    equation reads (W - 1, W - 1 - q/2 and Vt - 1).
+    Q^{jl} on it, the symbol q, and W(q) with the two parts the reduced
+    right side reads, W - 1 and Vt - 1.
 
     ``zs`` holds only the slots the spec's F reads (:func:`_z_fields`):
     a derivative slot d_j u that it does not read is None."""
@@ -429,7 +428,6 @@ class Paralinearization(NamedTuple):
     q: Symbol
     w: Symbol
     wm1: Symbol
-    wm1mq2: Symbol
     vtm1: Symbol
 
 
@@ -447,12 +445,10 @@ def paralinearize(state: KGState, spec: NonlinearitySpec) -> Paralinearization:
     q = _pair_sum([[qd[j][l] + dealiased_product(q0[j], q0[l]) for l in range(d)]
                    for j in range(d)])
     q2 = q.power(2)
-    q3 = q2 * q
-    wm1mq2 = q2 * (-0.125) + q3 * 0.0625
-    wm1 = q * 0.5 + wm1mq2
+    wm1 = q * 0.5 + q2 * (-0.125) + q2 * q * 0.0625
     w = Symbol.one(q.grid) + wm1
     vtm1 = q * (-0.5) + q2 * 0.375
-    return Paralinearization(zs, q0, qd, q, w, wm1, wm1mq2, vtm1)
+    return Paralinearization(zs, q0, qd, q, w, wm1, vtm1)
 
 
 def q_sup_bound(q: Symbol) -> float:
@@ -521,111 +517,72 @@ def good_unknown(state: KGState, spec: NonlinearitySpec, N: float = None) -> Goo
 # -- reduced equation ------------------------------------------------------
 
 
-def _f_q_symbols(state: KGState, para: Paralinearization, spec: NonlinearitySpec, dw: list):
-    """Split d(q/2)/dt into its linear part and the rest, as symbols,
-    with the linear (f1_0) and quadratic (f2_0) parts of dQ^{0j}/dt;
-    para is the state's paralinearization and dw its d_j w.
-
-    The linear parts substitute du/dt = w, dw/dt = Lap u - u; the
-    quadratic ones carry the nonlinearity F through the same slots, and
-    F is evaluated on para's Z list and coefficient fields.
-    """
-    g = state.grid
-    q0 = para.q0
-    lin_dz = [state.w, laplacian(state.u) - state.u] + dw
-    F = _nonlinearity(para.zs, q0, para.qd, spec)
-    f1_0 = [_linear_combo(spec.q0[j], lin_dz, g) for j in range(g.d)]
-    f2_0 = [F * spec.q0[j, 1] for j in range(g.d)]
-    g1 = [[_linear_combo(spec.qjl[j, l], lin_dz, g) for l in range(g.d)] for j in range(g.d)]
-    g2 = [[F * spec.qjl[j, l, 1] for l in range(g.d)] for j in range(g.d)]
-    dq0_full = [f1_0[j] + f2_0[j] for j in range(g.d)]
-    f1q = _pair_sum([[x * 0.5 for x in row] for row in g1])
-    f2q = _pair_sum([[(g2[j][l] + dealiased_product(dq0_full[j], q0[l])
-                       + dealiased_product(q0[j], dq0_full[l])) * 0.5 for l in range(g.d)]
-                     for j in range(g.d)])
-    return f1q, f2q, f1_0, f2_0
-
-
 def reduced_rhs(state: KGState, para: Paralinearization, spec: NonlinearitySpec, *,
                 include_truncation_tail: bool = False) -> Field:
     """Right side of the reduced equation for the good unknown, on the
-    state's paralinearization ``para``.
+    state's paralinearization ``para``, as eight operator terms:
 
-    Sums the terms by homogeneity: the semilinear block (remainders and
-    the source), the quadratic paradifferential block, and the cubic and
-    higher block.  With include_truncation_tail the quartic Taylor tail
-    of the square root is added too, making the identity exact up to the
-    time discretization of the left side.
+        F - 2i T_B w + T_{P<zeta>} Lambda u - i T_{B'} u
+          + i T_{Vt q'/2} Lambda u + i E(W - 1, <zeta>) w
+          + E(A, W - 1) Lambda u - E(A, B, <zeta>^{-1}) Lambda u,
+
+    with B = Q^{0j} zeta_j, P = Q^{jl} zeta_j zeta_l / <zeta>^2, A the
+    drift (:func:`transport_symbol`), E(a_1, ..., a_n) the error operator
+    (``paradiff.error_op``), and B' and q' the time derivatives of B and
+    q.  The coefficients are linear in Z, so each derivative is the same
+    combination of dZ/dt = (w, Lap u - u + F, d_j w).
+
+    Sorted by homogeneity, the right side is a semilinear block (S and
+    the remainders H of 2 Q^{0j} d_j w and Q^{jl} d_jl u), a quadratic
+    paradifferential block, and a cubic and higher block.  Four
+    identities merge those blocks into the eight terms:
+
+    * H(a, b) + T_b a = ab - T_a b: the semilinear block and the
+      paraproducts T_{d_j w} Q^{0j} and T_{d_jl u} Q^{jl} sum to F minus
+      2 T_{Q^{0j}} d_j w and T_{Q^{jl}} d_jl u;
+    * a symbol whose x-part is 1 is an exact multiplier: T_{zeta_j} w =
+      -i d_j w and T_{<zeta>^{-1}} Lambda u = u.  So those two
+      paraproducts and the error operators E(Q^{0j}, zeta_j) w and
+      E(Q^{jl}, zeta_j zeta_l <zeta>^{-1}) Lambda u make -2i T_B w and
+      T_{P<zeta>} Lambda u, and T_{B'<zeta>^{-1}} Lambda u with
+      E(B', <zeta>^{-1}) Lambda u makes T_{B'} u;
+    * E is linear in each symbol, and so is T: the linear and quadratic
+      parts of B' and q' are one symbol each, and the error operators of
+      A's and W - 1's pieces are the three above;
+    * W = 1 + (W - 1) and Vt = 1 + (Vt - 1): A = B + <zeta> + (W - 1)
+      <zeta>, and T_{q'/2} plus T_{(Vt - 1) q'/2} is T_{Vt q'/2}.
+
+    With include_truncation_tail the quartic Taylor tail of the square
+    root is added too, making the identity exact up to the time
+    discretization of the left side.
     """
     g = state.grid
     u, w = state.u, state.w
     lam_u = lambda_power(u, 1.0)
-    zs, q0, qd, q = para.zs, para.q0, para.qd, para.q
-    wm1, wm1mq2, vtm1 = para.wm1, para.wm1mq2, para.vtm1
-    dw = [derivative(w, j) for j in range(g.d)]
-    ddu = [[derivative(derivative(u, j), l) for l in range(g.d)] for j in range(g.d)]
-    f1q, f2q, f1_0, f2_0 = _f_q_symbols(state, para, spec, dw)
+    q0, qd = para.q0, para.qd
+    F = _nonlinearity(para.zs, q0, qd, spec)
+    # the coefficients are linear in Z, so their time derivatives are the
+    # same combinations of dZ/dt
+    dz = [w, laplacian(u) - u + F] + [derivative(w, j) for j in range(g.d)]
+    dq0 = [_linear_combo(spec.q0[j], dz, g) for j in range(g.d)]
+    half_dq = _pair_sum([[(_linear_combo(spec.qjl[j, l], dz, g) + dealiased_product(dq0[j], q0[l])
+                           + dealiased_product(q0[j], dq0[l])) * 0.5 for l in range(g.d)]
+                         for j in range(g.d)])
 
     one = Field.one(g)
-    lam_mult = Symbol.term(one, p=1)
-    inv_lam_mult = Symbol.term(one, p=-1)
-
-    # semilinear block: the source S (its products share the Z list)
-    # plus both coefficient remainders
-    sem = dealiased_sum(g, _source_terms(zs, spec), zs)
-    for j in range(g.d):
-        sem = sem + remainder(q0[j], dw[j]) * 2.0
-    for j in range(g.d):
-        for l in range(g.d):
-            sem = sem + remainder(qd[j][l], ddu[j][l])
-
-    # quadratic block
-    quad = Field.zero(g)
-    for j in range(g.d):
-        quad = quad + weyl_apply(Symbol.term(dw[j]), q0[j]) * 2.0
-    for j in range(g.d):
-        for l in range(g.d):
-            quad = quad + weyl_apply(Symbol.term(ddu[j][l]), qd[j][l])
-    quad = quad - weyl_apply(_zeta_sum(f1_0, -1), lam_u) * 1j
-    quad = quad + weyl_apply(f1q, lam_u) * 1j
-    for j in range(g.d):
-        quad = quad + error_op([Symbol.term(q0[j]), Symbol.term(one, (j,))], w) * 2j
-    for j in range(g.d):
-        for l in range(g.d):
-            quad = quad - error_op([Symbol.term(qd[j][l]), Symbol.term(one, (j, l), -1)], lam_u)
-    for j in range(g.d):
-        quad = quad - error_op([Symbol.term(f1_0[j], (j,)), inv_lam_mult], lam_u) * 1j
-    quad = quad + error_op([q * 0.5, lam_mult], w) * 1j
-    for j in range(g.d):
-        quad = quad - error_op([lam_mult, Symbol.term(q0[j], (j,)), inv_lam_mult], lam_u)
-    quad = quad + error_op([lam_mult, q * 0.5], lam_u)
-
-    # cubic and higher block
-    cub = Field.zero(g)
-    for j in range(g.d):
-        for l in range(g.d):
-            cub = cub - error_op(
-                [Symbol.term(q0[j], (j,)), Symbol.term(q0[l], (l,)), inv_lam_mult], lam_u
-            )
-    cub = cub + error_op([wm1mq2, lam_mult], w) * 1j
-    wm1_lam = wm1.lam_power(1)
-    for j in range(g.d):
-        q0z = Symbol.term(q0[j], (j,))
-        cub = cub + error_op([q0z, wm1], lam_u)
-        cub = cub - error_op([wm1_lam, q0z, inv_lam_mult], lam_u)
-    cub = cub + error_op([wm1_lam, wm1], lam_u)
-    cub = cub + error_op([lam_mult, wm1mq2], lam_u)
-    cub = cub - weyl_apply(_zeta_sum(f2_0, -1), lam_u) * 1j
-    for j in range(g.d):
-        cub = cub - error_op([Symbol.term(f2_0[j], (j,)), inv_lam_mult], lam_u) * 1j
-    vt_f = vtm1 * f1q + f2q + vtm1 * f2q
-    cub = cub + weyl_apply(vt_f, lam_u) * 1j
-
-    total = sem + quad + cub
+    b = _zeta_sum(q0)
+    a = transport_symbol(para)
+    total = (F - weyl_apply(b, w) * 2j
+             + weyl_apply(_pair_sum(qd).lam_power(1), lam_u)
+             - weyl_apply(_zeta_sum(dq0), u) * 1j
+             + weyl_apply(half_dq + para.vtm1 * half_dq, lam_u) * 1j
+             + error_op([para.wm1, Symbol.term(one, p=1)], w) * 1j
+             + error_op([a, para.wm1], lam_u)
+             - error_op([a, b, Symbol.term(one, p=-1)], lam_u))
     if include_truncation_tail:
-        q2 = q.power(2)
+        q2 = para.q.power(2)
         q4 = q2 * q2
-        tail_sym = q4 * (5.0 / 64.0) + q4 * q * (-1.0 / 64.0) + q4 * q2 * (1.0 / 256.0)
+        tail_sym = q4 * (5.0 / 64.0) + q4 * para.q * (-1.0 / 64.0) + q4 * q2 * (1.0 / 256.0)
         total = total + weyl_apply(tail_sym.lam_power(1), lam_u)
     return total
 
@@ -642,7 +599,8 @@ def reduced_equation_residual(
     *,
     include_truncation_tail: bool = False,
 ) -> float:
-    """|| (d/dt - i T_A) Ucal - (S + Q + C) ||_{L^2} at the midpoint.
+    """|| (d/dt - i T_A) Ucal - R ||_{L^2} at the midpoint, with R the
+    reduced right side (:func:`reduced_rhs`).
 
     The time derivative is the centered difference of the good unknown
     across the two states; every other object is evaluated on the

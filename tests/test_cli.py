@@ -51,6 +51,18 @@ def test_run_exits_2_on_unknown_key(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "ledger").exists()  # validation precedes compute
 
 
+def test_run_exits_2_on_a_checkpoint_count_no_machine_can_hold(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KGLAB_OUT", str(tmp_path / "ledger"))
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("schema = kglab-experiment-v1\nexperiment = dispersive-decay\n"
+                   "checkpoints = 1000000000000\n")
+    code = main(["run", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "exceeds the limit" in err
+    assert not (tmp_path / "ledger").exists()
+
+
 def test_run_exits_2_on_missing_file(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.cfg")])
     assert code == 2

@@ -117,6 +117,11 @@ def test_validation_runs_at_parse_time():
         ("experiment = phase-scan\nalpha = 1.5", "alpha"),
         ("experiment = phase-scan\nblow_up_factor = 0.5", "blow_up_factor"),
         ("experiment = phase-scan\ncheckpoints = 1", "checkpoints"),
+        # refused before a schedule is built: this one would need 7.28 TiB
+        ("experiment = dispersive-decay\ncheckpoints = 1000000000000",
+         "checkpoints = 1000000000000 exceeds the limit of 1000000"),
+        ("experiment = weighted-bootstrap\neps = 0.05\ncheckpoints = 1000000000000",
+         "exceeds the limit"),
         ("experiment = phase-scan\nrule = gauss", "rule"),
         ("experiment = phase-scan\nsnapshot = true", "snapshot"),
         ("experiment = phase-scan\nbox = nan", "box must be finite"),

@@ -13,6 +13,7 @@ import pytest
 from kglab.data import gaussian_bump, make_rng, random_band_field
 from kglab import dynamics
 from kglab import grid as grid_module
+from kglab import paradiff as paradiff_module
 from kglab import spectral as spectral_module
 from kglab.dynamics import (
     KGState,
@@ -629,10 +630,15 @@ def test_transport_symbol_matches_the_matrix_on_live_couplings():
     assert (weyl_apply(a, f) - slow).l2() <= 1e-12 * slow.l2()
 
 
-@pytest.mark.parametrize("d, n", [(1, 64), (2, 16)], ids=["1d", "2d"])
-def test_reduced_residual_halves_like_dt_squared(d, n):
+@pytest.mark.parametrize("d, n, full, tail", [
+    (1, 64, False, False), (2, 16, False, False), (3, 8, False, False), (2, 16, True, False),
+    (1, 64, False, True), (2, 16, False, True), (3, 8, False, True), (2, 16, True, True),
+], ids=["1d", "2d", "3d", "2d-full", "1d-tail", "2d-tail", "3d-tail", "2d-full-tail"])
+def test_reduced_residual_halves_like_dt_squared(d, n, full, tail):
+    # the full spec has every Q^{0j}, Q^{jl} and S slot live, so F enters
+    # dQ^{0j}/dt and dQ^{jl}/dt through the w slot
     g = make_grid(d, n, 8 * np.pi)
-    spec = default_spec(d)
+    spec = _full_spec(d, 71) if full else default_spec(d)
     st = _small_state(g, 0.1, seed=61, t=1.0)
 
     def advance(s, span):
@@ -644,8 +650,35 @@ def test_reduced_residual_halves_like_dt_squared(d, n):
 
     res = []
     for span in (0.16, 0.08):
-        res.append(reduced_equation_residual(st, advance(st, span), spec))
+        res.append(reduced_equation_residual(st, advance(st, span), spec,
+                                             include_truncation_tail=tail))
     assert res[0] / res[1] == pytest.approx(4.0, rel=0.25)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)], ids=["1d", "2d", "3d"])
+def test_reduced_rhs_makes_a_fixed_number_of_operator_calls(monkeypatch, d, n):
+    # the eight terms are four T_a calls and three error operators (with 3,
+    # 3 and 4 T_a calls inside): 14 T_a calls whatever the dimension
+    g = make_grid(d, n, 8 * np.pi)
+    spec = default_spec(d)
+    st = _small_state(g, 0.1, seed=61, t=1.0)
+    para = paralinearize(st, spec)
+    calls = {"weyl_apply": 0, "error_op": 0}
+    weyl_apply_, error_op_ = paradiff_module.weyl_apply, paradiff_module.error_op
+
+    def counting_weyl_apply(a, f):
+        calls["weyl_apply"] += 1
+        return weyl_apply_(a, f)
+
+    def counting_error_op(symbols, f):
+        calls["error_op"] += 1
+        return error_op_(symbols, f)
+
+    for module in (dynamics, paradiff_module):
+        monkeypatch.setattr(module, "weyl_apply", counting_weyl_apply)
+    monkeypatch.setattr(dynamics, "error_op", counting_error_op)
+    dynamics.reduced_rhs(st, para, spec)
+    assert calls == {"weyl_apply": 14, "error_op": 3}
 
 
 def test_reduced_residual_paralinearizes_each_state_once(monkeypatch):

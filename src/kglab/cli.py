@@ -16,7 +16,7 @@ import dataclasses
 import math
 import sys
 
-from .config import _env_workers, load_config
+from .config import ExperimentConfig, _env_workers, load_config
 from .experiments import acceptance_battery, pinned_config, run_experiment
 from .reports import write_report
 from .resonance import phase_bound_scan
@@ -79,6 +79,11 @@ def _positive_floats(raw: str) -> tuple:
 
 
 def _cmd_scan_phase(args) -> int:
+    try:  # the lattice rule of a phase-scan config
+        ExperimentConfig("phase-scan", dim=args.dim, radius=args.radius, step=args.step)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     mu, nu = args.signs
     out = phase_bound_scan(args.dim, mu, nu, radius=args.radius, step=args.step)
     for key in ("d", "mu", "nu", "radius", "step", "n_pairs", "n_pairs_covered",

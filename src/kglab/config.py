@@ -196,6 +196,9 @@ class ExperimentConfig:
         if self.checkpoints > MAX_CHECKPOINTS:
             raise ValueError(f"checkpoints = {self.checkpoints} exceeds the limit of"
                              f" {MAX_CHECKPOINTS}")
+        if self.experiment == "weighted-bootstrap" and self.checkpoints < 10:
+            raise ValueError(f"weighted-bootstrap fits its scattering limit through at least"
+                             f" ten checkpoints, got {self.checkpoints}")
         if self.schedule not in ("log", "linear"):
             raise ValueError("schedule must be 'log' or 'linear'")
         if self.band_lo < -1:
@@ -213,6 +216,12 @@ class ExperimentConfig:
             raise ValueError("signs list must be nonempty")
         if self.radius <= 0 or self.step <= 0:
             raise ValueError("radius and step must be positive")
+        # the phase scan's finer lattice, at step / 2, has 2m + 1 points per axis (129 pinned)
+        m = 2.0 * self.radius / self.step
+        if self.experiment == "phase-scan" and not (
+                math.isfinite(m) and (2 * round(m) + 1)**self.dim <= MAX_GRID_POINTS):
+            raise ValueError(f"the phase-scan lattice at step / 2 has (2m + 1)**{self.dim} points,"
+                             f" m = 2 radius / step = {m:g}: over the limit of {MAX_GRID_POINTS}")
         if self.rule not in ("simpson", "trapezoid"):
             raise ValueError("rule must be 'simpson' or 'trapezoid'")
         if (self.experiment == "scattering" and self.rule == "simpson"

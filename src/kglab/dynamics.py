@@ -19,21 +19,18 @@ zeta^alpha of degree 2k, so in 2-D q has 3 keys, q^3 has 7 and the
 tail's q^6 has 13.  A state's good-unknown objects (Z list, Q^{0j},
 Q^{jl}, q, W(q), W - 1 and Vt - 1) are built once, by
 :func:`paralinearize`; the good unknown, its drift and the reduced right
-side all read that one build.  The reduced right side is eight operator
-terms (:func:`reduced_rhs`): F itself, four paradifferential operators
-and three error operators, with the time derivatives of the coefficients
-taken from dZ/dt, since the coefficients are linear in Z.
+side all read that one build.  With B = Q^{0j} zeta_j, q's quadratic
+part is B B <zeta>^{-2} and half its time derivative B' B <zeta>^{-2}:
+symbol products, so, like F, sums that ``spectral.dealiased_sum`` forms;
+this module forms no product by hand.  The reduced right side is eight
+operator terms (:func:`reduced_rhs`): F, four paradifferential operators
+and three error operators, with the coefficients' time derivatives taken
+from dZ/dt, since they are linear in Z.
 
 F has one route.  The spec is compiled once into a plan
-(``NonlinearitySpec``: its live S terms, which Q^{0j} and Q^{jl} rows
-are structurally zero, the Z slots F reads and the semilinear flag),
-and :func:`nonlinearity_value`, :func:`rhs`, the reduced right side's
-F on the paralinearization and the Lawson stages all read it.  F
-builds only the Z slots and coefficient rows a live product reads.  It
-still makes one ``spectral.dealiased_product`` call for every product
-of its general form: a product whose coefficient row is structurally
-zero gets one zero field as both operands, and its d_j w or d_jl u is
-not built.
+(``NonlinearitySpec``), which :func:`nonlinearity_value`, :func:`rhs`,
+the reduced right side and the Lawson stages all read; F builds only the
+Z slots and coefficient rows a live product reads (:func:`_nonlinearity`).
 
 A semilinear spec (no Q^{0j}, no Q^{jl}) steps with Lawson's
 integrating-factor RK4 (Lawson 1967; Cox & Matthews 2002): the linear
@@ -85,7 +82,6 @@ from .resonance import (
     resonant_kernel,
 )
 from .spectral import (
-    dealiased_product,
     dealiased_sum,
     derivative,
     laplacian,
@@ -187,14 +183,12 @@ def nonlinearity_value(state: KGState, spec: NonlinearitySpec) -> Field:
     """F = 2 Q^{0j} d_j w + Q^{jl} d^2_{jl} u + S, all products dealiased.
 
     One evaluation builds only the Z slots that the spec's plan reads
-    (:func:`_z_fields`) and only the coefficient fields of its live rows,
-    and takes d_jl u from d_j u.  A Z slot enters several
-    products (in S, and as every unit coefficient row), so F is one
-    :func:`spectral.dealiased_sum` that shares the Z list: each slot is
-    inverse-transformed once per evaluation, and the products are summed
-    in physical space and truncated once.  So F makes one forward
-    transform (none when every product is zero) and is returned in
-    coefficient space.
+    (:func:`_z_fields`) and the coefficient fields of its live rows, and
+    takes d_jl u from d_j u.  A Z slot enters several products (in S,
+    and as every unit coefficient row), so F is one
+    :func:`spectral.dealiased_sum` with the Z list as its memo: each slot
+    is inverse-transformed once per evaluation, and F makes one forward
+    transform (none when every product is zero).
     """
     return _f(state.u, state.w, spec)
 
@@ -222,7 +216,7 @@ def _nonlinearity(zs: list, q0: list, qd: list, spec: NonlinearitySpec) -> Field
         ((2.0, q0[j], derivative(w, j) if spec.q0_live[j] else q0[j]) for j in range(g.d)),
         ((1.0, qd[j][l], derivative(du[j], l) if spec.qjl_live[j][l] else qd[j][l])
          for j in range(g.d) for l in range(g.d)))
-    return dealiased_sum(g, terms, zs)
+    return dealiased_sum(g, terms, dict.fromkeys(zs))
 
 
 def rhs(state: KGState, spec: NonlinearitySpec):
@@ -439,11 +433,9 @@ def paralinearize(state: KGState, spec: NonlinearitySpec) -> Paralinearization:
     replaces (1+q)^{-1/2} wherever the time derivative of W is needed,
     keeping the reduced-equation algebra exact up to the quartic tail.
     """
-    d = state.grid.d
     zs = _z_fields(state.u, state.w, spec)
     q0, qd = coefficient_fields(zs, spec)
-    q = _pair_sum([[qd[j][l] + dealiased_product(q0[j], q0[l]) for l in range(d)]
-                   for j in range(d)])
+    q = _pair_sum(qd) + _zeta_sum(q0).power(2).lam_power(-2)
     q2 = q.power(2)
     wm1 = q * 0.5 + q2 * (-0.125) + q2 * q * 0.0625
     w = Symbol.one(q.grid) + wm1
@@ -561,20 +553,18 @@ def reduced_rhs(state: KGState, para: Paralinearization, spec: NonlinearitySpec,
     lam_u = lambda_power(u, 1.0)
     q0, qd = para.q0, para.qd
     F = _nonlinearity(para.zs, q0, qd, spec)
-    # the coefficients are linear in Z, so their time derivatives are the
-    # same combinations of dZ/dt
     dz = [w, laplacian(u) - u + F] + [derivative(w, j) for j in range(g.d)]
-    dq0 = [_linear_combo(spec.q0[j], dz, g) for j in range(g.d)]
-    half_dq = _pair_sum([[(_linear_combo(spec.qjl[j, l], dz, g) + dealiased_product(dq0[j], q0[l])
-                           + dealiased_product(q0[j], dq0[l])) * 0.5 for l in range(g.d)]
-                         for j in range(g.d)])
+    b = _zeta_sum(q0)
+    db = _zeta_sum([_linear_combo(spec.q0[j], dz, g) for j in range(g.d)])
+    # q'/2 = (Q^{jl})'/2 zeta_j zeta_l <zeta>^-2 + B' B <zeta>^-2, as (B B)' = 2 B' B
+    half_dq = (_pair_sum([[_linear_combo(spec.qjl[j, l], dz, g) for l in range(g.d)]
+                          for j in range(g.d)]) * 0.5 + (db * b).lam_power(-2))
 
     one = Field.one(g)
-    b = _zeta_sum(q0)
     a = transport_symbol(para)
     total = (F - weyl_apply(b, w) * 2j
              + weyl_apply(_pair_sum(qd).lam_power(1), lam_u)
-             - weyl_apply(_zeta_sum(dq0), u) * 1j
+             - weyl_apply(db, u) * 1j
              + weyl_apply(half_dq + para.vtm1 * half_dq, lam_u) * 1j
              + error_op([para.wm1, Symbol.term(one, p=1)], w) * 1j
              + error_op([a, para.wm1], lam_u)

@@ -419,7 +419,7 @@ class Field:
             arr = self._values
         elif arr is _zero_coeffs(self.grid.half_shape):
             return True
-        return not np.any(arr)
+        return not arr.any()
 
     # -- arithmetic (new fields, same grid) ---------------------------------
 

@@ -4,7 +4,9 @@ A symbol is kept keyed, a(x, zeta) = sum f_{alpha,p}(x) zeta^alpha <zeta>^p
 over keys (alpha, p): every frequency factor in the package is a
 monomial zeta^alpha times a power of <zeta> = sqrt(1 + |zeta|^2), a
 classical symbol of Hoermander type, so its key says all there is to
-say about it.  The quantization acts mode-by-mode:
+say about it.  A product's x-part at each output key is one
+spectral.dealiased_sum over the key pairs that land there.  The
+quantization acts mode-by-mode:
 
     (T_a f)^(xi) = sum_eta  w(xi, eta) (F_x a)(xi - eta, (xi + eta)/2) f^(eta),
 
@@ -39,14 +41,15 @@ sum above, kglab.oracles.weyl_matrix.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .cutoffs import PARA_CUT_BAND, SUPPORT, para_cut
 from .grid import Field, Grid, _frozen, make_grid
-from .spectral import dealiased_product
+from .spectral import dealiased_product, dealiased_sum
 
 __all__ = [
     "Symbol",
@@ -63,8 +66,9 @@ class Symbol:
     ``parts`` maps a key (alpha, p) -- a multi-index alpha, a d-tuple of
     non-negative ints, and a power p of <zeta> -- to its x-part, one
     field per key.  Sums merge the x-parts of equal keys in coefficient
-    space, a product forms one dealiased product per pair of keys and
-    adds their multi-indices and powers, and the algebra never looks at
+    space; a product adds the keys of each pair and makes one
+    ``spectral.dealiased_sum`` per output key, all sharing one memo, so
+    each x-part is inverse-transformed once.  The algebra never looks at
     a frequency value.
     """
 
@@ -91,28 +95,27 @@ class Symbol:
 
     # -- algebra -----------------------------------------------------------
 
-    def _merged(self, items) -> "Symbol":
-        parts = dict(self.parts)
-        for key, f in items:
-            parts[key] = parts[key] + f if key in parts else f
-        return Symbol(self.grid, parts)
-
     def __add__(self, other: "Symbol") -> "Symbol":
         if self.grid != other.grid:
             raise ValueError("symbols live on different grids")
-        return self._merged(other.parts.items())
+        parts = dict(self.parts)
+        for key, f in other.parts.items():
+            parts[key] = parts[key] + f if key in parts else f
+        return Symbol(self.grid, parts)
 
     def __mul__(self, other):
         if np.isscalar(other):
             return Symbol(self.grid, {k: f * other for k, f in self.parts.items()})
         if self.grid != other.grid:
             raise ValueError("symbols live on different grids")
-        products = (
-            ((tuple(i + j for i, j in zip(alpha, beta)), p + q), dealiased_product(f, g))
-            for (alpha, p), f in self.parts.items()
-            for (beta, q), g in other.parts.items()
-        )
-        return Symbol(self.grid, {})._merged(products)
+        terms = {}
+        for (alpha, p), f in self.parts.items():
+            for (beta, q), g in other.parts.items():
+                key = (tuple(i + j for i, j in zip(alpha, beta)), p + q)
+                terms.setdefault(key, []).append((1.0, f, g))
+        memo = dict.fromkeys([*self.parts.values(), *other.parts.values()])
+        return Symbol(self.grid, {key: dealiased_sum(self.grid, pairs, memo)
+                                  for key, pairs in terms.items()})
 
     __rmul__ = __mul__
 
@@ -239,7 +242,4 @@ def error_op(symbols: Sequence[Symbol], f: Field) -> Field:
     comp = f
     for a in reversed(symbols):
         comp = weyl_apply(a, comp)
-    prod = symbols[0]
-    for a in symbols[1:]:
-        prod = prod * a
-    return comp - weyl_apply(prod, f)
+    return comp - weyl_apply(reduce(operator.mul, symbols), f)

@@ -11,19 +11,16 @@ Conventions:
 * Every pointwise product in the package goes through
   :func:`dealiased_product` (2/3 rule, Orszag 1971).  It spends no
   transform on a zero operand and one inverse transform on a square,
-  and it returns its result in coefficient space.  A sum of products,
-  such as the nonlinearity F of ``dynamics``, goes through
-  :func:`dealiased_sum`, one ``dealiased_product`` call per term: F
-  makes one for every product of its general form, and a product with a
-  factor that the spec makes structurally zero gets one zero field as
-  both operands, which returns at once.  An operand the sum is told is
-  shared is inverse-transformed once however many products it enters,
-  and the live products are summed in physical space, as bare arrays,
-  and truncated once (the 2/3 projector is linear).  Multipliers, sums
-  and ``Field.zero`` keep fields in coefficient space too, so the only
-  transforms of F are one inverse per distinct live operand and one
-  forward transform, with no Hermitian completion and one mask on the
-  rfftn half (none when no product is live).
+  and it returns its result in coefficient space.  Every sum of
+  products, F of ``dynamics`` and each output key of a symbol product
+  (``paradiff.Symbol``), goes through :func:`dealiased_sum`.  An
+  operand of the caller's memo is inverse-transformed once however many
+  products it enters, and the live products are summed in physical
+  space and truncated once (the 2/3 projector is linear).  Multipliers,
+  sums and ``Field.zero`` keep fields in coefficient space too, so a
+  sum's only transforms are one inverse per distinct live operand and
+  one forward, with no Hermitian completion and one mask on the rfftn
+  half.
 * A field's kind follows its array (``grid.Field``).  A real field
   stores only the rfftn half of its coefficients (``Field.spectrum``),
   and every real multiplier and mask here acts on that half, with its
@@ -168,12 +165,9 @@ def dealiased_product(f: Field, g: Field, memo: dict = None) -> Field:
     (``g is f``) makes one zero test and one inverse transform for both
     factors.
 
-    ``memo`` is passed only by :func:`dealiased_sum`: it maps each of
-    the sum's shared operands (keyed by the field itself) to its
-    truncated values, filled on first use.  With a memo the return is
-    not a Field: a live product is its bare physical-space values,
-    without the output truncation, which the sum applies once, and a
-    zero product is None.
+    ``memo`` is passed only by :func:`dealiased_sum`, which says what it
+    holds.  With a memo the return is not a Field: a live product is its
+    bare values, untruncated (the sum truncates once), and a zero one None.
     """
     if f.grid is not g.grid and f.grid != g.grid:
         raise ValueError("fields live on different grids")
@@ -195,22 +189,23 @@ def _dealiased_values(f: Field, memo) -> np.ndarray:
     return memo[f]
 
 
-def dealiased_sum(grid: Grid, terms, shared) -> Field:
+def dealiased_sum(grid: Grid, terms, memo: dict) -> Field:
     """The sum of c (f g) over the ``(c, f, g)`` that ``terms`` yields,
     each product dealiased by the 2/3 rule, in coefficient space.
 
-    Each term makes one :func:`dealiased_product` call.  A field of
-    ``shared`` is inverse-transformed once, however many products it
-    enters.  A product with a zero operand is skipped; the live ones are
-    summed in physical space, and the sum is truncated to the 2/3 box
-    once, which by linearity of the projector is the sum of the
-    truncated products up to rounding.  The sum is held as a bare array
-    until that truncation, so it makes one forward transform, and it is
-    a ``Field.zero``, with no transform, when no term is live.
-    ``terms`` may be a generator: each term's operands and product are
-    let go before the next term is built.
+    Each term makes one :func:`dealiased_product` call.  ``memo`` maps
+    the shared operands to None (``dict.fromkeys``) and is the caller's:
+    a shared field is inverse-transformed on first use, and its truncated
+    values stay there, for this sum and any other given the same dict,
+    until the caller lets it go: F passes a fresh dict inline, so they
+    are freed before its forward transform.  A product with a zero
+    operand is skipped; the live ones are summed in physical space, and
+    the sum is truncated to the 2/3 box once, which by linearity of the
+    projector is the sum of the truncated products up to rounding.  So
+    it makes one forward transform, and none when no term is live: then
+    it is a ``Field.zero``.  ``terms`` may be a generator: each term's
+    operands and product are let go before the next term is built.
     """
-    memo = {f: None for f in shared}
     out = None
     for c, f, g in terms:
         p = dealiased_product(f, g, memo)
@@ -220,7 +215,7 @@ def dealiased_sum(grid: Grid, terms, shared) -> Field:
             out = p if out is None else out + p
         # let the term go before the next one is built
         del f, g, p
-    # and the operand values before the forward transform
+    # and an inline memo's operand values before the forward transform
     del memo
     if out is None:
         return Field.zero(grid)

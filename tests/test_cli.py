@@ -63,6 +63,40 @@ def test_run_exits_2_on_a_checkpoint_count_no_machine_can_hold(tmp_path, capsys,
     assert not (tmp_path / "ledger").exists()
 
 
+@pytest.mark.parametrize("body, needle", [
+    ("experiment = weighted-bootstrap\ndim = 2\nn = 32\nbox = 8pi\neps = 0.05\n"
+     "checkpoints = 5\n", "at least ten checkpoints"),
+    ("experiment = phase-scan\ndim = 2\nradius = 1e6\n", "phase-scan lattice"),
+], ids=["bootstrap-checkpoints", "scan-lattice"])
+def test_run_exits_2_on_a_config_the_run_could_not_finish(body, needle, tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.setenv("KGLAB_OUT", str(tmp_path / "ledger"))
+    calls = []
+    monkeypatch.setattr("kglab.cli.run_experiment", calls.append)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("schema = kglab-experiment-v1\n" + body)
+    code = main(["run", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and needle in err
+    assert calls == []
+    assert not (tmp_path / "ledger").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--radius", "1e6", "--dim", "2"],
+    ["--step", "5e-324"],
+], ids=["radius-1e6", "step-subnormal"])
+def test_scan_phase_refuses_a_lattice_no_machine_can_hold(argv, capsys, monkeypatch):
+    # the rule of a phase-scan config, checked before any compute
+    calls = []
+    monkeypatch.setattr("kglab.cli.phase_bound_scan", lambda *a, **k: calls.append(a))
+    code = main(["scan-phase", "--signs", "++", *argv])
+    assert code == 2
+    assert "config error: the phase-scan lattice" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_run_exits_2_on_missing_file(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.cfg")])
     assert code == 2

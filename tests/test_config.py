@@ -122,6 +122,14 @@ def test_validation_runs_at_parse_time():
          "checkpoints = 1000000000000 exceeds the limit of 1000000"),
         ("experiment = weighted-bootstrap\neps = 0.05\ncheckpoints = 1000000000000",
          "exceeds the limit"),
+        # dynamics.scattering_limit fits through ten or more checkpoints
+        ("experiment = weighted-bootstrap\ndim = 2\nn = 32\nbox = 8pi\neps = 0.05\n"
+         "checkpoints = 5", "at least ten checkpoints, got 5"),
+        # a lattice no machine can allocate (466 TiB at radius 1e6 in 2-D),
+        # and a radius / step ratio that overflows
+        ("experiment = phase-scan\ndim = 2\nradius = 1e6",
+         r"\(2m \+ 1\)\*\*2 points, m = 2 radius / step = 8e\+06: over the limit"),
+        ("experiment = phase-scan\nstep = 5e-324", "m = 2 radius / step = inf"),
         ("experiment = phase-scan\nrule = gauss", "rule"),
         ("experiment = phase-scan\nsnapshot = true", "snapshot"),
         ("experiment = phase-scan\nbox = nan", "box must be finite"),

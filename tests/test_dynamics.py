@@ -681,6 +681,23 @@ def test_reduced_rhs_makes_a_fixed_number_of_operator_calls(monkeypatch, d, n):
     assert calls == {"weyl_apply": 14, "error_op": 3}
 
 
+def test_q_squared_transforms_each_x_part_once_and_each_output_key_once(fft_calls):
+    # the 2-D q has 3 keys, zeta_j zeta_l <zeta>^-2, and q q has 5; its 9
+    # key pairs share one memo, so each distinct x-part makes one inverse
+    # transform and each output key one forward transform (15 and 9 when
+    # each pair was its own dealiased product)
+    g = make_grid(2, 32, 8 * np.pi)
+    q = paralinearize(_small_state(g, 0.1, seed=61, t=1.0), default_spec(2)).q
+    # x-parts held in coefficient space alone, so every inverse transform counts
+    q = paradiff_module.Symbol(g, {key: Field.from_spectrum(g, f.spectrum())
+                                   for key, f in q.parts.items()})
+    assert len(q.parts) == 3 and not any(f.is_zero() for f in q.parts.values())
+    fft_calls.update(fftn=0, ifftn=0)
+    qq = q * q
+    assert len(qq.parts) == 5
+    assert fft_calls == {"fftn": 5, "ifftn": 3}
+
+
 def test_reduced_residual_paralinearizes_each_state_once(monkeypatch):
     # prev, nxt and the midpoint are each paralinearized once, and the
     # midpoint's build serves the good unknown, the drift and the right

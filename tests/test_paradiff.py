@@ -153,6 +153,15 @@ def test_product_of_keys_adds_multi_indices_and_powers():
     prod = a * b
     assert set(prod.parts) == {((2, 1), -3), ((1, 3), -2)}
     assert np.array_equal(prod.parts[((2, 1), -3)].coeffs, dealiased_product(f, h).coeffs)
+    # two key pairs that land on one output key: ((1, 0), -1) + ((0, 2), 1)
+    # and ((0, 2), 0) + ((1, 0), 0) both give ((1, 2), 0)
+    k = random_band_field(g, rng, k_lo=-1, k_hi=0)
+    c = Symbol.term(h, (1, 1), 1) + Symbol.term(k, (0,))
+    prod = a * c
+    assert set(prod.parts) == {((1, 2), 0), ((2, 0), -1), ((0, 4), 1)}
+    want = dealiased_product(f, h) + dealiased_product(f * 2.0, k)
+    got = prod.parts[((1, 2), 0)]
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-15 * np.max(np.abs(want.coeffs))
     # equal keys merge: one x-part, summed in coefficient space
     merged = b + Symbol.term(f, (0,)) + Symbol.term(f, (1, 0), -2)
     assert set(merged.parts) == {((1, 1), -2), ((1, 0), 0)}

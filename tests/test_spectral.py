@@ -157,16 +157,17 @@ def _spectral_field(g, seed, real):
 
 def _terms(g, real):
     """(c, f, h) terms over two shared fields a, b and an unshared c,
-    with a square, unit and non-unit coefficients and two zero terms."""
+    with a square, unit and non-unit coefficients and two zero terms,
+    and the memo that shares a and b."""
     a, b, c = (_spectral_field(g, seed, real) for seed in (20, 21, 22))
     zero = Field.zero(g)
     terms = [(1.0, a, a), (2.0, a, b), (-0.5, b, c), (1.0, zero, a),
              (3.0, c, a), (1.0, b, Field.from_values(g, np.zeros(g.shape)))]
-    return terms, [a, b]
+    return terms, dict.fromkeys((a, b))
 
 
 def test_dealiased_sum_makes_one_product_call_per_term(monkeypatch):
-    terms, shared = _terms(G2, True)
+    terms, memo = _terms(G2, True)
     calls = []
     product = spectral.dealiased_product
 
@@ -175,7 +176,7 @@ def test_dealiased_sum_makes_one_product_call_per_term(monkeypatch):
         return product(f, h, memo)
 
     monkeypatch.setattr(spectral, "dealiased_product", counted)
-    dealiased_sum(G2, iter(terms), shared)
+    dealiased_sum(G2, iter(terms), memo)
     assert calls == [(f, h) for _, f, h in terms]
 
 
@@ -184,9 +185,9 @@ def test_dealiased_sum_transforms_each_shared_field_once(fft_calls, real):
     # a and b are shared and live, so one inverse transform each; c is
     # not shared and enters two live products, so two; the sum makes
     # one forward transform and is returned in coefficient space
-    terms, shared = _terms(G2, real)
+    terms, memo = _terms(G2, real)
     fft_calls.update(fftn=0, ifftn=0)
-    out = dealiased_sum(G2, iter(terms), shared)
+    out = dealiased_sum(G2, iter(terms), memo)
     assert fft_calls == {"fftn": 1, "ifftn": 4}
     assert out._values is None and out.real == real
 
@@ -197,8 +198,8 @@ def test_dealiased_sum_is_the_sum_of_dealiased_products(d, n, real):
     # the 2/3 projector is linear, so truncating the summed products once
     # equals summing the truncated products, up to rounding
     g = make_grid(d, n, 4 * np.pi)
-    terms, shared = _terms(g, real)
-    got = dealiased_sum(g, iter(terms), shared)
+    terms, memo = _terms(g, real)
+    got = dealiased_sum(g, iter(terms), memo)
     want = Field.zero(g)
     for c, f, h in terms:
         want = want + dealiased_product(f, h) * c
@@ -212,7 +213,7 @@ def test_dealiased_sum_with_no_live_term_is_the_shared_zero(fft_calls):
     zero = Field.zero(G2)
     fft_calls.update(fftn=0, ifftn=0)
     for terms in ([], [(1.0, zero, f), (2.0, f, zero), (1.0, zero, zero)]):
-        out = dealiased_sum(G2, iter(terms), [f, zero])
+        out = dealiased_sum(G2, iter(terms), dict.fromkeys((f, zero)))
         assert out.spectrum() is zero.spectrum()
     assert fft_calls == {"fftn": 0, "ifftn": 0}
 

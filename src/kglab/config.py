@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import checkpoint_times
+from .resonance import _lattice_points
 
 __all__ = ["ExperimentConfig", "EXPERIMENT_IDS", "SCHEMA", "parse_config", "load_config"]
 
@@ -218,9 +219,9 @@ class ExperimentConfig:
             raise ValueError("radius and step must be positive")
         # the phase scan's finer lattice, at step / 2, has 2m + 1 points per axis (129 pinned)
         m = 2.0 * self.radius / self.step
-        if self.experiment == "phase-scan" and not (
-                math.isfinite(m) and (2 * round(m) + 1)**self.dim <= MAX_GRID_POINTS):
-            raise ValueError(f"the phase-scan lattice at step / 2 has (2m + 1)**{self.dim} points,"
+        if self.experiment == "phase-scan" and _lattice_points(self.dim, m) > MAX_GRID_POINTS:
+            shape = "(2m + 1)(m + 1)" if self.dim == 3 else f"(2m + 1)**{self.dim}"
+            raise ValueError(f"the phase-scan lattice at step / 2 has {shape} points,"
                              f" m = 2 radius / step = {m:g}: over the limit of {MAX_GRID_POINTS}")
         if self.rule not in ("simpson", "trapezoid"):
             raise ValueError("rule must be 'simpson' or 'trapezoid'")

@@ -65,19 +65,13 @@ def psi(r):
 
 
 def psi_band(k: int, r):
-    """Dyadic ring cutoff.
+    """Dyadic ring cutoff, the one-ring range ``psi_range(k, k, r)``.
 
     ``psi_band(-1, r) = psi(2r)`` is the low ball; for k >= 0 it is
     ``psi(r/2**k) - psi(r/2**(k-1))``, supported on 5/4 * 2**(k-1) <=
     |r| <= 8/5 * 2**k.
     """
-    if k < -1:
-        raise ValueError(f"band index must be >= -1, got {k}")
-    if k == -1:
-        return psi(2.0 * np.asarray(r, dtype=float))
-    return psi(np.asarray(r, dtype=float) / 2.0**k) - psi(
-        np.asarray(r, dtype=float) / 2.0 ** (k - 1)
-    )
+    return psi_range(k, k, r)
 
 
 def psi_le(k: int, r):

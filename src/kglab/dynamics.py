@@ -721,24 +721,22 @@ def duhamel_check(
     }
 
 
-def scattering_limit(snapshots: list, *, alpha: float, N: float) -> dict:
-    """Cauchy audit of the profile: V(t) settles toward its last snapshot.
+def scattering_limit(ts, gaps, *, alpha: float, N: float) -> dict:
+    """Cauchy audit of the profile: V(t) settles toward its final value.
 
-    snapshots: (t, V) pairs, strictly increasing, at least ten of them.
-    Fits the decay exponent of ||V(t) - V_inf|| over all but the final
-    checkpoint, and reports the consistency band around the dispersive
-    rate -alpha(1 - 1/N).
+    ts: checkpoint times, strictly increasing, at least ten of them, the
+    last being T; gaps: ||V(t) - V(T)|| at each, one per time.  Fits the
+    decay exponent of the gaps over all but the final checkpoint, and
+    reports the consistency band around the dispersive rate
+    -alpha(1 - 1/N).  Builds no field: the caller measures the gaps.
     """
-    if len(snapshots) < 10:
+    if len(ts) < 10:
         raise ValueError("need at least ten checkpoints to estimate the limit")
-    ts = np.array([t for t, _ in snapshots])
     if np.any(np.diff(ts) <= 0):
-        raise ValueError("snapshots must be strictly increasing in time")
-    v_inf = snapshots[-1][1]
-    diff_ts, diffs = [], []
-    for t, v in snapshots[:-1]:
-        diff_ts.append(t)
-        diffs.append((v - v_inf).l2())
+        raise ValueError("checkpoint times must be strictly increasing")
+    if len(gaps) != len(ts):
+        raise ValueError(f"need one gap per time, got {len(gaps)} for {len(ts)} times")
+    diff_ts, diffs = list(ts[:-1]), list(gaps[:-1])
     positive = [(t, d) for t, d in zip(diff_ts, diffs) if d > 0]
     fit = None
     if len(positive) >= 2:

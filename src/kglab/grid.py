@@ -308,7 +308,9 @@ class Field:
     ``spectral.semigroup`` or a complex operand makes a complex field
     from the full array.  ``zero`` and ``one`` are real.
 
-    Instances are immutable: arithmetic returns new fields, and every
+    Instances are immutable: ``+``, ``-`` and scalar ``*`` act on the
+    stored coefficients alone (an operand held as values is transformed
+    on demand) and return new fields held as coefficients, and every
     cached array is read-only, so writing into ``values`` or ``coeffs``
     raises ``ValueError``.  A Field takes ownership of the array it is
     given: an array of its dtype (float64 or complex128 values, complex128
@@ -428,14 +430,12 @@ class Field:
             raise ValueError("fields live on different grids")
 
     def _combine(self, other: "Field", op) -> "Field":
-        """op of the two fields, on the halves when both are real, on the
-        full arrays otherwise, in whichever space both have cached."""
+        """op of the two fields on their stored coefficients: the halves
+        when both are real, the full arrays when the kinds differ."""
         self._check(other)
-        if self._coeffs is not None and other._coeffs is not None:
-            same = self.real == other.real
-            a, b = (self._coeffs, other._coeffs) if same else (self.coeffs, other.coeffs)
-            return Field.from_spectrum(self.grid, op(a, b))
-        return Field.from_values(self.grid, op(self.values, other.values))
+        if self.real == other.real:
+            return Field.from_spectrum(self.grid, op(self.spectrum(), other.spectrum()))
+        return Field.from_spectrum(self.grid, op(self.coeffs, other.coeffs))
 
     def __add__(self, other: "Field") -> "Field":
         return self._combine(other, np.add)
@@ -444,16 +444,12 @@ class Field:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "Field":
+        """scalar times the field, on its stored coefficients; a complex
+        scalar on a real field scales the full array."""
         if isinstance(scalar, Field):
             raise TypeError("use dealiased_product for field products")
-        if self._coeffs is not None:
-            # a complex scalar on a real field scales the full array
-            widen = self.real and isinstance(scalar, (complex, np.complexfloating))
-            out = Field.from_spectrum(self.grid, (self.coeffs if widen else self._coeffs) * scalar)
-            if self._values is not None:
-                out._values = _frozen(self._values * scalar)
-            return out
-        return Field.from_values(self.grid, self.values * scalar)
+        widen = self.real and isinstance(scalar, (complex, np.complexfloating))
+        return Field.from_spectrum(self.grid, (self.coeffs if widen else self.spectrum()) * scalar)
 
     __rmul__ = __mul__
 

@@ -28,6 +28,7 @@ wrapped in :class:`BilinearSymbol` or :class:`TrilinearSymbol`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -120,28 +121,37 @@ def _ball_lattice(d: int, radius: float, step: float,
     return pts[keep]
 
 
-def _wedge_rep(pts: np.ndarray) -> np.ndarray:
-    """Each point's representative under the signed axis permutations:
-    its absolute coordinates sorted in descending order."""
-    return np.sort(np.abs(pts), axis=1)[:, ::-1]
+def _lattice_points(d: int, m: float) -> float:
+    """Points in the largest lattice a scan at radius / step = m builds,
+    before the ball filter: the (2m + 1)**d cube of _ball_lattice for
+    d <= 2, and for d = 3 the (2m + 1)(m + 1) half-disc of its columns,
+    with m rounded as _ball_lattice rounds it; inf when m is not finite."""
+    if not math.isfinite(m):
+        return math.inf
+    m = round(m)
+    return (2 * m + 1) ** d if d < 3 else (2 * m + 1) * (m + 1)
 
 
 def _scan_points(d: int, radius: float, step: float):
     """Rows, row weights, columns and gradient rows of the pair scan.
 
-    The phase, c_phi and the floor test depend on a pair (xi, eta) only
-    through |xi|, |eta| and |xi - eta|.  For d <= 2 the lattice ball is
-    invariant under the signed permutations of the axes (8 in 2-D, 2 in
-    1-D), and (g xi, eta) has the same lengths as (xi, g^-1 eta), so
-    every row g xi of the full lattice product repeats the row xi up to
-    a permutation of its columns.  The rows are therefore the wedge
-    0 <= xi_2 <= xi_1 (xi >= 0 in 1-D), each weighted by the size of
-    its orbit (1, 4 or 8 in 2-D; 1 or 2 in 1-D), and the columns stay
-    the whole ball.  The weights sum to the full lattice size.
+    Every row and column set comes from _ball_lattice, so each lies in
+    the ball |v| <= radius.  The phase, c_phi and the floor test depend
+    on a pair (xi, eta) only through |xi|, |eta| and |xi - eta|.  For
+    d <= 2 the lattice ball is invariant under the signed permutations
+    of the axes (8 in 2-D, 2 in 1-D), and (g xi, eta) has the same
+    lengths as (xi, g^-1 eta), so every row g xi of the full lattice
+    product repeats the row xi up to a permutation of its columns.  The
+    rows are therefore the wedge 0 <= xi_2 <= xi_1 (xi >= 0 in 1-D),
+    each weighted by the size of its orbit (1, 4 or 8 in 2-D; 1 or 2 in
+    1-D), and the columns stay the whole ball.  The weights sum to the
+    full lattice size.  A point's wedge representative is its absolute
+    coordinates sorted in descending order.
 
     For d = 3 every pair is rotation-equivalent to xi = (r, 0, 0),
-    eta = (a, b, 0) with r, b >= 0; the rows and columns are that
-    canonical slice at the same resolution, each row of weight 1.
+    eta = (a, b, 0) with r, b >= 0; the rows are the nonnegative 1-D
+    ball and the columns the b >= 0 half of the 2-D ball, embedded in
+    three dimensions, each row its own representative, of weight 1.
 
     The finite-difference gradient is measured on a deterministic row
     subsample: every row_stride-th row of the full lattice, with the
@@ -152,23 +162,18 @@ def _scan_points(d: int, radius: float, step: float):
 
     Returns (xi, weight, eta, grad_xi).
     """
-    if d in (1, 2):
-        full = _ball_lattice(d, radius, step)
-        eta = full
-    elif d == 3:
-        nsteps = int(round(radius / step))
-        full = np.zeros((nsteps + 1, 3))
-        full[:, 0] = step * np.arange(0, nsteps + 1)
-        disc = _ball_lattice(2, radius, step, nonneg_axes=(1,))
-        eta = np.zeros((disc.shape[0], 3))
-        eta[:, :2] = disc
-    else:
+    if d not in (1, 2, 3):
         raise ValueError(f"scan supports d in 1..3, got {d}")
-    # the d = 3 slice rows (r, 0, 0) are their own representatives
-    xi, weight = np.unique(_wedge_rep(full), axis=0, return_counts=True)
+    if d == 3:
+        full = np.pad(_ball_lattice(1, radius, step, nonneg_axes=(0,)), ((0, 0), (0, 2)))
+        eta = np.pad(_ball_lattice(2, radius, step, nonneg_axes=(1,)), ((0, 0), (0, 1)))
+    else:
+        full = eta = _ball_lattice(d, radius, step)
+    reps = np.sort(np.abs(full), axis=1)[:, ::-1]
+    xi, inverse, weight = np.unique(reps, axis=0, return_inverse=True, return_counts=True)
     row_stride = max(1, int(np.ceil(full.shape[0] * eta.shape[0]
                                     / _GRAD_PAIR_BUDGET)))
-    grad_xi = np.unique(_wedge_rep(full[::row_stride]), axis=0)
+    grad_xi = xi[np.unique(inverse[::row_stride])]
     return xi, weight, eta, grad_xi
 
 
@@ -192,7 +197,8 @@ def phase_bound_scan(d: int, mu: int, nu: int, radius: float = 8.0,
     coordinates on a dyadic step are exact in floating point, so
     min_abs_phase, c_phi and floor_violations equal those of the full
     product (oracles.phase_scan_oracle) exactly, and c_grad to
-    rounding.  For d = 3 the scan runs over a canonical slice instead.
+    rounding.  For d = 3 the scan runs over a canonical slice instead,
+    whose rows and columns lie inside the ball too.
 
     n_pairs counts the pairs evaluated, n_pairs_covered the pairs of
     the full lattice product they stand for.  At d = 3 the rotation

@@ -85,8 +85,12 @@ def test_run_exits_2_on_a_config_the_run_could_not_finish(body, needle, tmp_path
 
 @pytest.mark.parametrize("argv", [
     ["--radius", "1e6", "--dim", "2"],
+    ["--radius", "1e6", "--dim", "3"],
     ["--step", "5e-324"],
-], ids=["radius-1e6", "step-subnormal"])
+    ["--step", "5e-324", "--dim", "2"],
+    ["--step", "5e-324", "--dim", "3"],
+], ids=["radius-1e6", "radius-1e6-3d", "step-subnormal", "step-subnormal-2d",
+        "step-subnormal-3d"])
 def test_scan_phase_refuses_a_lattice_no_machine_can_hold(argv, capsys, monkeypatch):
     # the rule of a phase-scan config, checked before any compute
     calls = []
@@ -145,6 +149,13 @@ def test_scan_phase_prints_report_keys(capsys):
                 "n_pairs =", "n_pairs_covered =", "min_abs_phase =", "c_phi =",
                 "c_grad =", "floor_violations = 0"):
         assert key in out
+
+
+def test_scan_phase_runs_a_3d_scan_its_refinement_could_hold(capsys):
+    code = main(["scan-phase", "--signs", "+-", "--dim", "3", "--radius", "16",
+                 "--step", "0.25"])
+    assert code == 0
+    assert "d = 3" in capsys.readouterr().out
 
 
 def test_scan_phase_rejects_malformed_signs():

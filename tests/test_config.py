@@ -130,6 +130,10 @@ def test_validation_runs_at_parse_time():
         ("experiment = phase-scan\ndim = 2\nradius = 1e6",
          r"\(2m \+ 1\)\*\*2 points, m = 2 radius / step = 8e\+06: over the limit"),
         ("experiment = phase-scan\nstep = 5e-324", "m = 2 radius / step = inf"),
+        ("experiment = phase-scan\ndim = 3\nradius = 1e6",
+         r"\(2m \+ 1\)\(m \+ 1\) points, m = 2 radius / step = 8e\+06: over the limit"),
+        ("experiment = phase-scan\ndim = 2\nstep = 5e-324", "m = 2 radius / step = inf"),
+        ("experiment = phase-scan\ndim = 3\nstep = 5e-324", "m = 2 radius / step = inf"),
         ("experiment = phase-scan\nrule = gauss", "rule"),
         ("experiment = phase-scan\nsnapshot = true", "snapshot"),
         ("experiment = phase-scan\nbox = nan", "box must be finite"),
@@ -176,6 +180,14 @@ def test_validation_runs_at_parse_time():
     for body, needle in cases:
         with pytest.raises(ValueError, match=needle):
             parse_config(f"schema = {SCHEMA}\n{body}\n")
+
+
+def test_a_3d_phase_scan_is_sized_by_the_lattices_it_builds():
+    # its largest lattice is the (2m + 1)(m + 1) half-disc of columns,
+    # 33,153 points at m = 128, not a (2m + 1)**3 cube of 16,974,593
+    cfg = parse_config(f"schema = {SCHEMA}\nexperiment = phase-scan\ndim = 3\n"
+                       "radius = 16\nstep = 0.25\n")
+    assert (cfg.dim, cfg.radius, cfg.step) == (3, 16.0, 0.25)
 
 
 def test_scattering_takes_an_even_node_count_under_the_trapezoid_rule():

@@ -813,8 +813,9 @@ def test_scattering_limit_on_synthetic_cauchy_sequence():
     rng = make_rng(64)
     v_inf = random_band_field(g, rng, k_lo=-1, k_hi=1)
     w = random_band_field(g, rng, k_lo=-1, k_hi=1)
-    snaps = [(t, v_inf + w * (1.0 / t)) for t in np.geomspace(1.0, 200.0, 14)]
-    out = scattering_limit(snaps, alpha=0.8, N=8.0)
+    ts = np.geomspace(1.0, 200.0, 14)
+    vs = [v_inf + w * (1.0 / t) for t in ts]
+    out = scattering_limit(ts, [(v - vs[-1]).l2() for v in vs], alpha=0.8, N=8.0)
     assert out["monotone"] and out["monotone_octave"]
     assert out["fit"].slope < -0.9
     assert out["target_exponent"] == pytest.approx(-0.7)
@@ -822,11 +823,11 @@ def test_scattering_limit_on_synthetic_cauchy_sequence():
 
 
 def test_scattering_limit_guards():
-    g = make_grid(1, 32, np.pi)
-    v = gaussian_bump(g, 1.0)
     with pytest.raises(ValueError, match="ten"):
-        scattering_limit([(float(t), v) for t in range(1, 6)], alpha=0.18, N=8.0)
-    snaps = [(float(t), v) for t in range(1, 12)]
-    snaps[5] = (snaps[4][0], v)
+        scattering_limit([float(t) for t in range(1, 6)], [0.0] * 5, alpha=0.18, N=8.0)
+    ts = [float(t) for t in range(1, 12)]
+    ts[5] = ts[4]
     with pytest.raises(ValueError, match="increasing"):
-        scattering_limit(snaps, alpha=0.18, N=8.0)
+        scattering_limit(ts, [0.0] * 11, alpha=0.18, N=8.0)
+    with pytest.raises(ValueError, match="one gap per time"):
+        scattering_limit([float(t) for t in range(1, 12)], [0.0] * 10, alpha=0.18, N=8.0)

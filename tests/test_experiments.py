@@ -20,6 +20,7 @@ import pytest
 import kglab
 from kglab.config import EXPERIMENT_IDS, ExperimentConfig
 from kglab.data import make_rng, random_band_field
+from kglab.dynamics import KGState
 from kglab.grid import make_grid
 from kglab.nonlinearity import default_spec
 from kglab.resonance import (
@@ -131,6 +132,18 @@ def test_scattering_threads_share_the_kernels(monkeypatch):
     solo, pooled = reports
     assert solo.csv_text() == pooled.csv_text()
     assert solo.json_text() == pooled.json_text()
+
+
+def test_weighted_bootstrap_builds_each_profile_once(monkeypatch):
+    # perfbench's shrunken bootstrap-2d: one profile per checkpoint, the
+    # last of them V(T), which the Cauchy gaps and the sandwich read too
+    built = []
+    profile = KGState.profile
+    monkeypatch.setattr(KGState, "profile", lambda self: built.append(self.t) or profile(self))
+    cfg = dataclasses.replace(pinned_config("weighted-bootstrap"), n=32, box=8 * math.pi)
+    report = run_experiment(cfg)
+    assert len(report.rows) == cfg.checkpoints == 17
+    assert len(built) == 17
 
 
 def test_malformed_worker_env_fails_before_compute(monkeypatch):

@@ -109,7 +109,7 @@ def test_cached_arrays_are_read_only():
     f = random_band_field(g, make_rng(3))
     fresh = Field.from_values(g, np.ones(g.shape, dtype=complex))
     scaled = Field.from_spectrum(g, f.coeffs) * 2.0
-    _ = scaled.values  # both caches filled: __mul__ scales each
+    _ = scaled.values  # both caches filled
     for arr in (f.values, f.coeffs, fresh.values, fresh.coeffs,
                 (f * 3.0).coeffs, (scaled * 0.5).values):
         with pytest.raises(ValueError):
@@ -424,17 +424,22 @@ def test_real_multipliers_on_the_half_match_the_full_array_bitwise(d, n):
 
 
 def test_real_sums_and_scalings_stay_on_the_half():
+    # values-only and both-cached operands alike: the result is held as
+    # coefficients alone, the operation on the stored halves
     g = make_grid(2, 16, 1.0)
     rng = make_rng(22)
-    f, h = (Field.from_values(g, rng.standard_normal(g.shape)) for _ in range(2))
-    f.spectrum(), h.spectrum()
-    for out, want in ((f + h, f.coeffs + h.coeffs), (f - h, f.coeffs - h.coeffs),
-                      (f * 2.5, f.coeffs * 2.5)):
-        assert out.real and out._coeffs.shape == g.half_shape
-        assert out._coeffs.tobytes() == g.half(want).tobytes()
-    mixed = f * 1j
-    assert not mixed.real and mixed._coeffs.shape == g.shape
-    assert np.array_equal(mixed.coeffs, f.coeffs * 1j)
+    for cached in (False, True):
+        f, h = (Field.from_values(g, rng.standard_normal(g.shape)) for _ in range(2))
+        if cached:
+            f.spectrum(), h.spectrum()
+        # the results first, while f and h may still hold values alone
+        outs, mixed = (f + h, f - h, f * 2.5), f * 1j
+        wants = (f.coeffs + h.coeffs, f.coeffs - h.coeffs, f.coeffs * 2.5)
+        for out, want in zip(outs, wants):
+            assert out.real and out._values is None and out._coeffs.shape == g.half_shape
+            assert out._coeffs.tobytes() == g.half(want).tobytes()
+        assert not mixed.real and mixed._values is None and mixed._coeffs.shape == g.shape
+        assert np.array_equal(mixed.coeffs, f.coeffs * 1j)
 
 
 def test_a_square_scans_its_operand_once_and_zero_not_at_all(monkeypatch):

@@ -119,6 +119,17 @@ def test_phase_scan_dimension_independent():
     assert c["n_pairs_covered"] == c["n_pairs"]
 
 
+def test_3d_scan_rows_lie_inside_the_ball():
+    # 8.2 is no whole number of 0.25 steps: the rows stop at 8.0, as the
+    # 1-D rows do, and the 3-D scan finds the 1-D minimum
+    xi, _, eta, grad_xi = resonance._scan_points(3, 8.2, 0.25)
+    for pts in (xi, eta, grad_xi):
+        assert np.sqrt(np.sum(pts * pts, axis=1)).max() <= 8.2
+    flat = phase_bound_scan(1, 1, 1, radius=8.2, step=0.25)
+    assert phase_bound_scan(3, 1, 1, radius=8.2, step=0.25)["min_abs_phase"] == \
+        flat["min_abs_phase"] == 0.18395350293677204
+
+
 def test_phase_scan_refinement_is_monotone():
     # the step-0.25 lattice contains the step-0.5 lattice, so the
     # scanned minimum can only drop and c_phi can only rise

@@ -79,7 +79,7 @@ def _positive_floats(raw: str) -> tuple:
 
 
 def _cmd_scan_phase(args) -> int:
-    try:  # the lattice rule of a phase-scan config
+    try:  # the lattice and pair bounds of a phase-scan config
         ExperimentConfig("phase-scan", dim=args.dim, radius=args.radius, step=args.step)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,10 +10,10 @@ configs fail loudly instead of running with reinterpreted keys:
     box = 64pi
     ...
 
-Unknown keys are errors, values are typed per key, and all validation
-happens at parse time, before any numerical work starts.  Floats accept
-a "pi" suffix (box = 64pi) because box sizes are naturally multiples of
-pi.  List-valued keys are comma separated.
+Unknown keys are errors, and so is a key its family never reads set off
+its default.  Values are typed per key and checked at parse time, before
+any numerical work.  Floats accept a "pi" suffix (box = 64pi) because box
+sizes are naturally multiples of pi.  List-valued keys are comma separated.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .cutoffs import PARA_CUT_BAND
 from .dynamics import checkpoint_times
-from .resonance import _lattice_points
+from .resonance import _lattice_points, _scan_pairs
 
 __all__ = ["ExperimentConfig", "EXPERIMENT_IDS", "SCHEMA", "parse_config", "load_config"]
 
@@ -42,18 +43,28 @@ MAX_GRID_POINTS = 2**24
 # must fail at parse time.  The largest pinned count is 600
 MAX_CHECKPOINTS = 10**6
 
-EXPERIMENT_IDS = (
-    "paradiff-oracle",
-    "multiplier-bounds",
-    "dispersive-decay",
-    "strichartz-growth",
-    "phase-scan",
-    "good-unknown-scaling",
-    "reduced-residual",
-    "lifespan-sweep",
-    "weighted-bootstrap",
-    "scattering",
-)
+# largest pair count (_scan_pairs at step / 2) a phase scan may ask for:
+# at about 5e7 pairs a second (the pinned 2-D scan at step 0.125 takes
+# 0.4 s for 21,361,686 on 2 vCPUs) that is about 90 s per sign pair
+MAX_SCAN_PAIRS = 2**32
+
+# the keys each family reads besides experiment, seed, out and workers
+_COEFFS = "coeff_alpha coeff_beta coeff_gamma_u coeff_gamma_t "
+_DECAY = "dim n box band_lo band_hi t0 t1 checkpoints schedule fit_lo fit_hi "
+_FLOW = "dim n box eps t0 " + _COEFFS
+FAMILY_KEYS = {family: frozenset(keys.split()) for family, keys in {
+    "paradiff-oracle": _COEFFS,
+    "multiplier-bounds": "dim n box norm_order " + _COEFFS,
+    "dispersive-decay": _DECAY,
+    "strichartz-growth": _DECAY + "envelope",
+    "phase-scan": "dim radius step signs",
+    "good-unknown-scaling": _FLOW + "norm_order",
+    "reduced-residual": _FLOW + "dt include_tail ladder",
+    "lifespan-sweep": _FLOW + "t1 dt checkpoints schedule blow_up_factor norm_order",
+    "weighted-bootstrap": _FLOW + "t1 dt checkpoints envelope band_lo band_hi alpha norm_order",
+    "scattering": _FLOW + "t1 dt checkpoints rule",
+}.items()}
+EXPERIMENT_IDS = tuple(FAMILY_KEYS)
 
 _SIGN_PAIRS = ("++", "+-", "-+", "--")
 
@@ -100,7 +111,9 @@ class ExperimentConfig:
     """Typed, validated experiment description.
 
     Defaults are the desk-scale parameters each experiment was tuned
-    at; a config file only has to override what it changes.  `eps`,
+    at; a config file only has to override what it changes, and may
+    change only what its family reads (FAMILY_KEYS): after the value
+    checks, any other key must render as its default does.  `eps`,
     `signs`, and similar list-valued knobs expand into the run matrix.
     The default single `eps` does not serve good-unknown-scaling,
     scattering, or reduced-residual without the tail: each fits a slope
@@ -144,8 +157,8 @@ class ExperimentConfig:
     blow_up_factor: float = 10.0
     ladder: int = 8
     include_tail: bool = False
-    # only false is accepted (no experiment writes snapshots); the key
-    # stays because every config's canonical text and hash include it
+    # no family reads it, so only false is accepted; the key stays
+    # because every config's canonical text and hash include it
     snapshot: bool = False
     out: str = ""            # "" falls back to KGLAB_OUT or ./out
     workers: int = 0         # 0 falls back to KGLAB_WORKERS or 1
@@ -197,6 +210,11 @@ class ExperimentConfig:
         if self.checkpoints > MAX_CHECKPOINTS:
             raise ValueError(f"checkpoints = {self.checkpoints} exceeds the limit of"
                              f" {MAX_CHECKPOINTS}")
+        # Grid.k_max in floats, as a grid on a tiny box has no finite frequencies
+        k_max = np.floor(np.log2(math.pi / self.box * self.n / 2)) - 1
+        if self.experiment == "multiplier-bounds" and k_max < -PARA_CUT_BAND:
+            raise ValueError(f"multiplier-bounds fits commutators up to band {-PARA_CUT_BAND},"
+                             f" but n = {self.n}, box = {self.box:g} has k_max = {k_max:g}")
         if self.experiment == "weighted-bootstrap" and self.checkpoints < 10:
             raise ValueError(f"weighted-bootstrap fits its scattering limit through at least"
                              f" ten checkpoints, got {self.checkpoints}")
@@ -217,12 +235,17 @@ class ExperimentConfig:
             raise ValueError("signs list must be nonempty")
         if self.radius <= 0 or self.step <= 0:
             raise ValueError("radius and step must be positive")
-        # the phase scan's finer lattice, at step / 2, has 2m + 1 points per axis (129 pinned)
-        m = 2.0 * self.radius / self.step
-        if self.experiment == "phase-scan" and _lattice_points(self.dim, m) > MAX_GRID_POINTS:
-            shape = "(2m + 1)(m + 1)" if self.dim == 3 else f"(2m + 1)**{self.dim}"
-            raise ValueError(f"the phase-scan lattice at step / 2 has {shape} points,"
-                             f" m = 2 radius / step = {m:g}: over the limit of {MAX_GRID_POINTS}")
+        if self.experiment == "phase-scan":
+            # the finer scan, at step / 2, has 2m + 1 lattice points per axis (129 pinned)
+            m = 2.0 * self.radius / self.step
+            if _lattice_points(self.dim, m) > MAX_GRID_POINTS:
+                shape = "(2m + 1)(m + 1)" if self.dim == 3 else f"(2m + 1)**{self.dim}"
+                raise ValueError(f"the phase-scan lattice at step / 2 has {shape} points, m ="
+                                 f" 2 radius / step = {m:g}: over the limit of {MAX_GRID_POINTS}")
+            pairs = _scan_pairs(self.dim, m)
+            if pairs > MAX_SCAN_PAIRS:
+                raise ValueError(f"the phase scan at step / 2 evaluates up to {pairs:.3g} pairs, m"
+                                 f" = 2 radius / step = {m:g}: over the limit of {MAX_SCAN_PAIRS}")
         if self.rule not in ("simpson", "trapezoid"):
             raise ValueError("rule must be 'simpson' or 'trapezoid'")
         if (self.experiment == "scattering" and self.rule == "simpson"
@@ -257,8 +280,11 @@ class ExperimentConfig:
                              f"spaces, got {self.out!r}")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative (0 = env/default)")
-        if self.snapshot:
-            raise ValueError("snapshot = true is not supported: no experiment writes snapshots")
+        keys = FAMILY_KEYS[self.experiment] | {"experiment", "seed", "out", "workers"}
+        for f in fields(self):
+            if f.name not in keys and _render(getattr(self, f.name)) != _render(f.default):
+                raise ValueError(f"{self.experiment} does not read {f.name}; it reads"
+                                 f" {', '.join(sorted(keys))}")
 
     # -- derived accessors ------------------------------------------------
 
@@ -273,15 +299,8 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
     def canonical(self) -> str:
-        lines = [f"schema = {SCHEMA}"]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                rendered = ", ".join(_render(v) for v in value)
-            else:
-                rendered = _render(value)
-            lines.append(f"{f.name} = {rendered}")
-        return "\n".join(lines) + "\n"
+        lines = [f"{f.name} = {_render(getattr(self, f.name))}" for f in fields(self)]
+        return "\n".join([f"schema = {SCHEMA}", *lines]) + "\n"
 
 
 def _env_workers() -> int:
@@ -294,6 +313,8 @@ def _env_workers() -> int:
 
 
 def _render(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_render(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -301,14 +322,9 @@ def _render(value) -> str:
     return str(value)
 
 
-_FIELD_TYPES = {}
-for _f in fields(ExperimentConfig):
-    if _f.name in ("eps",):
-        _FIELD_TYPES[_f.name] = "float_list"
-    elif _f.name in ("signs",):
-        _FIELD_TYPES[_f.name] = "str_list"
-    else:
-        _FIELD_TYPES[_f.name] = {"int": int, "float": float, "bool": bool, "str": str}[_f.type]
+_FIELD_TYPES = {f.name: {"int": int, "float": float, "bool": bool, "str": str}.get(f.type)
+                for f in fields(ExperimentConfig)}
+_FIELD_TYPES.update(eps="float_list", signs="str_list")
 
 
 def parse_config(text: str) -> ExperimentConfig:

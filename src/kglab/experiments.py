@@ -70,8 +70,8 @@ def _signs(pair: str) -> tuple:
     return _SIGN_OF[pair[0]], _SIGN_OF[pair[1]]
 
 
-def _spec_of(cfg: ExperimentConfig):
-    return default_spec(cfg.dim, cfg.coeff_alpha, cfg.coeff_beta,
+def _spec_of(cfg: ExperimentConfig, dim: int = 0):
+    return default_spec(dim or cfg.dim, cfg.coeff_alpha, cfg.coeff_beta,
                         cfg.coeff_gamma_u, cfg.coeff_gamma_t)
 
 
@@ -80,9 +80,7 @@ def _times(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _fit_window(cfg: ExperimentConfig) -> tuple:
-    lo = cfg.fit_lo if cfg.fit_lo > 0 else None
-    hi = cfg.fit_hi if cfg.fit_hi > 0 else None
-    return lo, hi
+    return cfg.fit_lo or None, cfg.fit_hi or None  # 0: the whole sample range
 
 
 def _report(cfg: ExperimentConfig) -> RunReport:
@@ -158,8 +156,7 @@ def run_paradiff_oracle(cfg: ExperimentConfig) -> RunReport:
         report.rows.append({"dim": d, "op": "error_op", "n": n_weyl,
                             "rel_err": rel(error_op([a, b], f), want)})
 
-        spec = default_spec(d, cfg.coeff_alpha, cfg.coeff_beta,
-                            cfg.coeff_gamma_u, cfg.coeff_gamma_t)
+        spec = _spec_of(cfg, d)
         akern = a_kernel(spec, 1, -1)
         report.rows.append({"dim": d, "op": "bilinear_apply", "n": n_weyl,
                             "rel_err": rel(bilinear_apply(akern, f, g),
@@ -567,12 +564,13 @@ def run_lifespan_sweep(cfg: ExperimentConfig) -> RunReport:
 
 
 def run_weighted_bootstrap(cfg: ExperimentConfig) -> RunReport:
-    """Small-data run to the box horizon under the bootstrap norms.
+    """Small-data run up to t1 under the bootstrap norms.
 
     Both controlled norms (half-wave Sobolev and the weighted profile
-    norm) must stay within twice their initial size up to T = L/4, the
-    profile must be Cauchy with monotone decreasing increments, and
-    the localized sandwich at the final time must be finite.
+    norm) must stay within twice their initial size up to t1 (pinned at
+    the box horizon L/4), the profile must be Cauchy with monotone
+    decreasing increments, and the localized sandwich at the final time
+    must be finite.
     """
     report = _report(cfg)
     grid = make_grid(cfg.dim, cfg.n, cfg.box)
@@ -587,8 +585,7 @@ def run_weighted_bootstrap(cfg: ExperimentConfig) -> RunReport:
     # sup-sized so the quadratic terms act visibly inside the run
     state = KGState(grid, cfg.t0, u0 * (eps / u0.sup()), w0 * (eps / w0.sup()))
 
-    t_end = grid.L / 4.0
-    result = run_to_time(state, spec, t_end, dt=cfg.dt or None,
+    result = run_to_time(state, spec, cfg.t1, dt=cfg.dt or None,
                          checkpoints=cfg.checkpoints, norm_order=N, keep_states=True)
     # one profile per state, built once: V(T) first, then each state's
     # weighted norm (before the row's flag) and gap to V(T), so at most

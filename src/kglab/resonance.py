@@ -132,6 +132,13 @@ def _lattice_points(d: int, m: float) -> float:
     return (2 * m + 1) ** d if d < 3 else (2 * m + 1) * (m + 1)
 
 
+def _scan_pairs(d: int, m: float) -> float:
+    """An upper bound of a scan's n_pairs at radius / step = m: the rows of
+    _scan_points before the ball filter times _lattice_points' columns."""
+    rows = (round(m) + 1) * (round(m) + 2) // 2 if d == 2 else round(m) + 1
+    return rows * _lattice_points(d, m)
+
+
 def _scan_points(d: int, radius: float, step: float):
     """Rows, row weights, columns and gradient rows of the pair scan.
 

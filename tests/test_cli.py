@@ -67,7 +67,13 @@ def test_run_exits_2_on_a_checkpoint_count_no_machine_can_hold(tmp_path, capsys,
     ("experiment = weighted-bootstrap\ndim = 2\nn = 32\nbox = 8pi\neps = 0.05\n"
      "checkpoints = 5\n", "at least ten checkpoints"),
     ("experiment = phase-scan\ndim = 2\nradius = 1e6\n", "phase-scan lattice"),
-], ids=["bootstrap-checkpoints", "scan-lattice"])
+    ("experiment = phase-scan\ndim = 1\nradius = 1e6\n", "evaluates up to 1.28e+14 pairs"),
+    ("experiment = multiplier-bounds\nn = 2048\nbox = 4pi\n", "has k_max = 7"),
+    ("experiment = multiplier-bounds\nn = 8192\nbox = 4pi\n", "has k_max = 9"),
+    ("experiment = weighted-bootstrap\nfit_lo = 3\n",
+     "weighted-bootstrap does not read fit_lo"),
+], ids=["bootstrap-checkpoints", "scan-lattice", "scan-pairs", "multiplier-no-band",
+        "multiplier-one-band", "unread-key"])
 def test_run_exits_2_on_a_config_the_run_could_not_finish(body, needle, tmp_path, capsys,
                                                            monkeypatch):
     monkeypatch.setenv("KGLAB_OUT", str(tmp_path / "ledger"))
@@ -98,6 +104,20 @@ def test_scan_phase_refuses_a_lattice_no_machine_can_hold(argv, capsys, monkeypa
     code = main(["scan-phase", "--signs", "++", *argv])
     assert code == 2
     assert "config error: the phase-scan lattice" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--radius", "1e6"],
+    ["--radius", "64", "--dim", "2"],
+], ids=["radius-1e6-1d", "radius-64-2d"])
+def test_scan_phase_refuses_a_scan_no_machine_can_finish(argv, capsys, monkeypatch):
+    # lattices a machine holds, with 1.3e14 and 1.4e11 pairs to evaluate
+    calls = []
+    monkeypatch.setattr("kglab.cli.phase_bound_scan", lambda *a, **k: calls.append(a))
+    code = main(["scan-phase", "--signs", "++", *argv])
+    assert code == 2
+    assert "config error: the phase scan at step / 2 evaluates up to" in capsys.readouterr().err
     assert calls == []
 
 

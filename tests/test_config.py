@@ -2,10 +2,20 @@
 the environment fallbacks."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
-from kglab.config import SCHEMA, ExperimentConfig, load_config, parse_config
+from kglab.config import (
+    EXPERIMENT_IDS,
+    FAMILY_KEYS,
+    SCHEMA,
+    ExperimentConfig,
+    load_config,
+    parse_config,
+)
+from kglab.experiments import _PINNED
+from kglab.grid import make_grid
 
 GOOD = """\
 schema = kglab-experiment-v1
@@ -14,9 +24,13 @@ dim = 2
 n = 256
 box = 64pi          # quarter-kilometer box
 seed = 7
-eps = 0.1, 0.05
-signs = ++, +-
+band_lo = 0
+band_hi = 3
 """
+
+# the list-valued keys, each on a family that reads it
+EPS_LIST = f"schema = {SCHEMA}\nexperiment = scattering\neps = 0.1, 0.05\n"
+SIGN_LIST = f"schema = {SCHEMA}\nexperiment = phase-scan\nsigns = ++, +-\n"
 
 
 def test_parse_round_trip_through_canonical():
@@ -24,11 +38,13 @@ def test_parse_round_trip_through_canonical():
     assert cfg.experiment == "dispersive-decay"
     assert cfg.dim == 2 and cfg.n == 256 and cfg.seed == 7
     assert cfg.box == pytest.approx(64 * math.pi)
-    assert cfg.eps == (0.1, 0.05)
-    assert cfg.signs == ("++", "+-")
-    again = parse_config(cfg.canonical())
-    assert again == cfg
-    assert again.canonical() == cfg.canonical()
+    assert parse_config(EPS_LIST).eps == (0.1, 0.05)
+    assert parse_config(SIGN_LIST).signs == ("++", "+-")
+    for text in (GOOD, EPS_LIST, SIGN_LIST):
+        cfg = parse_config(text)
+        again = parse_config(cfg.canonical())
+        assert again == cfg
+        assert again.canonical() == cfg.canonical()
 
 
 def test_content_hash_is_stable_and_sensitive():
@@ -88,14 +104,16 @@ def test_key_without_equals_is_an_error():
 
 
 def test_pi_suffix_floats():
-    cfg = parse_config("schema = kglab-experiment-v1\nexperiment = phase-scan\nbox = pi\n")
+    cfg = parse_config("schema = kglab-experiment-v1\nexperiment = dispersive-decay\nbox = pi\n")
     assert cfg.box == pytest.approx(math.pi)
-    cfg = parse_config("schema = kglab-experiment-v1\nexperiment = phase-scan\nbox = 2.5pi\n")
+    cfg = parse_config("schema = kglab-experiment-v1\nexperiment = dispersive-decay\n"
+                       "box = 2.5pi\n")
     assert cfg.box == pytest.approx(2.5 * math.pi)
     # a bare sign means +-1, as an explicit 1 does
     for raw, want in (("-pi", -math.pi), ("+pi", math.pi), ("- pi", -math.pi),
                       ("-1pi", -math.pi), ("+2pi", 2 * math.pi)):
-        cfg = parse_config(f"schema = {SCHEMA}\nexperiment = phase-scan\ncoeff_alpha = {raw}\n")
+        cfg = parse_config(f"schema = {SCHEMA}\nexperiment = paradiff-oracle\n"
+                           f"coeff_alpha = {raw}\n")
         assert cfg.coeff_alpha == want
 
 
@@ -180,6 +198,75 @@ def test_validation_runs_at_parse_time():
     for body, needle in cases:
         with pytest.raises(ValueError, match=needle):
             parse_config(f"schema = {SCHEMA}\n{body}\n")
+
+
+@pytest.mark.parametrize("body, key, family", [
+    ("experiment = weighted-bootstrap\nfit_lo = 3", "fit_lo", "weighted-bootstrap"),
+    ("experiment = weighted-bootstrap\nschedule = linear", "schedule", "weighted-bootstrap"),
+    ("experiment = weighted-bootstrap\nblow_up_factor = 5", "blow_up_factor",
+     "weighted-bootstrap"),
+    ("experiment = phase-scan\nn = 64", "n", "phase-scan"),
+    ("experiment = phase-scan\neps = 0.1, 0.2", "eps", "phase-scan"),
+    ("experiment = lifespan-sweep\nband_lo = 0", "band_lo", "lifespan-sweep"),
+    ("experiment = lifespan-sweep\nband_hi = 2", "band_hi", "lifespan-sweep"),
+    ("experiment = reduced-residual\neps = 0.1, 0.2\nband_lo = 0", "band_lo",
+     "reduced-residual"),
+    ("experiment = reduced-residual\neps = 0.1, 0.2\nband_hi = 2", "band_hi",
+     "reduced-residual"),
+    ("experiment = good-unknown-scaling\neps = 0.1, 0.2\nt1 = 5", "t1",
+     "good-unknown-scaling"),
+    ("experiment = scattering\neps = 0.1, 0.2\nalpha = 0.3", "alpha", "scattering"),
+    ("experiment = dispersive-decay\ncoeff_beta = 2", "coeff_beta", "dispersive-decay"),
+    # equal to the default 0 but rendered "-0": it would change the hash
+    ("experiment = phase-scan\ndt = -0", "dt", "phase-scan"),
+])
+def test_a_key_the_family_never_reads_is_refused(body, key, family):
+    with pytest.raises(ValueError, match=f"^{family} does not read {key}; it reads "):
+        parse_config(f"schema = {SCHEMA}\n{body}\n")
+
+
+def test_the_refusal_lists_what_the_family_reads():
+    with pytest.raises(ValueError) as exc:
+        parse_config(f"schema = {SCHEMA}\nexperiment = phase-scan\nbox = 8pi\n")
+    assert str(exc.value) == ("phase-scan does not read box; it reads dim, experiment, out,"
+                              " radius, seed, signs, step, workers")
+
+
+def test_every_pinned_config_parses_back_from_its_canonical_text():
+    # a canonical text names every key, those off the family's row at
+    # their defaults
+    for build in _PINNED.values():
+        cfg = build()
+        assert parse_config(cfg.canonical()) == cfg
+    assert EXPERIMENT_IDS == tuple(FAMILY_KEYS)
+    assert all(keys <= {f.name for f in fields(ExperimentConfig)}
+               for keys in FAMILY_KEYS.values())
+
+
+@pytest.mark.parametrize("n, box, k_max", [(2048, 4 * math.pi, 7), (8192, 4 * math.pi, 9),
+                                          (8192, 8 * math.pi, 8)])
+def test_multiplier_bounds_refuses_a_grid_without_both_commutator_bands(n, box, k_max):
+    # the commutator growths are fitted through bands 9 and 10: with
+    # neither the fit is empty, with band 9 alone it has one point
+    assert make_grid(1, n, box).k_max == k_max
+    with pytest.raises(ValueError, match=f"up to band 10, but n = {n}, .* has k_max = {k_max}$"):
+        parse_config(f"schema = {SCHEMA}\nexperiment = multiplier-bounds\nn = {n}\n"
+                     f"box = {box!r}\n")
+    cfg = parse_config(f"schema = {SCHEMA}\nexperiment = multiplier-bounds\nn = 16384\n"
+                       "box = 4pi\n")
+    assert make_grid(1, cfg.n, cfg.box).k_max == 10
+
+
+@pytest.mark.parametrize("body, pairs", [
+    # lattices a machine could hold, in scans no machine finishes
+    ("dim = 1\nradius = 1e6", "1.28e\\+14"),
+    ("dim = 2\nradius = 64", "1.39e\\+11"),
+    ("dim = 3\nradius = 375\nstep = 0.5", "6.76e\\+09"),
+])
+def test_a_phase_scan_is_bounded_by_the_pairs_it_evaluates(body, pairs):
+    with pytest.raises(ValueError, match=f"evaluates up to {pairs} pairs, m = 2 radius / step"
+                                         f" = .*: over the limit of 4294967296"):
+        parse_config(f"schema = {SCHEMA}\nexperiment = phase-scan\n{body}\n")
 
 
 def test_a_3d_phase_scan_is_sized_by_the_lattices_it_builds():

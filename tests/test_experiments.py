@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import kglab
-from kglab.config import EXPERIMENT_IDS, ExperimentConfig
+from kglab.config import EXPERIMENT_IDS, FAMILY_KEYS, ExperimentConfig
 from kglab.data import make_rng, random_band_field
 from kglab.dynamics import KGState
 from kglab.grid import make_grid
@@ -32,6 +32,7 @@ from kglab.resonance import (
 )
 from kglab.spectral import lp_project
 from kglab.experiments import (
+    _PINNED,
     CRITERIA,
     EXPERIMENT_DRIVERS,
     _bound_constant,
@@ -51,6 +52,38 @@ def test_every_experiment_id_has_a_driver_and_a_pin():
     for ident in EXPERIMENT_IDS:
         cfg = pinned_config(ident, per_dim.get(ident))
         assert cfg.experiment == ident
+
+
+class _ReadLog:
+    """A config that logs the fields a driver reads; methods such as
+    content_hash run on the config itself, so their reads are not logged."""
+
+    def __init__(self, cfg):
+        self.cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        if name in {f.name for f in dataclasses.fields(self.cfg)}:
+            self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+# pinned runs shrunk to a fraction of their cost: a driver's reads do not
+# depend on the grid, the radius, the step or the length of the run
+_SHRUNK = {
+    "multiplier-bounds": {"n": 8192, "box": 2 * math.pi},
+    "phase-scan": {"radius": 2.0, "step": 0.5},
+    "weighted-bootstrap": {"n": 32, "box": 8 * math.pi},
+    "scattering": {"n": 16, "t1": 1.5, "checkpoints": 3},
+}
+
+
+@pytest.mark.parametrize("pin", sorted(_PINNED, key=str), ids=lambda pin: f"{pin[0]}-{pin[1]}")
+def test_each_driver_reads_exactly_its_family_keys(pin, monkeypatch):
+    monkeypatch.setenv("KGLAB_WORKERS", "1")
+    experiment = pin[0]
+    log = _ReadLog(dataclasses.replace(_PINNED[pin](), **_SHRUNK.get(experiment, {})))
+    EXPERIMENT_DRIVERS[experiment](log)
+    assert log.read - {"experiment", "seed", "out", "workers"} == FAMILY_KEYS[experiment]
 
 
 def test_pinned_config_unknown_id_raises():

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kglab.config import EXPERIMENT_IDS, ExperimentConfig, parse_config
+from kglab.config import EXPERIMENT_IDS, FAMILY_KEYS, ExperimentConfig, parse_config
 from kglab.data import make_rng, random_band_field
 from kglab.grid import Field, make_grid
 from kglab.paradiff import Symbol, weyl_apply
@@ -112,34 +112,37 @@ POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
 
 @st.composite
 def configs(draw):
+    # the family first, then only the keys it reads: any other key set
+    # off its default is refused
+    experiment = draw(st.sampled_from(EXPERIMENT_IDS))
     t0 = draw(POSITIVE)
-    fields = dict(
-        experiment=draw(st.sampled_from(EXPERIMENT_IDS)),
-        dim=draw(st.integers(1, 3)),
-        n=draw(st.sampled_from([8, 16, 64, 256])),
-        box=draw(POSITIVE),
-        seed=draw(st.integers(0, 2**40)),
-        eps=tuple(draw(st.lists(POSITIVE, min_size=1, max_size=3))),
-        t0=t0,
-        t1=draw(st.floats(min_value=t0, exclude_min=True, allow_infinity=False)),
-        dt=draw(st.floats(min_value=0.0, max_value=1e3)),
-        checkpoints=draw(st.integers(2, 10**6)),
-        schedule=draw(st.sampled_from(["log", "linear"])),
-        band_lo=draw(st.integers(-1, 3)),
-        envelope=draw(FLOATS),
-        alpha=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
-                             exclude_max=True)),
-        coeff_alpha=draw(FLOATS),
-        coeff_gamma_u=draw(FLOATS),
-        signs=tuple(draw(st.lists(st.sampled_from(["++", "+-", "-+", "--"]),
-                                  min_size=1, max_size=4))),
-        rule=draw(st.sampled_from(["simpson", "trapezoid"])),
-        fit_hi=draw(FLOATS),
-        include_tail=draw(st.booleans()),
-        out=draw(st.text(max_size=12)),
-        workers=draw(st.integers(0, 64)),
-    )
-    fields["band_hi"] = fields["band_lo"] + draw(st.integers(0, 4))
+    keys = {
+        "dim": st.integers(1, 3),
+        "n": st.sampled_from([8, 16, 64, 256]),
+        "box": POSITIVE,
+        "eps": st.lists(POSITIVE, min_size=1, max_size=3).map(tuple),
+        "t0": st.just(t0),
+        "t1": st.floats(min_value=t0, exclude_min=True, allow_infinity=False),
+        "dt": st.floats(min_value=0.0, max_value=1e3),
+        "checkpoints": st.integers(2, 10**6),
+        "schedule": st.sampled_from(["log", "linear"]),
+        "band_lo": st.integers(-1, 3),
+        "envelope": FLOATS,
+        "alpha": st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        "coeff_alpha": FLOATS,
+        "coeff_gamma_u": FLOATS,
+        "signs": st.lists(st.sampled_from(["++", "+-", "-+", "--"]),
+                          min_size=1, max_size=4).map(tuple),
+        "rule": st.sampled_from(["simpson", "trapezoid"]),
+        "fit_hi": FLOATS,
+        "include_tail": st.booleans(),
+    }
+    fields = {key: draw(strategy) for key, strategy in keys.items()
+              if key in FAMILY_KEYS[experiment]}
+    fields.update(experiment=experiment, seed=draw(st.integers(0, 2**40)),
+                  out=draw(st.text(max_size=12)), workers=draw(st.integers(0, 64)))
+    if "band_hi" in FAMILY_KEYS[experiment]:
+        fields["band_hi"] = fields["band_lo"] + draw(st.integers(0, 4))
     try:
         return ExperimentConfig(**fields)
     except ValueError:

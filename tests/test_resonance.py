@@ -2,6 +2,7 @@
 full-lattice oracle, the kernel families, and the exact pseudoproduct
 machinery against literal-sum oracles."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -138,6 +139,36 @@ def test_phase_scan_refinement_is_monotone():
     assert fine["min_abs_phase"] <= coarse["min_abs_phase"]
     assert fine["c_phi"] >= coarse["c_phi"]
     assert fine["min_abs_phase"] == pytest.approx(coarse["min_abs_phase"], rel=0.15)
+
+
+def _jp(x):
+    return math.sqrt(1.0 + x * x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_phase_minima_follow_the_resonance_law(d):
+    # the scanned minimum is attained at a lattice point in closed form:
+    # the collinear pair z1 = z2 = R/2 for (+,+) and (-,+), xi = -eta of
+    # length R for (+,-), and the origin for (-,-); so R min|Phi| tends
+    # to 3/2, 3/2, 3/4 and the bound loses one derivative
+    for radius in (2.0, 4.0, 8.0):
+        law = {(1, 1): 2 * _jp(radius / 2) - _jp(radius),
+               (-1, 1): 2 * _jp(radius / 2) - _jp(radius),
+               (1, -1): 2 * _jp(radius) - _jp(2 * radius),
+               (-1, -1): 3.0}
+        for (mu, nu), want in law.items():
+            got = phase_bound_scan(d, mu, nu, radius=radius, step=0.25)["min_abs_phase"]
+            assert got == pytest.approx(want, rel=1e-14, abs=0), (d, radius, mu, nu)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scan_pairs_bounds_the_pairs_a_scan_evaluates(d):
+    # exact in 1-D on a whole number of steps, where the ball filter
+    # drops no point; 8.2 / 0.25 rounds to 33 steps, and 8.25 is dropped
+    for radius, step in ((2.0, 0.5), (8.0, 0.25), (8.2, 0.25)):
+        got = phase_bound_scan(d, 1, -1, radius=radius, step=step)["n_pairs"]
+        bound = resonance._scan_pairs(d, radius / step)
+        assert got == bound if (d, radius) in ((1, 2.0), (1, 8.0)) else got < bound
 
 
 @pytest.mark.parametrize("floor", [1e-8, 0.6], ids=["floor-default", "floor-0.6"])

@@ -27,6 +27,7 @@ import numpy as np
 
 from .cutoffs import PARA_CUT_BAND
 from .dynamics import checkpoint_times
+from .grid import _check_box
 from .resonance import _lattice_points, _scan_pairs
 
 __all__ = ["ExperimentConfig", "EXPERIMENT_IDS", "SCHEMA", "parse_config", "load_config"]
@@ -184,6 +185,7 @@ class ExperimentConfig:
                 f"exceeds the limit of {MAX_GRID_POINTS} points")
         if self.box <= 0:
             raise ValueError("box must be positive")
+        _check_box(self.dim, self.n, self.box)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not self.eps:
@@ -210,7 +212,7 @@ class ExperimentConfig:
         if self.checkpoints > MAX_CHECKPOINTS:
             raise ValueError(f"checkpoints = {self.checkpoints} exceeds the limit of"
                              f" {MAX_CHECKPOINTS}")
-        # Grid.k_max in floats, as a grid on a tiny box has no finite frequencies
+        # Grid.k_max in floats, so no grid is built at parse time
         k_max = np.floor(np.log2(math.pi / self.box * self.n / 2)) - 1
         if self.experiment == "multiplier-bounds" and k_max < -PARA_CUT_BAND:
             raise ValueError(f"multiplier-bounds fits commutators up to band {-PARA_CUT_BAND},"

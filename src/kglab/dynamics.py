@@ -38,9 +38,9 @@ Klein-Gordon flow is moved exactly, mode by mode, and only F is
 sampled at the stages, so the step is bounded by accuracy rather than
 stability.  The flow's tables are built once per grid and step size
 (:func:`_flow`), so a run builds them once per checkpoint interval; the
-stages evaluate F on the rfftn halves, and only the new state is a
-:class:`KGState`.  Every other spec steps with classical RK4 within the
-CFL limit; see :func:`step_limit`.
+stages evaluate F on the rfftn halves, the first on the state's own
+fields, and only the new state is a :class:`KGState`.  Every other spec
+steps with classical RK4 within the CFL limit; see :func:`step_limit`.
 
 u and w are real-valued.  The initial data are real fields, built from
 float values (``grid.Field.real``, ``data``), and :class:`KGState`
@@ -61,7 +61,6 @@ Each step frees and reallocates the same grid-sized temporaries, so
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -207,16 +206,20 @@ def _nonlinearity(zs: list, q0: list, qd: list, spec: NonlinearitySpec) -> Field
     product whose coefficient row is structurally zero gets that row's
     zero field as both operands, and its d_j w or d_l d_j u is not built.
     """
-    g = zs[0].grid
+    return dealiased_sum(zs[0].grid, _terms(zs, q0, qd, spec), dict.fromkeys(zs))
+
+
+def _terms(zs: list, q0: list, qd: list, spec: NonlinearitySpec):
+    """F's ``(c, f, g)`` terms in order, each built when the sum asks; a zero
+    row is a zero field (:func:`coefficient_fields`) and its own second factor."""
     w, du = zs[1], zs[2:]
-    # a structurally zero row is a zero field (coefficient_fields), and it
-    # stands for its own second factor
-    terms = itertools.chain(
-        ((c, zs[a], zs[b]) for c, a, b in spec.s_terms),
-        ((2.0, q0[j], derivative(w, j) if spec.q0_live[j] else q0[j]) for j in range(g.d)),
-        ((1.0, qd[j][l], derivative(du[j], l) if spec.qjl_live[j][l] else qd[j][l])
-         for j in range(g.d) for l in range(g.d)))
-    return dealiased_sum(g, terms, dict.fromkeys(zs))
+    for c, a, b in spec.s_terms:
+        yield c, zs[a], zs[b]
+    for j, row in enumerate(q0):
+        yield 2.0, row, derivative(w, j) if spec.q0_live[j] else row
+    for j, rows in enumerate(qd):
+        for l, row in enumerate(rows):
+            yield 1.0, row, derivative(du[j], l) if spec.qjl_live[j][l] else row
 
 
 def rhs(state: KGState, spec: NonlinearitySpec):
@@ -261,11 +264,12 @@ def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
     With E the linear flow over dt/2 and the nonlinear part N = (0, F):
     y' = E^2 y + dt/6 (E^2 N1 + 2 E (N2 + N3) + N4), where N1 = N(y),
     N2 = N(E (y + dt/2 N1)), N3 = N(E y + dt/2 N2), N4 = N(E (E y + dt N3)).
-    The stages evaluate F on the rfftn halves, and only the new state is
-    a ``KGState``.
+    The stages evaluate F on the rfftn halves, N1 on the state's own
+    fields, and only the new state is a ``KGState``.
     """
     g = state.grid
-    cos, sin_over_lam, lam_sin = _flow(g, dt)
+    # numpy casts a real table to complex in each product with a half: cast once
+    cos, sin_over_lam, lam_sin = (table.astype(complex) for table in _flow(g, dt))
     u, w = state.u.spectrum(), state.w.spectrum()
 
     def real(half):
@@ -278,7 +282,7 @@ def _lawson_step(state: KGState, spec: NonlinearitySpec, dt: float) -> KGState:
         return _f(real(a), real(b), spec).spectrum()
 
     eu, ew = turn(u, w)
-    f1 = F(u, w)
+    f1 = _f(state.u, state.w, spec).spectrum()
     f2 = F(*turn(u, w + f1 * (dt / 2)))
     f3 = F(eu, ew + f2 * (dt / 2))
     f4 = F(*turn(eu, ew + f3 * dt))

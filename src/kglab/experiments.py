@@ -552,7 +552,8 @@ def run_lifespan_sweep(cfg: ExperimentConfig) -> RunReport:
     order = np.argsort(cfg.eps)
     sorted_eps = np.asarray(cfg.eps)[order]
     sorted_T = np.asarray(lifespans)[order]
-    report.checks["lifespan-monotone"] = bool(np.all(np.diff(sorted_T) <= 1e-12))
+    # neighbours compared, not differenced: two survivors' inf - inf is nan
+    report.checks["lifespan-monotone"] = bool(np.all(sorted_T[1:] <= sorted_T[:-1] + 1e-12))
     if sorted_T.size >= 2 and np.isfinite(sorted_T).all():
         fit = loglog_fit(sorted_eps, sorted_T)
         report.add_fit("lifespan_exponent", fit)

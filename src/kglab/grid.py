@@ -56,6 +56,7 @@ default mmap threshold it does nothing.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -98,6 +99,7 @@ class Grid:
             raise ValueError(f"n must be a power of two >= 8, got {n}")
         if not self.L > 0:
             raise ValueError(f"box half-length must be positive, got {self.L}")
+        _check_box(self.d, n, self.L)
 
         # the rfftn half a real field stores: n^(d-1) x (n/2+1)
         object.__setattr__(self, "half_shape", (n,) * (self.d - 1) + (n // 2 + 1,))
@@ -183,6 +185,17 @@ class Grid:
         """Integer mode vectors, shape (npoints, d), row-major over the lattice."""
         mesh = np.meshgrid(*self.mode_axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _check_box(d: int, n: int, L: float) -> None:
+    """Refuse a positive box half-length L whose grid's largest squared
+    frequency d (pi n / 2L)^2 or largest squared position d L^2 is not a
+    finite float: its lattices would hold inf or nan.  Python floats, so
+    no array is built and nothing warns."""
+    nyquist = math.pi / L * (n // 2)
+    if not (math.isfinite(d * nyquist * nyquist) and math.isfinite(d * L * L)):
+        raise ValueError(f"box half-length {L:g} is out of range for a {d}-D grid with n = {n}:"
+                         f" its largest squared frequency or position is not a finite float")
 
 
 def make_grid(d: int, n: int, L: float) -> Grid:

@@ -19,8 +19,10 @@ Conventions:
   space and truncated once (the 2/3 projector is linear).  Multipliers,
   sums and ``Field.zero`` keep fields in coefficient space too, so a
   sum's only transforms are one inverse per distinct live operand and
-  one forward, with no Hermitian completion and one mask on the rfftn
-  half.
+  one forward, with no Hermitian completion.  On real fields both are
+  pruned (Markel 1971) to the last-axis columns 0..n//3 the box keeps,
+  its other rows zeroed there: no transform touches a dropped column,
+  and each value and kept mode has the bits of the masked transform.
 * A field's kind follows its array (``grid.Field``).  A real field
   stores only the rfftn half of its coefficients (``Field.spectrum``),
   and every real multiplier and mask here acts on that half, with its
@@ -43,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import psi_band, psi_le, psi_range
-from .grid import Field, Grid, _frozen
+from .grid import Field, Grid, _frozen, _symmetrize_ends
 
 __all__ = [
     "lp_project",
@@ -177,16 +179,49 @@ def dealiased_product(f: Field, g: Field, memo: dict = None) -> Field:
     gv = fv if g is f else _dealiased_values(g, memo)
     if memo is not None:
         return fv * gv
-    return dealias(Field._new(f.grid, f.real and g.real, _frozen(fv * gv), None))
+    return _dealiased_field(f.grid, fv * gv)
+
+
+@lru_cache(maxsize=8)
+def _box(grid: Grid) -> np.ndarray:
+    """The 2/3 box on the last-axis columns 0..n//3 it keeps; read-only."""
+    return _frozen(grid.dealias_mask[..., :grid.n // 3 + 1].copy())
 
 
 def _dealiased_values(f: Field, memo) -> np.ndarray:
-    """dealias(f).values, computed once per shared operand of a memo."""
-    if memo is None or f not in memo:
+    """dealias(f).values, computed once per shared operand of a memo.  A
+    real field's come from its kept columns alone (:func:`_box`): irfft
+    zero-pads the rest, and irfftn's c2c passes skip them."""
+    if memo is not None and f in memo:
+        if memo[f] is None:
+            memo[f] = _dealiased_values(f, None)
+        return memo[f]
+    if not f.real:
         return dealias(f).values
-    if memo[f] is None:
-        memo[f] = dealias(f).values
-    return memo[f]
+    grid, kept = f.grid, f.spectrum()[..., :f.grid.n // 3 + 1]
+    if grid.d == 1:
+        return np.fft.irfft(kept, n=grid.n, norm="forward")
+    return np.fft.irfftn(np.where(_box(grid), kept, 0.0), s=grid.shape,
+                         axes=tuple(range(grid.d)), norm="forward")
+
+
+def _dealiased_field(grid: Grid, values: np.ndarray) -> Field:
+    """dealias(Field.from_values(grid, values)), as coefficients: real values take
+    rfftn's passes on the kept columns alone, plane 0 symmetrized as ``Field.spectrum`` does."""
+    if np.iscomplexobj(values):
+        return dealias(Field._new(grid, False, _frozen(values), None))
+    cut = grid.n // 3 + 1
+    half = np.fft.rfft(values, norm="forward")
+    if grid.d == 1:
+        half[cut:] = 0.0  # a 1-D box is its kept columns
+    else:
+        box = half[..., :cut]
+        for axis in range(grid.d - 2, -1, -1):
+            box = np.fft.fft(box, axis=axis, norm="forward")
+        half = np.zeros(grid.half_shape, dtype=complex)
+        np.copyto(half[..., :cut], box, where=_box(grid))
+        _symmetrize_ends(half[..., :cut], grid.n)  # plane 0, the box's one self-mirror plane
+    return Field._new(grid, True, None, _frozen(half))
 
 
 def dealiased_sum(grid: Grid, terms, memo: dict) -> Field:
@@ -202,7 +237,8 @@ def dealiased_sum(grid: Grid, terms, memo: dict) -> Field:
     operand is skipped; the live ones are summed in physical space, and
     the sum is truncated to the 2/3 box once, which by linearity of the
     projector is the sum of the truncated products up to rounding.  So
-    it makes one forward transform, and none when no term is live: then
+    it makes one forward transform, on the kept columns alone for a real
+    sum (:func:`_dealiased_field`), and none when no term is live: then
     it is a ``Field.zero``.  ``terms`` may be a generator: each term's
     operands and product are let go before the next term is built.
     """
@@ -219,4 +255,4 @@ def dealiased_sum(grid: Grid, terms, memo: dict) -> Field:
     del memo
     if out is None:
         return Field.zero(grid)
-    return dealias(Field._new(grid, not np.iscomplexobj(out), _frozen(out), None))
+    return _dealiased_field(grid, out)

@@ -72,8 +72,10 @@ def test_run_exits_2_on_a_checkpoint_count_no_machine_can_hold(tmp_path, capsys,
     ("experiment = multiplier-bounds\nn = 8192\nbox = 4pi\n", "has k_max = 9"),
     ("experiment = weighted-bootstrap\nfit_lo = 3\n",
      "weighted-bootstrap does not read fit_lo"),
+    ("experiment = dispersive-decay\nbox = 5e-324\n", "largest squared frequency"),
+    ("experiment = scattering\neps = 0.1, 0.2\nbox = 1e155\n", "largest squared frequency"),
 ], ids=["bootstrap-checkpoints", "scan-lattice", "scan-pairs", "multiplier-no-band",
-        "multiplier-one-band", "unread-key"])
+        "multiplier-one-band", "unread-key", "box-subnormal", "box-huge"])
 def test_run_exits_2_on_a_config_the_run_could_not_finish(body, needle, tmp_path, capsys,
                                                            monkeypatch):
     monkeypatch.setenv("KGLAB_OUT", str(tmp_path / "ledger"))

@@ -156,6 +156,11 @@ def test_validation_runs_at_parse_time():
         ("experiment = phase-scan\nsnapshot = true", "snapshot"),
         ("experiment = phase-scan\nbox = nan", "box must be finite"),
         ("experiment = phase-scan\nbox = 0", "box must be positive"),
+        # a box whose grid has an inf frequency step, or squared lattices that overflow
+        ("experiment = multiplier-bounds\nbox = 5e-324", "box half-length 4.94066e-324 is out"),
+        ("experiment = dispersive-decay\ndim = 2\nbox = 1e-200",
+         "out of range for a 2-D grid with n = 256"),
+        ("experiment = lifespan-sweep\nbox = 1e155", "largest squared frequency or position"),
         ("experiment = phase-scan\nseed = -1", "seed must be nonnegative"),
         ("experiment = phase-scan\neps = ,", "eps list must be nonempty"),
         ("experiment = phase-scan\ndt = -0.1", "dt must be nonnegative"),

@@ -126,6 +126,17 @@ def test_lifespan_sweep_with_one_eps_fails_growth_without_a_fit():
     assert report.verdict == "fail"
 
 
+def test_lifespan_sweep_counts_equal_survivors_as_monotone():
+    # the pinned sweep cut to t1 = 1.5: no eps blows up, every lifespan is
+    # inf, and equal lifespans are monotone (no inf - inf, no warning)
+    cfg = dataclasses.replace(pinned_config("lifespan-sweep"), t1=1.5, checkpoints=3)
+    report = run_experiment(cfg)
+    assert [row["lifespan"] for row in report.rows] == [math.inf] * 3
+    assert not any(report.checks[f"blew-up-eps-{eps:g}"] for eps in cfg.eps)
+    assert report.checks["lifespan-monotone"] is True
+    assert report.checks["grows-at-least-square"] is False
+
+
 def test_worker_pool_gives_identical_rows():
     base = ExperimentConfig(experiment="phase-scan", dim=1, radius=3.0,
                             step=0.5, signs=("++", "+-", "--"))

@@ -1,5 +1,6 @@
 """Grid geometry, the coefficient convention, and Field arithmetic."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,26 @@ def test_grid_validation():
         make_grid(1, 4, 1.0)  # too small
     with pytest.raises(ValueError):
         make_grid(1, 16, 0.0)
+
+
+@pytest.mark.parametrize("d, L", [(1, 5e-324), (2, 1e-200), (3, 1e-153), (1, 1e155),
+                                  (3, 1e154), (1, np.inf)],
+                         ids=["dxi-inf", "xi2-overflows", "xi2-overflows-3d", "x2-overflows",
+                              "x2-overflows-3d", "infinite"])
+def test_grid_refuses_a_box_whose_squared_lattices_overflow(d, L):
+    # refused before any array is built, so numpy never warns of an inf
+    # frequency (inf * mode 0 is nan) or an overflowing square
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="largest squared frequency or position"):
+            make_grid(d, 16, L)
+    assert caught == []
+
+
+def test_grid_keeps_a_box_whose_squared_lattices_are_finite():
+    for d, L in ((3, 1e-150), (3, 1e150)):
+        g = make_grid(d, 16, L)
+        assert np.isfinite(g.xi_mags).all() and np.isfinite(g.x_mags).all()
 
 
 def test_a_grid_is_its_d_n_and_L():

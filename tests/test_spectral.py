@@ -108,6 +108,42 @@ def test_dealias_idempotent():
     assert np.array_equal(once.coeffs, twice.coeffs)
 
 
+def _out_of_box_fields(g, seed):
+    """Real fields with energy outside the 2/3 box: every band of a noise
+    field, and a copy of it held as a half with a NaN planted in dropped
+    modes (the last column, and in d >= 2 a dropped row of column 0)."""
+    f = lp_interval(Field.from_values(g, make_rng(seed).standard_normal(g.shape)), -1, g.k_top)
+    half = f.spectrum().copy()
+    half[..., -1] = np.nan
+    if g.d > 1:
+        half[(g.n // 3 + 1,) + (0,) * (g.d - 1)] = np.nan
+    return f, Field.from_spectrum(g, half)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cut_transforms_are_bitwise_the_masked_full_ones(d, n):
+    # a real operand is inverse-transformed from its kept columns 0..n//3
+    # alone, and a real sum forward-transformed only on them (n = 8 keeps
+    # 3 of 5): every value and kept entry has the bits of the transform of
+    # the masked half, and a NaN in a dropped mode reaches nothing
+    g = make_grid(d, n, 4 * np.pi)
+    f, nan = _out_of_box_fields(g, 40 + n)
+    h, _ = _out_of_box_fields(g, 41 + n)
+    for x in (f, nan, h):
+        got = spectral._dealiased_values(x, None)
+        assert got.tobytes() == dealias(x).values.tobytes()
+    assert np.isfinite(spectral._dealiased_values(nan, None)).all()
+    for v in (f.values, dealias(f).values * dealias(h).values):
+        want = dealias(Field.from_values(g, v)).spectrum()
+        assert spectral._dealiased_field(g, v).spectrum().tobytes() == want.tobytes()
+    # and so through the sum of F: one shared square and one unshared product
+    got = dealiased_sum(g, iter([(1.0, nan, nan), (1.0, nan, h)]), dict.fromkeys((nan,)))
+    fv, hv = dealias(nan).values, dealias(h).values
+    want = dealias(Field.from_values(g, fv * fv + fv * hv))
+    assert got.spectrum().tobytes() == want.spectrum().tobytes()
+
+
 def test_dealiased_product_is_alias_free():
     # two modes near the 2/3 edge: their aliasing image would land at a
     # low retained mode on a plain product; the 2/3 rule must kill it
